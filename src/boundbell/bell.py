@@ -1,23 +1,30 @@
-"""Recursive multi-qubit Bell operator, evaluation, and settings search.
+"""Multi-qubit Bell operator in Mermin's product form, evaluation, and search.
 
 The operator family is normalized so local hidden variable models obey
-|<B>| <= 1 while the quantum bound is 2^((N-1)/2).  The recursion appends
-one party at a time; with every party measuring along x and y it collapses
-to a rank-2 operator coupling |0...0> and |1...1>.
+|<B>| <= 1 while the quantum bound is 2^((N-1)/2).  The party-appending
+recursion closes to Mermin's product form (PRL 65, 1838, 1990) in the
+normalization of Gisin and Bechmann-Pasquinucci (PLA 246, 1, 1998):
+B_N + iB'_N = c_N (x)_j M_j with M_j = sigma.a_j + i sigma.a'_j and
+c_N = ((1-i)/2)^(N-1).  B_N is its Hermitian part, and tr(B rho) =
+Re[c_N tr((x)_j M_j rho)] is a contraction of rho with N 2x2 factors that
+never forms B.  With every party measuring along x and y, B collapses to a
+rank-2 operator coupling |0...0> and |1...1>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .tensor import DensityOperator, PartyLayout
+from .tensor import DensityOperator, PartyLayout, _check_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 UNIT_TOL = 1e-12
 
@@ -31,13 +38,24 @@ def _sigma(vec: np.ndarray) -> np.ndarray:
     return vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
 
 
+def _unit_direction(v) -> tuple[float, float, float]:
+    """Validate one measurement direction: three finite components, unit norm."""
+    v = tuple(float(x) for x in v)
+    if len(v) != 3:
+        raise ValueError("directions must be 3-vectors")
+    if not all(math.isfinite(x) for x in v):
+        raise ValueError(f"direction {v} has a non-finite component")
+    if abs(math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) - 1.0) > UNIT_TOL:
+        raise ValueError(f"direction {v} is not a unit vector")
+    return v
+
+
 def pauli_along(a) -> np.ndarray:
     """Spin observable a_x*sx + a_y*sy + a_z*sz for a unit 3-vector."""
     v = np.asarray(a, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-        raise ValueError(f"direction must be a unit vector, |a| = {np.linalg.norm(v)!r}")
+    _unit_direction(v)
     return _sigma(v)
 
 
@@ -49,16 +67,10 @@ class BellSettings:
     a_prime: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        a = tuple(tuple(float(x) for x in v) for v in self.a)
-        ap = tuple(tuple(float(x) for x in v) for v in self.a_prime)
+        a = tuple(_unit_direction(v) for v in self.a)
+        ap = tuple(_unit_direction(v) for v in self.a_prime)
         if len(a) != len(ap) or len(a) < 1:
             raise ValueError("need one (a, a') pair of directions per party")
-        for vecs in (a, ap):
-            for v in vecs:
-                if len(v) != 3:
-                    raise ValueError("directions must be 3-vectors")
-                if abs(math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) - 1.0) > UNIT_TOL:
-                    raise ValueError(f"direction {v} is not a unit vector")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_prime", ap)
 
@@ -70,9 +82,6 @@ class BellSettings:
     @property
     def num_parties(self) -> int:
         return len(self.a)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.a, dtype=float), np.array(self.a_prime, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +98,7 @@ class BellOperator:
             raise ValueError(f"matrix must have shape {(d, d)}")
         if any(dim != 2 for dim in self.layout.dims):
             raise ValueError("Bell operators are defined on all-qubit layouts")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > 1e-12:
-            raise ValueError(f"Bell operator deviates from Hermiticity by {dev:.3e}")
+        _check_hermitian(m, 1e-12)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -99,35 +106,40 @@ class BellOperator:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
 
-def _bell_matrix(avecs: np.ndarray, apvecs: np.ndarray) -> np.ndarray:
-    """Recursion over parties; earlier parties occupy more significant digits.
+def _prefactor(n: int) -> complex:
+    return ((1.0 - 1.0j) / 2.0) ** (n - 1)
 
-    Base case is the single-party observable itself; the primed branch swaps
-    the two direction lists.  Directions are not required to be normalized
-    here, which keeps the map multilinear for the coordinate optimizer.
-    """
-    n = avecs.shape[0]
-    b = _sigma(avecs[0])
-    bp = _sigma(apvecs[0])
-    for j in range(1, n):
-        s = _sigma(avecs[j])
-        sp = _sigma(apvecs[j])
-        plus = s + sp
-        minus = s - sp
-        if j == n - 1:  # the primed operator of the last level is never used
-            return 0.5 * (np.kron(b, plus) + np.kron(bp, minus))
-        b, bp = (
-            0.5 * (np.kron(b, plus) + np.kron(bp, minus)),
-            0.5 * (np.kron(bp, plus) - np.kron(b, minus)),
-        )
-    return b
+
+def _factors(avecs, apvecs) -> list[np.ndarray]:
+    """The 2x2 product-form factors M_j = sigma.a_j + i sigma.a'_j."""
+    return [_sigma(a) + 1j * _sigma(ap) for a, ap in zip(avecs, apvecs)]
+
+
+def _peel_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Contract the leading party of t with m: tr((m (x) K) t) = tr(K r)."""
+    h = t.shape[0] // 2
+    return np.einsum("ab,bxay->xy", m, t.reshape(2, h, 2, h))
+
+
+def _peel_last(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Contract the trailing party of t with m: tr((K (x) m) t) = tr(K r)."""
+    h = t.shape[0] // 2
+    return np.einsum("ab,xbya->xy", m, t.reshape(h, 2, h, 2))
+
+
+def _product_trace(factors: list[np.ndarray], t: np.ndarray) -> complex:
+    """tr((x)_j M_j t), peeling off one party at a time."""
+    for m in factors:
+        t = _peel_first(m, t)
+    return complex(t[0, 0])
 
 
 def build_bell(settings: BellSettings) -> BellOperator:
-    """Bell operator for the given settings via the party-appending recursion."""
-    avecs, apvecs = settings.as_arrays()
-    layout = PartyLayout.qubits(settings.num_parties)
-    return BellOperator(layout, _bell_matrix(avecs, apvecs))
+    """Dense Bell operator for the given settings: the Hermitian part of the
+    product form c_N (x)_j M_j."""
+    n = settings.num_parties
+    c = _prefactor(n) * reduce(np.kron, _factors(settings.a, settings.a_prime))
+    return BellOperator(PartyLayout.qubits(n), 0.5 * (c + c.conj().T))
 
 
 def closed_form_xy(n: int) -> BellOperator:
@@ -147,46 +159,21 @@ def closed_form_xy(n: int) -> BellOperator:
     return BellOperator(layout, m)
 
 
-def _trace_product(bell_matrix: np.ndarray, rho_matrix: np.ndarray) -> complex:
-    return complex(np.einsum("ij,ji->", bell_matrix, rho_matrix))
-
-
 def bell_value(rho: DensityOperator, settings: BellSettings) -> float:
-    """Expectation tr(B rho); |value| > 1 signals a Bell violation."""
+    """Expectation tr(B rho); |value| > 1 signals a Bell violation.
+
+    The imaginary part of c_N tr((x)_j M_j rho) is tr(B' rho), the primed
+    operator's expectation, and is discarded.
+    """
     if any(d != 2 for d in rho.layout.dims):
         raise ValueError("Bell evaluation requires an all-qubit layout")
-    if settings.num_parties != rho.layout.num_parties:
+    n = rho.layout.num_parties
+    if settings.num_parties != n:
         raise ValueError(
-            f"settings cover {settings.num_parties} parties, state has "
-            f"{rho.layout.num_parties}"
+            f"settings cover {settings.num_parties} parties, state has {n}"
         )
-    value = _trace_product(build_bell(settings).matrix, rho.matrix)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
-def _coordinate_gradient(
-    avecs: np.ndarray, apvecs: np.ndarray, j: int, primed: bool, rho: np.ndarray
-) -> np.ndarray:
-    """Gradient of tr(B rho) in one direction vector.
-
-    The expectation is affine in each direction vector (the terms carrying
-    the other observable of the same party are constant in it), so the exact
-    gradient is the three axis values minus the offset at the zero vector.
-    """
-    grad = np.empty(3)
-    target = apvecs if primed else avecs
-    saved = target[j].copy()
-    target[j] = np.zeros(3)
-    offset = _trace_product(_bell_matrix(avecs, apvecs), rho).real
-    for i in range(3):
-        axis = np.zeros(3)
-        axis[i] = 1.0
-        target[j] = axis
-        grad[i] = _trace_product(_bell_matrix(avecs, apvecs), rho).real - offset
-    target[j] = saved
-    return grad
+    factors = _factors(settings.a, settings.a_prime)
+    return float((_prefactor(n) * _product_trace(factors, rho.matrix)).real)
 
 
 def optimize_settings(
@@ -198,22 +185,23 @@ def optimize_settings(
 ) -> tuple[BellSettings, float]:
     """Maximize tr(B rho) over measurement directions by coordinate ascent.
 
-    Each per-coordinate update is exact (the objective is multilinear in the
-    2N direction vectors): evaluate the three axis values, then point the
-    direction along the resulting gradient.  Restarts draw seeded random
-    initial directions; the best value wins, ties going to the earliest
-    restart.  A coordinate with vanishing gradient is left untouched for
-    that sweep.
+    The objective is linear in each factor M_j: with the others fixed it is
+    Re(c_N tr(M_j E_j)) for a 2x2 environment E_j, the rho contraction over
+    the already updated parties 1..j-1 with parties j+1..N peeled off its
+    end.  So each party's update is exact: a_j points along
+    Re(c_N tr(sigma E_j)) and a'_j along -Im(c_N tr(sigma E_j)).  Restarts
+    draw seeded random initial directions; the best value wins, ties going
+    to the earliest restart.  A direction with vanishing gradient is left
+    untouched for that sweep.
     """
     layout = rho.layout
     if any(d != 2 for d in layout.dims):
         raise ValueError("optimizer requires an all-qubit layout")
     n = layout.num_parties
-    if n > 10:
-        raise ValueError("optimizer supports at most 10 parties")
     if restarts < 1:
         raise ValueError("need at least one restart")
 
+    c = _prefactor(n)
     rng = np.random.default_rng(int(seed))
     best_value = -np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -224,20 +212,23 @@ def optimize_settings(
         vecs /= norms[:, None]
         avecs = vecs[:n].copy()
         apvecs = vecs[n:].copy()
+        factors = _factors(avecs, apvecs)
 
-        value = _trace_product(_bell_matrix(avecs, apvecs), rho.matrix).real
+        value = (c * _product_trace(factors, rho.matrix)).real
         for _sweep in range(max_sweeps):
+            prefix = rho.matrix
             for j in range(n):
-                for primed in (False, True):
-                    grad = _coordinate_gradient(avecs, apvecs, j, primed, rho.matrix)
+                env = prefix
+                for m in reversed(factors[j + 1 :]):
+                    env = _peel_last(m, env)
+                v = c * np.einsum("kab,ba->k", _PAULIS, env)
+                for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
                     gnorm = np.linalg.norm(grad)
-                    if gnorm < _ZERO_GRADIENT:
-                        continue
-                    if primed:
-                        apvecs[j] = grad / gnorm
-                    else:
-                        avecs[j] = grad / gnorm
-            new_value = _trace_product(_bell_matrix(avecs, apvecs), rho.matrix).real
+                    if gnorm >= _ZERO_GRADIENT:
+                        target[j] = grad / gnorm
+                factors[j] = _sigma(avecs[j]) + 1j * _sigma(apvecs[j])
+                prefix = _peel_first(factors[j], prefix)
+            new_value = (c * prefix[0, 0]).real
             improvement = new_value - value
             value = new_value
             if improvement < tol:

@@ -60,10 +60,13 @@ def settings_to_obj(settings: BellSettings) -> dict:
 
 
 def settings_from_obj(obj: dict) -> BellSettings:
-    return BellSettings(
-        tuple(tuple(float(x) for x in v) for v in obj["a"]),
-        tuple(tuple(float(x) for x in v) for v in obj["a_prime"]),
-    )
+    try:
+        return BellSettings(
+            tuple(tuple(float(x) for x in v) for v in obj["a"]),
+            tuple(tuple(float(x) for x in v) for v in obj["a_prime"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"settings need 'a' and 'a_prime' direction lists ({exc!r})") from exc
 
 
 def _matrix_entries(m: np.ndarray) -> list[list]:

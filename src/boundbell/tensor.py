@@ -25,6 +25,13 @@ _PHASE_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
+def _check_hermitian(m: np.ndarray, tol: float) -> None:
+    """Raise ValueError when a square matrix deviates from Hermiticity beyond tol."""
+    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if dev > tol:
+        raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e} (> {tol})")
+
+
 @dataclass(frozen=True)
 class PartyLayout:
     """Ordered local dimensions of the parties sharing a state."""
@@ -164,11 +171,7 @@ class DensityOperator:
         d = self.layout.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > HERMITIAN_TOL:
-            raise ValueError(
-                f"matrix deviates from Hermiticity by {dev:.3e} (> {HERMITIAN_TOL})"
-            )
+        _check_hermitian(m, HERMITIAN_TOL)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -299,9 +302,7 @@ def hermitian_eigenvalues(op, return_vectors: bool = False, hermitian_tol: float
     Raises on input that is not Hermitian within ``hermitian_tol``.
     """
     m = _as_matrix(op)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > hermitian_tol:
-        raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}")
+    _check_hermitian(m, hermitian_tol)
     if not return_vectors:
         return np.linalg.eigvalsh(m)
     vals, vecs = np.linalg.eigh(m)

@@ -58,3 +58,60 @@ def brute_single_rank(psi: PureState, party: int, cutoff: float = 1e-10) -> int:
     """Schmidt rank at one party from reduced-operator eigenvalues (oracle)."""
     eigs = np.linalg.eigvalsh(brute_reduced_operator(psi, party))
     return int(np.sum(eigs > cutoff**2))
+
+
+_PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _sigma(vec: np.ndarray) -> np.ndarray:
+    return vec[0] * _PAULI[0] + vec[1] * _PAULI[1] + vec[2] * _PAULI[2]
+
+
+def bell_matrix_recursion(avecs: np.ndarray, apvecs: np.ndarray) -> np.ndarray:
+    """Dense Bell operator by the party-appending recursion (oracle path).
+
+    Earlier parties occupy more significant digits.  Base case is the
+    single-party observable itself; the primed branch swaps the two
+    direction lists.  Directions are not required to be normalized here,
+    which keeps the map multilinear.
+    """
+    n = avecs.shape[0]
+    b = _sigma(avecs[0])
+    bp = _sigma(apvecs[0])
+    for j in range(1, n):
+        s = _sigma(avecs[j])
+        sp = _sigma(apvecs[j])
+        plus = s + sp
+        minus = s - sp
+        if j == n - 1:  # the primed operator of the last level is never used
+            return 0.5 * (np.kron(b, plus) + np.kron(bp, minus))
+        b, bp = (
+            0.5 * (np.kron(b, plus) + np.kron(bp, minus)),
+            0.5 * (np.kron(bp, plus) - np.kron(b, minus)),
+        )
+    return b
+
+
+def planar_grid_oracle(step_deg: float = 1.0) -> float:
+    """Brute-force CHSH-style maximum for the two-qubit maximally entangled
+    state on a grid of the given step.
+
+    Correlations satisfy <s_a s_b> = a . T b with T = diag(1, -1, 1); all
+    singular values of T are 1, so an optimal pair of directions lies in the
+    x-z principal plane.  For fixed (b, b') the optimal a, a' are closed
+    form, leaving a two-angle grid.
+    """
+    t = np.diag([1.0, -1.0, 1.0])
+    angles = np.deg2rad(np.arange(0.0, 360.0, step_deg))
+    vecs = np.stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)], axis=1)
+    tb = vecs @ t.T
+    best = 0.0
+    for i in range(len(vecs)):
+        plus = np.linalg.norm(tb[i] + tb, axis=1)
+        minus = np.linalg.norm(tb[i] - tb, axis=1)
+        best = max(best, float(np.max(0.5 * (plus + minus))))
+    return best

@@ -34,7 +34,7 @@ from boundbell import (
     rho_family,
 )
 from boundbell.serialize import canonical_dumps
-from helpers import make_extraction_corpus, separable_fixture
+from helpers import make_extraction_corpus, planar_grid_oracle, separable_fixture
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -209,19 +209,7 @@ def test_criterion_5_optimizer_adequacy():
         report = json.loads(_cached("optimizer", build_optimizer_report))
         assert report["rho8"] >= 2**3.5 / 9 - 1e-6, report["rho8"]
         assert report["two_qubit"] >= np.sqrt(2) - 1e-6, report["two_qubit"]
-        # brute-force 1-degree-grid oracle for the two-qubit maximum:
-        # correlations are a . T b with T = diag(1, -1, 1); every singular
-        # value is 1 so an optimal direction pair lies in the x-z principal
-        # plane, and for fixed (b, b') the optimal a, a' are closed form.
-        t = np.diag([1.0, -1.0, 1.0])
-        angles = np.deg2rad(np.arange(0.0, 360.0, 1.0))
-        vecs = np.stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)], axis=1)
-        tb = vecs @ t.T
-        grid = 0.0
-        for i in range(len(vecs)):
-            plus = np.linalg.norm(tb[i] + tb, axis=1)
-            minus = np.linalg.norm(tb[i] - tb, axis=1)
-            grid = max(grid, float(np.max(0.5 * (plus + minus))))
+        grid = planar_grid_oracle(1.0)  # brute-force two-qubit maximum
         assert abs(grid - np.sqrt(2)) < 3e-4
         assert report["two_qubit"] >= grid - 1e-9
         assert report["separable"] <= 1.0 + 1e-8, report["separable"]

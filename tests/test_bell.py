@@ -1,4 +1,4 @@
-"""Bell operator recursion, closed form, expectations, and optimization."""
+"""Bell operator product form, closed form, expectations, and optimization."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,12 @@ from boundbell import (
     pauli_along,
     rho_family,
 )
-from boundbell.bell import _bell_matrix
-from helpers import separable_fixture
+from helpers import (
+    bell_matrix_recursion,
+    planar_grid_oracle,
+    random_density,
+    separable_fixture,
+)
 
 
 def phi_plus_density():
@@ -59,17 +63,34 @@ def test_settings_validation():
         BellSettings(((1.0, 0.0, 0.0),), ((0.0, 2.0, 0.0),))
     with pytest.raises(ValueError):
         BellSettings(((1.0, 0.0, 0.0),), ())
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BellSettings(((bad, 0.0, 0.0),), ((0.0, 1.0, 0.0),))
+        with pytest.raises(ValueError):
+            pauli_along((1.0, 0.0, bad))
     xy = BellSettings.xy(3)
     assert xy.num_parties == 3
 
 
-# ---------------------------------------------------------------- recursion
+# ---------------------------------------------------------------- product form
 
 
 def test_build_bell_matches_closed_form_small():
     b = build_bell(BellSettings.xy(3))
     c = closed_form_xy(3)
     assert np.max(np.abs(b.matrix - c.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_product_form_matches_recursion_oracle(n):
+    vecs = np.random.default_rng(100 + n).standard_normal((2 * n, 3))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    settings = BellSettings(tuple(map(tuple, vecs[:n])), tuple(map(tuple, vecs[n:])))
+    oracle = bell_matrix_recursion(vecs[:n], vecs[n:])
+    assert np.max(np.abs(build_bell(settings).matrix - oracle)) <= 1e-12
+    rho = random_density(PartyLayout.qubits(n), seed=n)
+    expected = np.einsum("ij,ji->", oracle, rho.matrix).real
+    assert abs(bell_value(rho, settings) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -169,10 +190,10 @@ def test_expectation_affine_in_each_direction():
             values = []
             for vec in (v1, v2):
                 target[j] = vec
-                values.append(np.einsum("ij,ji->", _bell_matrix(a, ap), rho).real)
+                values.append(np.einsum("ij,ji->", bell_matrix_recursion(a, ap), rho).real)
             c = float(rng.uniform(0, 1))
             target[j] = c * v1 + (1 - c) * v2
-            mixed = np.einsum("ij,ji->", _bell_matrix(a, ap), rho).real
+            mixed = np.einsum("ij,ji->", bell_matrix_recursion(a, ap), rho).real
             target[j] = saved
             assert abs(mixed - (c * values[0] + (1 - c) * values[1])) < 1e-10
 
@@ -201,31 +222,10 @@ def test_bell_operator_requires_hermitian_qubit_layout():
 # ---------------------------------------------------------------- optimizer
 
 
-def _planar_grid_oracle(step_deg: float = 1.0) -> float:
-    """Brute-force CHSH-style maximum for the two-qubit maximally entangled
-    state on a 1-degree grid.
-
-    Correlations satisfy <s_a s_b> = a . T b with T = diag(1, -1, 1); all
-    singular values of T are 1, so an optimal pair of directions lies in the
-    x-z principal plane.  For fixed (b, b') the optimal a, a' are closed
-    form, leaving a two-angle grid.
-    """
-    t = np.diag([1.0, -1.0, 1.0])
-    angles = np.deg2rad(np.arange(0.0, 360.0, step_deg))
-    vecs = np.stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)], axis=1)
-    tb = vecs @ t.T
-    best = 0.0
-    for i in range(len(vecs)):
-        plus = np.linalg.norm(tb[i] + tb, axis=1)
-        minus = np.linalg.norm(tb[i] - tb, axis=1)
-        best = max(best, float(np.max(0.5 * (plus + minus))))
-    return best
-
-
 def test_optimizer_two_qubit_maximum_vs_grid_oracle():
     settings, value = optimize_settings(phi_plus_density(), restarts=8, seed=2)
     assert value >= np.sqrt(2) - 1e-6
-    grid = _planar_grid_oracle(1.0)
+    grid = planar_grid_oracle(1.0)
     assert abs(grid - np.sqrt(2)) < 3e-4  # grid resolution limit
     assert value >= grid - 1e-9
     # the returned settings reproduce the returned value
@@ -252,6 +252,12 @@ def test_optimizer_zero_gradient_state():
     rho = DensityOperator(layout, np.eye(4) / 4, psd_certified=True)
     _, value = optimize_settings(rho, restarts=2, seed=0)
     assert abs(value) < 1e-12
+
+
+def test_optimizer_eleven_qubits_one_sweep():
+    rho = rho_family(RhoFamilySpec(11))
+    settings, value = optimize_settings(rho, restarts=1, seed=0, max_sweeps=1)
+    assert abs(bell_value(rho, settings) - value) <= 1e-10
 
 
 def test_optimizer_rejects_large_or_qutrit_layouts():

@@ -95,6 +95,23 @@ def test_bell_optimize_and_settings_file(tmp_path):
     assert load_json(out2)["value"] == pytest.approx(report["value"], abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": [[NaN, 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
+        '{"a": [[1, 0, 0], [1, 0, 0]]}',
+        '{"a_prime": [[0, 1, 0], [0, 1, 0]]}',
+        '[[1, 0, 0], [1, 0, 0]]',
+        '{"a": [1, 0], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
+    ],
+    ids=["nan", "no-a-prime", "no-a", "not-an-object", "scalar-direction"],
+)
+def test_bell_malformed_settings_file_exit_code(tmp_path, text):
+    settings = tmp_path / "settings.json"
+    settings.write_text(text)
+    assert run(["bell", "--n", 2, "--settings", settings]) == 2
+
+
 def test_extract_ghz(tmp_path):
     out = tmp_path / "ex.json"
     assert run(["extract", "--ghz", 5, "--out", out]) == 0
