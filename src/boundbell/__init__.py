@@ -57,7 +57,6 @@ from .tensor import (
     apply_local,
     basis_state,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
     schmidt,
     tensor_product,
@@ -99,7 +98,6 @@ __all__ = [
     "ghz_projector",
     "hermitian_eigenvalues",
     "optimize_settings",
-    "partial_trace",
     "partial_transpose",
     "pauli_along",
     "ppt_check",

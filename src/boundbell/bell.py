@@ -6,8 +6,9 @@ recursion closes to Mermin's product form (PRL 65, 1838, 1990) in the
 normalization of Gisin and Bechmann-Pasquinucci (PLA 246, 1, 1998):
 B_N + iB'_N = c_N (x)_j M_j with M_j = sigma.a_j + i sigma.a'_j and
 c_N = ((1-i)/2)^(N-1).  B_N is its Hermitian part, and tr(B rho) =
-Re[c_N tr((x)_j M_j rho)] is a contraction of rho with N 2x2 factors that
-never forms B.  With every party measuring along x and y, B collapses to a
+Re[c_N tr((x)_j M_j rho)] never forms B: each nonzero entry rho[r, c]
+contributes rho[r, c] prod_j M_j[c_j, r_j], with r_j and c_j party j's
+digits of r and c.  With every party measuring along x and y, B collapses to a
 rank-2 operator coupling |0...0> and |1...1>.
 """
 
@@ -98,7 +99,7 @@ class BellOperator:
             raise ValueError(f"matrix must have shape {(d, d)}")
         if any(dim != 2 for dim in self.layout.dims):
             raise ValueError("Bell operators are defined on all-qubit layouts")
-        _check_hermitian(m, 1e-12)
+        _check_hermitian(m - m.conj().T, 1e-12)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -115,23 +116,17 @@ def _factors(avecs, apvecs) -> list[np.ndarray]:
     return [_sigma(a) + 1j * _sigma(ap) for a, ap in zip(avecs, apvecs)]
 
 
-def _peel_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Contract the leading party of t with m: tr((m (x) K) t) = tr(K r)."""
-    h = t.shape[0] // 2
-    return np.einsum("ab,bxay->xy", m, t.reshape(2, h, 2, h))
+def _entry_codes(rho: DensityOperator):
+    """Per party j, the flat index 2*c_j + r_j of the M_j[c_j, r_j] each entry meets."""
+    for shift in range(rho.layout.num_parties - 1, -1, -1):
+        yield 2 * ((rho.cols >> shift) & 1) + ((rho.rows >> shift) & 1)
 
 
-def _peel_last(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Contract the trailing party of t with m: tr((K (x) m) t) = tr(K r)."""
-    h = t.shape[0] // 2
-    return np.einsum("ab,xbya->xy", m, t.reshape(h, 2, h, 2))
-
-
-def _product_trace(factors: list[np.ndarray], t: np.ndarray) -> complex:
-    """tr((x)_j M_j t), peeling off one party at a time."""
-    for m in factors:
-        t = _peel_first(m, t)
-    return complex(t[0, 0])
+def _trace_terms(vals: np.ndarray, factors, codes) -> np.ndarray:
+    """Per entry, rho[r, c] prod_j M_j[c_j, r_j]; they sum to tr((x)_j M_j rho)."""
+    for m, code in zip(factors, codes):
+        vals = vals * m.reshape(4)[code]
+    return vals
 
 
 def build_bell(settings: BellSettings) -> BellOperator:
@@ -173,7 +168,8 @@ def bell_value(rho: DensityOperator, settings: BellSettings) -> float:
             f"settings cover {settings.num_parties} parties, state has {n}"
         )
     factors = _factors(settings.a, settings.a_prime)
-    return float((_prefactor(n) * _product_trace(factors, rho.matrix)).real)
+    terms = _trace_terms(rho.vals, factors, _entry_codes(rho))
+    return float((_prefactor(n) * terms.sum()).real)
 
 
 def optimize_settings(
@@ -185,11 +181,12 @@ def optimize_settings(
 ) -> tuple[BellSettings, float]:
     """Maximize tr(B rho) over measurement directions by coordinate ascent.
 
-    The objective is linear in each factor M_j: with the others fixed it is
-    Re(c_N tr(M_j E_j)) for a 2x2 environment E_j, the rho contraction over
-    the already updated parties 1..j-1 with parties j+1..N peeled off its
-    end.  So each party's update is exact: a_j points along
-    Re(c_N tr(sigma E_j)) and a'_j along -Im(c_N tr(sigma E_j)).  Restarts
+    The objective is linear in each factor M_j: it is Re(c_N sum_ab M_j[a, b]
+    G_j[a, b]), G_j[a, b] summing the entries with c_j = a, r_j = b times their
+    factor elements at the updated parties 1..j-1 (prefix products) and at
+    parties j+1..N (suffix products from the start of the sweep).  So each
+    update is exact: with v = c_N sum_ab sigma[a, b] G_j[a, b], a_j points
+    along Re(v) and a'_j along -Im(v).  Restarts
     draw seeded random initial directions; the best value wins, ties going
     to the earliest restart.  A direction with vanishing gradient is left
     untouched for that sweep.
@@ -202,6 +199,7 @@ def optimize_settings(
         raise ValueError("need at least one restart")
 
     c = _prefactor(n)
+    codes = list(_entry_codes(rho))
     rng = np.random.default_rng(int(seed))
     best_value = -np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -214,21 +212,23 @@ def optimize_settings(
         apvecs = vecs[n:].copy()
         factors = _factors(avecs, apvecs)
 
-        value = (c * _product_trace(factors, rho.matrix)).real
+        value = (c * _trace_terms(rho.vals, factors, codes).sum()).real
         for _sweep in range(max_sweeps):
-            prefix = rho.matrix
+            suffix = [np.ones(1)]  # suffix[k]: product over the last k parties
+            for m, code in zip(reversed(factors), reversed(codes)):
+                suffix.append(suffix[-1] * m.reshape(4)[code])
+            prefix = rho.vals
             for j in range(n):
-                env = prefix
-                for m in reversed(factors[j + 1 :]):
-                    env = _peel_last(m, env)
-                v = c * np.einsum("kab,ba->k", _PAULIS, env)
+                w = prefix * suffix[n - 1 - j]
+                g = np.bincount(codes[j], w.real, 4) + 1j * np.bincount(codes[j], w.imag, 4)
+                v = c * (_PAULIS.reshape(3, 4) @ g)
                 for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
                     gnorm = np.linalg.norm(grad)
                     if gnorm >= _ZERO_GRADIENT:
                         target[j] = grad / gnorm
                 factors[j] = _sigma(avecs[j]) + 1j * _sigma(apvecs[j])
-                prefix = _peel_first(factors[j], prefix)
-            new_value = (c * prefix[0, 0]).real
+                prefix = prefix * factors[j].reshape(4)[codes[j]]
+            new_value = (c * prefix.sum()).real
             improvement = new_value - value
             value = new_value
             if improvement < tol:

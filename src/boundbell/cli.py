@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from pathlib import Path
 
 from .bell import BellSettings, bell_value, optimize_settings
@@ -28,7 +28,8 @@ from .extraction import (
     PairUnavailableError,
     extract,
 )
-from .ppt import NOT_PSD, PSD, ppt_check, scan
+# ppt_check stays importable from here: bench/tracing.py rebinds it.
+from .ppt import classify_family, cut_verdicts, ppt_check, scan  # noqa: F401
 from .serialize import (
     canonical_dumps,
     dump_json,
@@ -51,6 +52,7 @@ EXIT_PAIR_UNAVAILABLE = 4
 EXIT_NUMERIC_DEGENERACY = 5
 
 _TOL_ENV = "BOUNDBELL_TOL"
+_VERDICT_KEYS = ("ppt_single", "npt_pairs", "bound_entangled_claim")
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,17 @@ class RunConfig:
         return obj
 
 
+def tolerance(text) -> float:
+    """Parse a --tol or BOUNDBELL_TOL value: a finite, non-negative number."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"tolerance must be a finite non-negative number, got {text!r}")
+    return value
+
+
 def _default_tol(fallback: float) -> float:
     env = os.environ.get(_TOL_ENV)
-    if env is None:
-        return fallback
-    return float(env)
+    return fallback if env is None else tolerance(env)
 
 
 def _resolve_alpha(text: str, n: int) -> float:
@@ -134,56 +142,32 @@ def cmd_state(args) -> int:
     dump_json(operator_to_obj(rho), out)
     dump_json(state_to_obj(psi), ghz_out)
 
-    config = RunConfig(
-        "state", n=args.n, alpha=alpha, out=str(out)
-    )
+    config = RunConfig("state", n=args.n, alpha=alpha, out=str(out))
     report = {
         "config": config.to_obj(),
         "operator_file": str(out),
         "ghz_file": str(ghz_out),
-        "nonzero_entries": len(operator_to_obj(rho)["entries"]),
+        "nonzero_entries": int(rho.vals.size),
     }
     sys.stdout.write(canonical_dumps(report))
     return EXIT_OK
-
-
-def _scan_summary(reports) -> dict:
-    singles = [r for r in reports if len(r.subset) == 1]
-    pairs = [r for r in reports if len(r.subset) == 2]
-    ppt_single = all(r.verdict == PSD for r in singles)
-    npt_pairs = all(r.verdict == NOT_PSD for r in pairs) if pairs else None
-    return {
-        "ppt_single": ppt_single,
-        "npt_pairs": npt_pairs,
-        "bound_entangled_claim": bool(ppt_single and npt_pairs),
-    }
 
 
 def cmd_scan(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol(1e-9)
     rho, n, alpha = _load_operator_source(args)
     result = scan(rho, tol)
-    summary = _scan_summary(result.reports)
+    summary = dict(zip(_VERDICT_KEYS, cut_verdicts(result.reports)))
 
     config = RunConfig(
-        "scan",
-        n=n,
-        alpha=alpha,
-        tol=tol,
-        input=args.input,
-        out=args.out,
-        format=args.format,
+        "scan", n=n, alpha=alpha, tol=tol, input=args.input, out=args.out, format=args.format
     )
     report = {
         "config": config.to_obj(),
         "N": n,
         "alpha": alpha,
         "reports": [
-            {
-                "subset": list(r.subset),
-                "min_eig": r.min_eigenvalue,
-                "verdict": r.verdict,
-            }
+            {"subset": list(r.subset), "min_eig": r.min_eigenvalue, "verdict": r.verdict}
             for r in result.reports
         ],
         "all_ppt": result.all_ppt,
@@ -301,27 +285,10 @@ def cmd_sweep(args) -> int:
         alpha = _resolve_alpha(args.alpha, n)
         rho = rho_family(RhoFamilySpec(n, alpha))
         value = bell_value(rho, BellSettings.xy(n))
-        row = {
-            "n": n,
-            "alpha": alpha,
-            "bell_xy": value,
-            "violation": bool(abs(value) > 1.0),
-            "ppt_single": None,
-            "npt_pairs": None,
-            "bound_entangled_claim": None,
-        }
-        if n <= args.scan_max:
-            singles = [ppt_check(rho, (k,), tol) for k in range(1, n + 1)]
-            row["ppt_single"] = all(r.verdict == PSD for r in singles)
-            if n >= 3:
-                pairs = [
-                    ppt_check(rho, pair, tol)
-                    for pair in combinations(range(1, n + 1), 2)
-                ]
-                row["npt_pairs"] = all(r.verdict == NOT_PSD for r in pairs)
-            row["bound_entangled_claim"] = bool(
-                row["ppt_single"] and row["npt_pairs"]
-            )
+        row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": bool(abs(value) > 1.0)}
+        family = classify_family(n, alpha, tol) if n <= args.scan_max else None
+        for key in _VERDICT_KEYS:  # None outside the PPT range
+            row[key] = getattr(family, key, None)
         rows.append(row)
         sys.stderr.write(
             f"n={n} bell_xy={row['bell_xy']!r} violation={row['violation']}\n"
@@ -341,28 +308,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        header = [
-            "n",
-            "alpha",
-            "bell_xy",
-            "violation",
-            "ppt_single",
-            "npt_pairs",
-            "bound_entangled_claim",
-        ]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["n"],
-                    repr(row["alpha"]),
-                    repr(row["bell_xy"]),
-                    row["violation"],
-                    row["ppt_single"],
-                    row["npt_pairs"],
-                    row["bound_entangled_claim"],
-                ]
-            )
+        writer.writerow(rows[0])  # the header: every row has the same keys
+        writer.writerows(row.values() for row in rows)  # csv writes floats by repr
         _emit_text(buf.getvalue(), args.out)
     else:
         _emit(report, args.out)
@@ -387,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--input", default=None, help="operator JSON file")
     p_scan.add_argument("--n", type=int, default=None)
     p_scan.add_argument("--alpha", default="auto")
-    p_scan.add_argument("--tol", type=float, default=None)
+    p_scan.add_argument("--tol", type=tolerance, default=None)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)
@@ -398,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--alpha", default="auto")
     p_bell.add_argument("--settings", default="xy", help="'xy', 'optimize', or a settings JSON path")
     p_bell.add_argument("--restarts", type=int, default=16)
-    p_bell.add_argument("--tol", type=float, default=None)
+    p_bell.add_argument("--tol", type=tolerance, default=None)
     p_bell.add_argument("--seed", type=int, default=0)
     p_bell.add_argument("--out", default=None)
     p_bell.add_argument("--settings-out", dest="settings_out", default=None)
@@ -420,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alpha", default="auto")
     p_sweep.add_argument("--scan-max", dest="scan_max", type=int, default=8,
                          help="largest N to include in the PPT part")
-    p_sweep.add_argument("--tol", type=float, default=None)
+    p_sweep.add_argument("--tol", type=tolerance, default=None)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

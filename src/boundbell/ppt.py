@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .states import RhoFamilySpec, rho_family
-from .tensor import DensityOperator, MAX_GLOBAL_DIM, hermitian_eigenvalues, partial_transpose
+from .tensor import DensityOperator, hermitian_eigenvalues, partial_transpose
 
 PSD = "PSD"
 NOT_PSD = "NOT_PSD"
@@ -63,12 +65,51 @@ class RhoClassification:
     non_distillability: str
 
 
+def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """Connected-component id (0..k-1) of each of ``count`` nodes joined by
+    the edges a[e]-b[e]: min-label hooking with pointer jumping."""
+    label = np.arange(count)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, a, label[b])
+        np.minimum.at(hooked, b, label[a])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = hooked
+
+
+def _min_eigenvalue(op: DensityOperator) -> float:
+    """Smallest eigenvalue of a sparse Hermitian operator, block by block.
+
+    Basis states linked by an entry share a block, so the spectrum is the
+    union of the spectra of the connected components of the sparsity graph,
+    plus 0 when some basis state carries no entry at all.  Blocks of equal
+    size are eigensolved densely as one stack.
+    """
+    nodes, inverse = np.unique(np.concatenate([op.rows, op.cols]), return_inverse=True)
+    r, c = np.split(inverse, 2)
+    block = _components(r, c, nodes.size)
+    sizes = np.bincount(block)
+    order = np.argsort(block, kind="stable")
+    local = np.empty_like(order)  # each node's position inside its block
+    local[order] = np.arange(nodes.size) - (np.cumsum(sizes) - sizes)[block[order]]
+    lows = [0.0] if nodes.size < op.layout.dim else []
+    for size in np.unique(sizes):
+        slot = np.cumsum(sizes == size) - 1  # a block's place among those of its size
+        sel = sizes[block[r]] == size
+        stack = np.zeros((slot[-1] + 1, size, size), dtype=complex)
+        stack[slot[block[r[sel]]], local[r[sel]], local[c[sel]]] = op.vals[sel]
+        lows.append(float(hermitian_eigenvalues(stack)[:, 0].min()))
+    return min(lows)
+
+
 def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> PptReport:
-    """Check positivity of the partial transpose on ``subset``."""
+    """Check positivity of the partial transpose on ``subset`` (tol >= 0)."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
     parties = rho.layout.check_subset(subset, nonempty=True, proper=True)
-    transposed = partial_transpose(rho, parties)
-    eigs = hermitian_eigenvalues(transposed)
-    min_eig = float(eigs[0])
+    min_eig = _min_eigenvalue(partial_transpose(rho, parties))
     threshold = -tol * max(1.0, rho.trace)
     verdict = PSD if min_eig >= threshold else NOT_PSD
     return PptReport(parties, min_eig, verdict, tol)
@@ -76,16 +117,19 @@ def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> Ppt
 
 def scan(rho: DensityOperator, tol: float = DEFAULT_PPT_TOL) -> BipartitionScan:
     """PPT-check every subset of size up to floor(N/2), in deterministic order."""
-    layout = rho.layout
-    if layout.dim > MAX_GLOBAL_DIM:
-        raise ValueError(f"global dimension {layout.dim} exceeds scan cap {MAX_GLOBAL_DIM}")
-    n = layout.num_parties
-    reports = []
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(1, n + 1), size):
-            reports.append(ppt_check(rho, subset, tol))
-    all_ppt = all(r.verdict == PSD for r in reports)
-    return BipartitionScan(tuple(reports), all_ppt)
+    n = rho.layout.num_parties
+    cuts = (s for size in range(1, n // 2 + 1) for s in combinations(range(1, n + 1), size))
+    reports = tuple(ppt_check(rho, s, tol) for s in cuts)
+    return BipartitionScan(reports, all(r.verdict == PSD for r in reports))
+
+
+def cut_verdicts(reports) -> tuple[bool, bool | None, bool]:
+    """(ppt_single, npt_pairs, bound-entanglement claim) from the single- and
+    two-party reports among ``reports``; npt_pairs is None without pairs."""
+    ppt_single = all(r.verdict == PSD for r in reports if len(r.subset) == 1)
+    pairs = [r.verdict == NOT_PSD for r in reports if len(r.subset) == 2]
+    npt_pairs = all(pairs) if pairs else None
+    return ppt_single, npt_pairs, bool(ppt_single and npt_pairs)
 
 
 def classify_family(
@@ -100,17 +144,8 @@ def classify_family(
         raise ValueError(f"party count {n} outside supported range 2..12")
     spec = RhoFamilySpec(n, alpha)
     rho = rho_family(spec)
-
-    singles = [ppt_check(rho, (k,), tol) for k in range(1, n + 1)]
-    ppt_single = all(r.verdict == PSD for r in singles)
-
-    npt_pairs: bool | None
-    if n < 3:
-        npt_pairs = None  # a two-party subset would be the whole system
-    else:
-        pairs = [ppt_check(rho, pair, tol) for pair in combinations(range(1, n + 1), 2)]
-        npt_pairs = all(r.verdict == NOT_PSD for r in pairs)
-
-    claim = bool(ppt_single and npt_pairs)
+    # at N = 2 a two-party subset would be the whole system
+    cuts = [s for size in (1, 2) if size < n for s in combinations(range(1, n + 1), size)]
+    ppt_single, npt_pairs, claim = cut_verdicts([ppt_check(rho, s, tol) for s in cuts])
     basis = DERIVED_BY_THEOREM if ppt_single else NOT_INFERRED
     return RhoClassification(n, spec.alpha, ppt_single, npt_pairs, claim, basis)

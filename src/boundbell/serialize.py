@@ -3,7 +3,9 @@
 Operators: ``{"dims": [..], "entries": [[row, col, re, im], ...]}`` with only
 the nonzero entries, row/col as global basis indices.  Pure states:
 ``{"dims": [..], "amps": [[idx, re, im], ...]}``.  Doubles survive the round
-trip bit-exactly (Python's JSON emits shortest-repr floats).
+trip bit-exactly (Python's JSON emits shortest-repr floats).  An operator's
+entries are its COO arrays, row-major; decoding rejects any file that is not
+a valid trace-1 operator rather than repairing it.
 """
 
 from __future__ import annotations
@@ -17,22 +19,38 @@ from .bell import BellSettings
 from .extraction import ExtractionResult
 from .tensor import DensityOperator, PartyLayout, PureState
 
+TRACE_TOL = 1e-10
+
+
+def _entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[list]:
+    return [
+        [r, c, v.real, v.imag] for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist())
+    ]
+
 
 def operator_to_obj(op: DensityOperator) -> dict:
-    rows, cols = np.nonzero(op.matrix)
-    entries = [
-        [int(r), int(c), float(op.matrix[r, c].real), float(op.matrix[r, c].imag)]
-        for r, c in zip(rows, cols)
-    ]
-    return {"dims": list(op.layout.dims), "entries": entries}
+    return {"dims": list(op.layout.dims), "entries": _entries(op.rows, op.cols, op.vals)}
 
 
 def operator_from_obj(obj: dict) -> DensityOperator:
-    layout = PartyLayout(tuple(int(d) for d in obj["dims"]))
-    m = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for r, c, re, im in obj["entries"]:
-        m[int(r), int(c)] = complex(float(re), float(im))
-    return DensityOperator(layout, m)
+    """Decode an operator; ValueError on a missing key, a malformed entry, an index
+    not an integer in range, a duplicate (row, col), a non-finite or non-Hermitian
+    value, or a trace other than 1."""
+    try:
+        layout = PartyLayout(tuple(int(d) for d in obj["dims"]))
+        table = np.array(obj["entries"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"operators need 'dims' and 'entries' lists ({exc!r})") from exc
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError("every operator entry must be [row, col, re, im]")
+    index = table[:, :2]
+    if not np.all((index >= 0) & (index < layout.dim) & (index == np.floor(index))):
+        raise ValueError(f"entry indices must be integers in 0..{layout.dim - 1}")
+    vals = table[:, 2:].copy().view(complex)[:, 0]  # bit-exact, signed zeros included
+    rho = DensityOperator(layout, index[:, 0], index[:, 1], vals)
+    if not abs(rho.trace - 1.0) <= TRACE_TOL:
+        raise ValueError(f"operator trace {rho.trace!r} deviates from 1 beyond {TRACE_TOL}")
+    return rho
 
 
 def state_to_obj(psi: PureState) -> dict:
@@ -71,10 +89,7 @@ def settings_from_obj(obj: dict) -> BellSettings:
 
 def _matrix_entries(m: np.ndarray) -> list[list]:
     rows, cols = np.nonzero(m)
-    return [
-        [int(r), int(c), float(m[r, c].real), float(m[r, c].imag)]
-        for r, c in zip(rows, cols)
-    ]
+    return _entries(rows, cols, m[rows, cols])
 
 
 def extraction_to_obj(result: ExtractionResult) -> dict:

@@ -68,14 +68,10 @@ def ghz_projector(n: int, alpha: float) -> DensityOperator:
     if n < 2:
         raise ValueError("GHZ projector needs at least two parties")
     layout = PartyLayout.qubits(n)
-    d = layout.dim
-    m = np.zeros((d, d), dtype=complex)
+    last = layout.dim - 1
     phase = np.exp(1j * float(alpha))
-    m[0, 0] = 0.5
-    m[d - 1, d - 1] = 0.5
-    m[d - 1, 0] = 0.5 * phase
-    m[0, d - 1] = 0.5 * np.conj(phase)
-    return DensityOperator(layout, m, psd_certified=True)
+    corners = [0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5]
+    return DensityOperator(layout, [0, 0, last, last], [0, last, 0, last], corners)
 
 
 def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
@@ -84,33 +80,28 @@ def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
         raise ValueError("need at least two parties")
     idx = flip_index(n, k)
     layout = PartyLayout.qubits(n)
-    d = layout.dim
-    p = np.zeros((d, d), dtype=complex)
-    p[idx, idx] = 1.0
-    pbar = np.zeros((d, d), dtype=complex)
-    pbar[d - 1 - idx, d - 1 - idx] = 1.0
-    return (
-        DensityOperator(layout, p, psd_certified=True),
-        DensityOperator(layout, pbar, psd_certified=True),
-    )
+    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
+    return p, pbar
 
 
 def rho_family(spec: RhoFamilySpec) -> DensityOperator:
     """Density operator of the GHZ-plus-flip-projector family.
 
-    Built entrywise: the GHZ projector plus weight 1/2 on each of the 2N
-    flip-projector diagonal entries, all scaled by 1/(N+1).  Only the two
-    off-diagonal GHZ corners depend on the phase.
+    Built entrywise: the GHZ projector's four corners plus weight 1/2 on
+    each of the 2N flip-projector diagonal entries (summed where they
+    coincide, at N = 2), all scaled by 1/(N+1).  Only the two off-diagonal
+    GHZ corners depend on the phase.
     """
     n = spec.n
-    m = np.array(ghz_projector(n, spec.alpha).matrix)
-    d = m.shape[0]
-    for k in range(1, n + 1):
-        idx = flip_index(n, k)
-        m[idx, idx] += 0.5
-        m[d - 1 - idx, d - 1 - idx] += 0.5
-    m *= 1.0 / (n + 1)
-    return DensityOperator(PartyLayout.qubits(n), m, psd_certified=True)
+    corners = ghz_projector(n, spec.alpha)
+    flips = np.array([flip_index(n, k) for k in range(1, n + 1)])
+    diag, count = np.unique(
+        np.concatenate([flips, corners.layout.dim - 1 - flips]), return_counts=True
+    )
+    rows, cols = (np.concatenate([idx, diag]) for idx in (corners.rows, corners.cols))
+    vals = np.concatenate([corners.vals, 0.5 * count])
+    vals *= 1.0 / (n + 1)
+    return DensityOperator(corners.layout, rows, cols, vals)
 
 
 def random_pure(layout: PartyLayout, seed: int) -> PureState:

@@ -1,16 +1,21 @@
-"""Dense multi-party linear algebra over mixed-radix product bases.
+"""Multi-party linear algebra over mixed-radix product bases.
 
 Conventions used throughout the package:
 
 * Parties are numbered 1..N.  The global basis index is mixed radix with
   party 1 as the most significant digit, so for an all-qubit layout the
   basis state with a single 1 at party k sits at index 2**(N-k).
-* Arrays are complex128 and treated as immutable after construction; every
-  operation here is a pure function and safe to call concurrently.
+* Pure states are dense amplitude vectors.  Density operators are sparse:
+  they hold only their nonzero entries as coordinate (COO) arrays, the
+  same list the wire format stores, so a partial transpose moves indices
+  and never values, and a dense matrix is built only when asked for.
+* Arrays are treated as immutable after construction; every operation
+  here is a pure function and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +30,10 @@ _PHASE_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> None:
-    """Raise ValueError when a square matrix deviates from Hermiticity beyond tol."""
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
+def _check_hermitian(diff: np.ndarray, tol: float) -> None:
+    """Raise ValueError where A - A^H, given as ``diff``, exceeds tol in modulus (or is NaN)."""
+    dev = float(np.max(np.abs(diff), initial=0.0))
+    if not dev <= tol:
         raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e} (> {tol})")
 
 
@@ -62,10 +67,7 @@ class PartyLayout:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def dim_of(self, party: int) -> int:
         self._check_party(party)
@@ -134,7 +136,7 @@ class PureState:
                 f"amplitude vector must have length {self.layout.dim}, got {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -155,34 +157,72 @@ def basis_state(layout: PartyLayout, index: int) -> PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian operator over a layout.
+    """Hermitian operator over a layout, held as its nonzero entries.
 
+    Entry e is ``vals[e]`` at (``rows[e]``, ``cols[e]``), kept canonical and
+    read-only: unique (row, col) pairs sorted row-major, no zero values.
+    Construction sorts and drops zeros; it raises ValueError on indices out
+    of range, duplicate pairs, non-finite values or non-Hermitian input.
     Physical states are trace 1 and PSD; partial-transpose outputs stay
-    Hermitian and trace 1 but may fail positivity, tracked through
-    ``psd_certified`` (True / False / None = unchecked).
+    Hermitian and trace 1 but may fail positivity.
     """
 
     layout: PartyLayout
-    matrix: np.ndarray
-    psd_certified: bool | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
         d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
-        _check_hermitian(m, HERMITIAN_TOL)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        rows = np.array(self.rows, dtype=np.int64)
+        cols = np.array(self.cols, dtype=np.int64)
+        vals = np.array(self.vals, dtype=complex)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
+            raise ValueError("rows, cols and vals must be 1-d with one element per entry")
+        if rows.size and not (min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < d):
+            raise ValueError(f"entry index out of range 0..{d - 1}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("operator entries must be finite")
+        keys = rows * d + cols
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("duplicate (row, col) entry")
+        order = order[vals[order] != 0]
+        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
+        # each entry against the conjugate of its mirror entry (0 if absent)
+        mirror = cols * d + rows
+        pos = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        partner = np.where(keys[pos] == mirror, vals[pos], 0)
+        _check_hermitian(vals - partner.conj(), HERMITIAN_TOL)
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_dense(cls, layout: PartyLayout, matrix) -> "DensityOperator":
+        """Operator from a dense d x d matrix, keeping its nonzero entries."""
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (layout.dim, layout.dim):
+            raise ValueError(f"matrix must have shape {(layout.dim,) * 2}, got {m.shape}")
+        rows, cols = np.nonzero(m)
+        return cls(layout, rows, cols, m[rows, cols])
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityOperator":
-        outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return cls(psi.layout, outer, psd_certified=True)
+        idx = np.flatnonzero(psi.amplitudes)
+        outer = np.outer(psi.amplitudes[idx], psi.amplitudes[idx].conj()).ravel()
+        return cls(psi.layout, np.repeat(idx, idx.size), np.tile(idx, idx.size), outer)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense d x d matrix, built afresh on every access."""
+        m = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
+        m[self.rows, self.cols] = self.vals
+        return m
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.vals[self.rows == self.cols].real.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,52 +277,18 @@ def tensor_product(factors) -> PureState:
 def partial_transpose(rho: DensityOperator, parties) -> DensityOperator:
     """Transpose the matrix indices belonging to the given parties.
 
-    The output keeps trace and Hermiticity; positivity is left unchecked.
-    Applying the same transpose twice returns the input bit-exactly.
+    Each entry swaps those parties' digits between its row and column index,
+    O(nnz * |parties|), and values never change: the output keeps trace and
+    Hermiticity (positivity is left unchecked), and applying the same
+    transpose twice returns the input bit-exactly.
     """
     layout = rho.layout
-    subset = layout.check_subset(parties)
-    n = layout.num_parties
-    t = rho.matrix.reshape(layout.dims + layout.dims)
-    axes = list(range(2 * n))
-    for p in subset:
-        i = p - 1
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    m = t.transpose(axes).reshape(layout.dim, layout.dim)
-    return DensityOperator(layout, m, psd_certified=None)
-
-
-def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
-    """Trace out the given parties, returning the marginal operator."""
-    layout = rho.layout
-    n = layout.num_parties
-    traced = layout.check_subset(traced_out)
-    if len(traced) == n:
-        raise ValueError("cannot trace out every party")
-    if not traced:
-        return DensityOperator(layout, rho.matrix, rho.psd_certified)
-    gone = set(traced)
-    keep = [p for p in range(1, n + 1) if p not in gone]
-    t = rho.matrix.reshape(layout.dims + layout.dims)
-    subs = list(range(2 * n))
-    for p in traced:
-        subs[n + p - 1] = subs[p - 1]
-    out_subs = [p - 1 for p in keep] + [subs[n + p - 1] for p in keep]
-    reduced = np.einsum(t, subs, out_subs)
-    new_layout = layout.drop(traced)
-    m = reduced.reshape(new_layout.dim, new_layout.dim)
-    m = 0.5 * (m + m.conj().T)  # fp drift from summing near-Hermitian entries
-    psd = True if rho.psd_certified else None
-    return DensityOperator(new_layout, m, psd_certified=psd)
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, DensityOperator):
-        return op.matrix
-    m = np.asarray(op, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    return m
+    rows, cols = rho.rows, rho.cols
+    for p in layout.check_subset(parties):
+        stride, d = math.prod(layout.dims[p:]), layout.dims[p - 1]
+        shift = ((cols // stride) % d - (rows // stride) % d) * stride
+        rows, cols = rows + shift, cols - shift
+    return DensityOperator(layout, rows, cols, rho.vals)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -297,14 +303,19 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(op, return_vectors: bool = False, hermitian_tol: float = 1e-10):
     """Eigenvalues of a Hermitian operator, sorted ascending.
 
-    With ``return_vectors`` also returns the eigenvector matrix (columns),
-    each column phase-fixed to a real positive leading component.
+    A stack of matrices (shape (k, s, s)) gives one row per matrix.  With
+    ``return_vectors`` (one matrix only) also returns the eigenvector matrix
+    (columns), each column phase-fixed to a real positive leading component.
     Raises on input that is not Hermitian within ``hermitian_tol``.
     """
-    m = _as_matrix(op)
-    _check_hermitian(m, hermitian_tol)
+    m = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError("expected a square matrix or a stack of them")
+    _check_hermitian(m - np.swapaxes(m, -1, -2).conj(), hermitian_tol)
     if not return_vectors:
         return np.linalg.eigvalsh(m)
+    if m.ndim != 2:
+        raise ValueError("eigenvectors are returned for one matrix at a time")
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs.copy()
     for i in range(vecs.shape[1]):

@@ -31,7 +31,7 @@ def separable_fixture(n: int = 3, terms: int = 6, seed: int = 11) -> DensityOper
             local /= np.linalg.norm(local)
             amps = np.kron(amps, local)
         m += np.outer(amps, amps.conj()) / terms
-    return DensityOperator(layout, m, psd_certified=True)
+    return DensityOperator.from_dense(layout, m)
 
 
 def random_density(layout: PartyLayout, seed: int, terms: int = 4) -> DensityOperator:
@@ -43,7 +43,62 @@ def random_density(layout: PartyLayout, seed: int, terms: int = 4) -> DensityOpe
     for t in range(terms):
         psi = random_pure(layout, seed * 1000 + t)
         m += weights[t] * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityOperator(layout, m, psd_certified=True)
+    return DensityOperator.from_dense(layout, m)
+
+
+def random_sparse_hermitian(layout: PartyLayout, seed: int, pairs: int = 6) -> DensityOperator:
+    """Seeded trace-1 Hermitian operator with a few random entries, usually
+    not PSD and with several blocks of different sizes."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for _ in range(pairs):
+        r, c = rng.integers(0, layout.dim, size=2)
+        v = complex(*rng.standard_normal(2))
+        m[r, c] += v
+        m[c, r] += v.conjugate()
+    np.fill_diagonal(m, m.diagonal().real)
+    m[0, 0] += 1.0 - np.trace(m).real
+    return DensityOperator.from_dense(layout, m)
+
+
+def dense_partial_transpose(rho: DensityOperator, parties) -> np.ndarray:
+    """Partial transpose of the dense matrix by a reshape and axis swap (oracle path)."""
+    layout = rho.layout
+    n = layout.num_parties
+    t = rho.matrix.reshape(layout.dims + layout.dims)
+    axes = list(range(2 * n))
+    for p in layout.check_subset(parties):
+        i = p - 1
+        axes[i], axes[n + i] = axes[n + i], axes[i]
+    return t.transpose(axes).reshape(layout.dim, layout.dim)
+
+
+def dense_min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a dense Hermitian matrix, one full eigensolve (oracle path)."""
+    return float(np.linalg.eigvalsh(m)[0])
+
+
+def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
+    """Trace out the given parties through the dense matrix (oracle path)."""
+    layout = rho.layout
+    n = layout.num_parties
+    traced = layout.check_subset(traced_out)
+    if len(traced) == n:
+        raise ValueError("cannot trace out every party")
+    if not traced:
+        return rho
+    gone = set(traced)
+    keep = [p for p in range(1, n + 1) if p not in gone]
+    t = rho.matrix.reshape(layout.dims + layout.dims)
+    subs = list(range(2 * n))
+    for p in traced:
+        subs[n + p - 1] = subs[p - 1]
+    out_subs = [p - 1 for p in keep] + [subs[n + p - 1] for p in keep]
+    reduced = np.einsum(t, subs, out_subs)
+    new_layout = layout.drop(traced)
+    m = reduced.reshape(new_layout.dim, new_layout.dim)
+    m = 0.5 * (m + m.conj().T)  # fp drift from summing near-Hermitian entries
+    return DensityOperator.from_dense(new_layout, m)
 
 
 def brute_reduced_operator(psi: PureState, party: int) -> np.ndarray:

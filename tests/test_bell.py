@@ -23,6 +23,7 @@ from helpers import (
     bell_matrix_recursion,
     planar_grid_oracle,
     random_density,
+    random_sparse_hermitian,
     separable_fixture,
 )
 
@@ -148,8 +149,27 @@ def test_bell_value_threshold_examples():
 
 def test_bell_value_maximally_mixed():
     layout = PartyLayout.qubits(3)
-    rho = DensityOperator(layout, np.eye(8) / 8, psd_certified=True)
+    rho = DensityOperator.from_dense(layout, np.eye(8) / 8)
     assert abs(bell_value(rho, BellSettings.xy(3))) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bell_value_and_optimizer_match_dense_oracle(n):
+    vecs = np.random.default_rng(200 + n).standard_normal((2 * n, 3))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    settings = BellSettings(tuple(map(tuple, vecs[:n])), tuple(map(tuple, vecs[n:])))
+    layout = PartyLayout.qubits(n)
+    states = [
+        rho_family(RhoFamilySpec(n, 0.9 * n)),
+        random_density(layout, seed=n),
+        random_sparse_hermitian(layout, seed=n),
+    ]
+    for rho in states:
+        dense = np.einsum("ij,ji->", build_bell(settings).matrix, rho.matrix).real
+        assert abs(bell_value(rho, settings) - dense) <= 1e-12
+        best, value = optimize_settings(rho, restarts=1, seed=n, max_sweeps=2)
+        dense = np.einsum("ij,ji->", build_bell(best).matrix, rho.matrix).real
+        assert abs(value - dense) <= 1e-12
 
 
 def test_bell_value_layout_mismatch():
@@ -249,7 +269,7 @@ def test_optimizer_deterministic():
 def test_optimizer_zero_gradient_state():
     # maximally mixed state: every gradient vanishes, vectors stay put
     layout = PartyLayout.qubits(2)
-    rho = DensityOperator(layout, np.eye(4) / 4, psd_certified=True)
+    rho = DensityOperator.from_dense(layout, np.eye(4) / 4)
     _, value = optimize_settings(rho, restarts=2, seed=0)
     assert abs(value) < 1e-12
 
@@ -263,6 +283,6 @@ def test_optimizer_eleven_qubits_one_sweep():
 def test_optimizer_rejects_large_or_qutrit_layouts():
     with pytest.raises(ValueError):
         optimize_settings(separable_fixture(n=3), restarts=0)
-    qutrit = DensityOperator(PartyLayout((3,)), np.eye(3) / 3)
+    qutrit = DensityOperator.from_dense(PartyLayout((3,)), np.eye(3) / 3)
     with pytest.raises(ValueError):
         optimize_settings(qutrit)

@@ -47,7 +47,7 @@ def test_scan_family(tmp_path):
 
 def test_scan_from_input_file(tmp_path):
     layout = PartyLayout.qubits(2)
-    mixed = DensityOperator(layout, np.eye(4) / 4, psd_certified=True)
+    mixed = DensityOperator.from_dense(layout, np.eye(4) / 4)
     src = tmp_path / "mixed.json"
     dump_json(operator_to_obj(mixed), src)
     out = tmp_path / "scan.json"
@@ -110,6 +110,51 @@ def test_bell_malformed_settings_file_exit_code(tmp_path, text):
     settings = tmp_path / "settings.json"
     settings.write_text(text)
     assert run(["bell", "--n", 2, "--settings", settings]) == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ["scan", "bell"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dims": [2, 2], "entries": [[-1, -1, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[4, 4, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0.5, 0, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, 0.5, 0.0], [0, 0, 0.5, 0.0]]}',
+        '{"entries": [[0, 0, 1.0, 0.0]]}',
+        '{"dims": [2, 2]}',
+        '{"dims": [2, 2], "entries": [[0, 0, NaN, 0.0], [3, 3, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, 5.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, 1.0, 0.0], [0, 1, 0.5, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, 1.0]]}',
+        '[[0, 0, 1.0, 0.0]]',
+    ],
+    ids=[
+        "negative-index", "index-out-of-range", "fractional-index", "duplicate-entry",
+        "no-dims", "no-entries", "nan-value", "trace-five", "not-hermitian",
+        "short-entry", "not-an-object",
+    ],
+)
+def test_malformed_operator_file_exit_code(tmp_path, command, text):
+    src = tmp_path / "op.json"
+    src.write_text(text)
+    assert exit_code([command, "--input", src]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["scan", "bell", "sweep"])
+def test_bad_tolerance_exit_code(monkeypatch, command, tol):
+    argv = [command] + (["--n-max", 4] if command == "sweep" else ["--n", 4])
+    assert exit_code(argv + ["--tol", tol]) == 2
+    monkeypatch.setenv("BOUNDBELL_TOL", tol)
+    assert exit_code(argv) == 2
 
 
 def test_extract_ghz(tmp_path):

@@ -15,7 +15,13 @@ from boundbell import (
     scan,
 )
 from boundbell.ppt import DERIVED_BY_THEOREM, NOT_PSD, PSD
-from helpers import random_density, separable_fixture
+from helpers import (
+    dense_min_eigenvalue,
+    dense_partial_transpose,
+    random_density,
+    random_sparse_hermitian,
+    separable_fixture,
+)
 
 
 def test_ppt_check_family_single_vs_pair():
@@ -65,7 +71,7 @@ def test_scan_subset_enumeration_order():
 
 def test_scan_maximally_mixed():
     layout = PartyLayout.qubits(3)
-    rho = DensityOperator(layout, np.eye(8) / 8, psd_certified=True)
+    rho = DensityOperator.from_dense(layout, np.eye(8) / 8)
     result = scan(rho)
     assert result.all_ppt
     for report in result.reports:
@@ -130,3 +136,41 @@ def test_transpose_complement_equivalence():
             a = ppt_check(rho, subset).min_eigenvalue
             b = ppt_check(rho, complement).min_eigenvalue
             assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ppt_check_matches_dense_oracle_on_family(n):
+    rho = rho_family(RhoFamilySpec(n, 0.7 * n))
+    for report in scan(rho).reports:
+        want = dense_min_eigenvalue(dense_partial_transpose(rho, report.subset))
+        assert abs(report.min_eigenvalue - want) <= 1e-12, report
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2, 2)])
+@pytest.mark.parametrize("make", [random_density, random_sparse_hermitian])
+def test_ppt_check_matches_dense_oracle_on_random_operators(dims, make):
+    n = len(dims)
+    for seed in (1, 2):
+        rho = make(PartyLayout(dims), seed=seed)
+        for size in range(1, n):
+            for subset in combinations(range(1, n + 1), size):
+                want = dense_min_eigenvalue(dense_partial_transpose(rho, subset))
+                assert abs(ppt_check(rho, subset).min_eigenvalue - want) <= 1e-12
+
+
+def test_scan_family_ten_parties_exact():
+    n = 10
+    result = scan(rho_family(RhoFamilySpec(n)))
+    assert len(result.reports) == 637
+    for report in result.reports:
+        if len(report.subset) == 1:
+            assert report.verdict == PSD
+            assert abs(report.min_eigenvalue) <= 1e-12
+        else:
+            assert abs(report.min_eigenvalue + 1 / (2 * (n + 1))) <= 1e-12, report
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+def test_ppt_check_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        ppt_check(rho_family(RhoFamilySpec(4)), (1,), tol)

@@ -1,17 +1,22 @@
 """Tensor-core tests: encoding, partial ops, eigensolves, Schmidt, filters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boundbell import (
+    BellSettings,
     DensityOperator,
     PartyLayout,
     PureState,
     apply_local,
     basis_state,
+    bell_value,
+    classify_family,
     ghz,
     hermitian_eigenvalues,
-    partial_trace,
+    optimize_settings,
     partial_transpose,
     random_pure,
     rho_family,
@@ -19,7 +24,13 @@ from boundbell import (
     schmidt,
     tensor_product,
 )
-from helpers import brute_reduced_operator, random_density
+from helpers import (
+    brute_reduced_operator,
+    dense_partial_transpose,
+    partial_trace,
+    random_density,
+    random_sparse_hermitian,
+)
 
 
 def qubit(amp0, amp1):
@@ -98,9 +109,7 @@ def test_tensor_product_empty():
 def test_partial_transpose_product_state():
     rho_a = random_density(PartyLayout((2,)), seed=3)
     rho_b = random_density(PartyLayout((3,)), seed=4)
-    joint = DensityOperator(
-        PartyLayout((2, 3)), np.kron(rho_a.matrix, rho_b.matrix), psd_certified=True
-    )
+    joint = DensityOperator.from_dense(PartyLayout((2, 3)), np.kron(rho_a.matrix, rho_b.matrix))
     pt = partial_transpose(joint, (2,))
     expected = np.kron(rho_a.matrix, rho_b.matrix.T)
     np.testing.assert_array_equal(pt.matrix, expected)
@@ -118,7 +127,7 @@ def test_partial_transpose_linearity_and_trace():
     layout = PartyLayout((2, 2))
     r1 = random_density(layout, seed=21)
     r2 = random_density(layout, seed=22)
-    mix = DensityOperator(layout, 0.3 * r1.matrix + 0.7 * r2.matrix)
+    mix = DensityOperator.from_dense(layout, 0.3 * r1.matrix + 0.7 * r2.matrix)
     pt_mix = partial_transpose(mix, (2,))
     combo = 0.3 * partial_transpose(r1, (2,)).matrix + 0.7 * partial_transpose(r2, (2,)).matrix
     np.testing.assert_allclose(pt_mix.matrix, combo, atol=1e-15)
@@ -135,6 +144,76 @@ def test_partial_transpose_max_entangled_negative():
     roots = np.sort(np.roots(np.poly(pt.matrix)).real)
     np.testing.assert_allclose(eigs, roots, atol=1e-4, rtol=0)
     np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+
+
+def _transpose_cases():
+    for n in (2, 3, 5, 6):
+        rho = rho_family(RhoFamilySpec(n, 0.3 * n))
+        for subset in [(1,), (n,), (1, 2), tuple(range(1, n + 1))]:
+            yield pytest.param(rho, subset, id=f"family{n}-{subset}")
+    for dims in [(2, 3), (3, 2, 2), (2, 2, 2, 2)]:
+        for seed, make in enumerate((random_density, random_sparse_hermitian)):
+            rho = make(PartyLayout(dims), seed=seed + 3)
+            for subset in [(1,), (2,), (1, len(dims))]:
+                yield pytest.param(rho, subset, id=f"{make.__name__}{dims}-{subset}")
+
+
+@pytest.mark.parametrize("rho, subset", _transpose_cases())
+def test_partial_transpose_matches_dense_oracle(rho, subset):
+    # values only move, so the sparse transpose equals the dense one exactly
+    pt = partial_transpose(rho, subset)
+    assert np.array_equal(pt.matrix, dense_partial_transpose(rho, subset))
+    keys = pt.rows * rho.layout.dim + pt.cols
+    assert np.all(np.diff(keys) > 0) and np.all(pt.vals != 0)
+
+
+def test_density_operator_canonical_entries():
+    layout = PartyLayout((2, 3))
+    rho = DensityOperator(layout, [5, 1, 0, 3], [5, 3, 0, 1], [0.5, 0.25j, 0.0, -0.25j])
+    assert rho.rows.tolist() == [1, 3, 5] and rho.cols.tolist() == [3, 1, 5]
+    assert rho.vals.tolist() == [0.25j, -0.25j, 0.5]  # sorted row-major, zero dropped
+    for arr in (rho.rows, rho.cols, rho.vals):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for rows, cols, vals in [
+        ([0, 0], [0, 0], [0.5, 0.5]),  # duplicate pair
+        ([6], [6], [1.0]),  # out of range
+        ([-1], [-1], [1.0]),  # negative
+        ([0, 1], [1, 0], [0.5, 0.4]),  # not Hermitian
+        ([0], [0], [1.0, 0.0]),  # length mismatch
+    ]:
+        with pytest.raises(ValueError):
+            DensityOperator(layout, rows, cols, vals)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, float("nan"))])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError):
+        DensityOperator(PartyLayout((2,)), [0, 1], [0, 1], [bad, 0.5])
+    with pytest.raises(ValueError):
+        DensityOperator.from_dense(PartyLayout((2,)), np.array([[bad, 0], [0, 0.5]]))
+    with pytest.raises(ValueError):
+        PureState(PartyLayout((2,)), np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        lambda: classify_family(12),
+        lambda: bell_value(rho_family(RhoFamilySpec(12)), BellSettings.xy(12)),
+        lambda: optimize_settings(rho_family(RhoFamilySpec(12)), restarts=1, max_sweeps=1),
+    ],
+    ids=["classify", "bell_value", "optimizer_sweep"],
+)
+def test_family_paths_never_build_a_dense_operator(job):
+    # one dense 12-qubit operator is 256 MiB; the sparse family has 28 entries
+    tracemalloc.start()
+    try:
+        job()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_partial_transpose_bad_party():
@@ -155,9 +234,7 @@ def test_partial_trace_ghz_marginal():
 def test_partial_trace_product():
     rho_a = random_density(PartyLayout((2,)), seed=5)
     rho_b = random_density(PartyLayout((2,)), seed=6)
-    joint = DensityOperator(
-        PartyLayout((2, 2)), np.kron(rho_a.matrix, rho_b.matrix), psd_certified=True
-    )
+    joint = DensityOperator.from_dense(PartyLayout((2, 2)), np.kron(rho_a.matrix, rho_b.matrix))
     red = partial_trace(joint, (2,))
     np.testing.assert_allclose(red.matrix, rho_a.matrix, atol=1e-14)
 
@@ -193,9 +270,9 @@ def test_partial_ops_commute_on_disjoint_subsets():
 
 
 def test_hermitian_eigenvalues_basics():
-    half = DensityOperator(PartyLayout((2,)), np.eye(2) / 2, psd_certified=True)
+    half = DensityOperator.from_dense(PartyLayout((2,)), np.eye(2) / 2)
     np.testing.assert_allclose(hermitian_eigenvalues(half), [0.5, 0.5], atol=1e-15)
-    diag = DensityOperator(PartyLayout((2,)), np.diag([0.1, 0.9]))
+    diag = DensityOperator.from_dense(PartyLayout((2,)), np.diag([0.1, 0.9]))
     np.testing.assert_allclose(hermitian_eigenvalues(diag), [0.1, 0.9], atol=1e-15)
 
 
@@ -340,7 +417,7 @@ def test_pure_state_norm_enforced():
 
 def test_density_operator_hermiticity_enforced():
     with pytest.raises(ValueError):
-        DensityOperator(PartyLayout((2,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        DensityOperator.from_dense(PartyLayout((2,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_basis_state_and_immutability():
