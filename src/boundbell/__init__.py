@@ -55,11 +55,9 @@ from .tensor import (
     PureState,
     SchmidtDecomposition,
     apply_local,
-    basis_state,
     hermitian_eigenvalues,
     partial_transpose,
     schmidt,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +81,6 @@ __all__ = [
     "RhoFamilySpec",
     "SchmidtDecomposition",
     "apply_local",
-    "basis_state",
     "bell_value",
     "build_bell",
     "classify_branch",
@@ -109,5 +106,4 @@ __all__ = [
     "schmidt",
     "schmidt_profile",
     "target_pair_choice",
-    "tensor_product",
 ]

@@ -103,9 +103,6 @@ class BellOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
-
 
 def _prefactor(n: int) -> complex:
     return ((1.0 - 1.0j) / 2.0) ** (n - 1)

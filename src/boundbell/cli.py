@@ -103,6 +103,12 @@ def _resolve_alpha(text: str, n: int) -> float:
     return float(text)
 
 
+def _family_member(alpha_text: str, n: int) -> tuple:
+    """Family operator and its spec for --n/--alpha; the spec checks the range of n."""
+    spec = RhoFamilySpec(n, _resolve_alpha(alpha_text, n))
+    return rho_family(spec), spec
+
+
 def _emit(report: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(canonical_dumps(report))
@@ -110,11 +116,16 @@ def _emit(report: dict, out: str | None) -> None:
         dump_json(report, out)
 
 
-def _emit_text(text: str, out: str | None) -> None:
+def _emit_csv(header, rows, out: str | None) -> None:
+    """CSV table (csv writes floats by repr) to ``out``, or to stdout without one."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _load_operator_source(args) -> tuple:
@@ -124,25 +135,20 @@ def _load_operator_source(args) -> tuple:
         return rho, rho.layout.num_parties, None
     if args.n is None:
         raise ValueError("provide either --input or --n")
-    if not 2 <= args.n <= 12:
-        raise ValueError(f"--n must be in 2..12, got {args.n}")
-    alpha = _resolve_alpha(args.alpha, args.n)
-    return rho_family(RhoFamilySpec(args.n, alpha)), args.n, alpha
+    rho, spec = _family_member(args.alpha, args.n)
+    return rho, spec.n, spec.alpha
 
 
 def cmd_state(args) -> int:
-    if args.n is None or not 2 <= args.n <= 12:
-        raise ValueError(f"--n must be in 2..12, got {args.n}")
-    alpha = _resolve_alpha(args.alpha, args.n)
-    rho = rho_family(RhoFamilySpec(args.n, alpha))
-    psi = ghz(args.n, alpha)
+    rho, spec = _family_member(args.alpha, args.n)
+    psi = ghz(spec.n, spec.alpha)
 
     out = Path(args.out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
     dump_json(operator_to_obj(rho), out)
     dump_json(state_to_obj(psi), ghz_out)
 
-    config = RunConfig("state", n=args.n, alpha=alpha, out=str(out))
+    config = RunConfig("state", n=spec.n, alpha=spec.alpha, out=str(out))
     report = {
         "config": config.to_obj(),
         "operator_file": str(out),
@@ -178,12 +184,12 @@ def cmd_scan(args) -> int:
         "bound_entangled_claim={bound_entangled_claim}\n".format(**summary)
     )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["subset", "min_eigenvalue", "verdict"])
-        for r in result.reports:
-            writer.writerow([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict])
-        _emit_text(buf.getvalue(), args.out)
+        _emit_csv(
+            ["subset", "min_eigenvalue", "verdict"],
+            ([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict]
+             for r in result.reports),
+            args.out,
+        )
     else:
         _emit(report, args.out)
     return EXIT_OK
@@ -248,8 +254,6 @@ def cmd_extract(args) -> int:
     if args.input is not None:
         psi = state_from_obj(load_json(args.input))
     elif args.ghz is not None:
-        if args.ghz < 2:
-            raise ValueError("--ghz needs at least two parties")
         psi = ghz(args.ghz, _resolve_alpha(args.alpha, args.ghz))
     else:
         dims = tuple(int(d) for d in args.random.split(","))
@@ -278,12 +282,12 @@ def cmd_extract(args) -> int:
 
 def cmd_sweep(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol(1e-9)
-    if not (2 <= args.n_min <= args.n_max <= 12):
-        raise ValueError("need 2 <= --n-min <= --n-max <= 12")
+    if args.n_min > args.n_max:
+        raise ValueError("need --n-min <= --n-max")
+    members = [_family_member(args.alpha, n) for n in range(args.n_min, args.n_max + 1)]
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        alpha = _resolve_alpha(args.alpha, n)
-        rho = rho_family(RhoFamilySpec(n, alpha))
+    for rho, spec in members:
+        n, alpha = spec.n, spec.alpha
         value = bell_value(rho, BellSettings.xy(n))
         row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": bool(abs(value) > 1.0)}
         family = classify_family(n, alpha, tol) if n <= args.scan_max else None
@@ -305,12 +309,8 @@ def cmd_sweep(args) -> int:
         format=args.format,
     )
     report = {"config": config.to_obj(), "rows": rows}
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(rows[0])  # the header: every row has the same keys
-        writer.writerows(row.values() for row in rows)  # csv writes floats by repr
-        _emit_text(buf.getvalue(), args.out)
+    if args.format == "csv":  # header from the first row: every row has the same keys
+        _emit_csv(rows[0], (row.values() for row in rows), args.out)
     else:
         _emit(report, args.out)
     return EXIT_OK

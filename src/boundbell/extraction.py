@@ -6,6 +6,10 @@ two-party state with equal Schmidt coefficients, with nonzero success
 probability.  The protocol:
 
 1. Pick the lowest-index party whose one-vs-rest Schmidt rank is >= 2.
+   A rank is the number of singular values of the party-vs-rest amplitude
+   matrix above the cutoff, computed without singular vectors; the full
+   Schmidt decomposition is taken only where its vectors or its reported
+   coefficients are needed (the equalize filter and the final pair).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.
@@ -22,6 +26,7 @@ pure local factors that are split off when the final pair state is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +35,9 @@ from .tensor import (
     DEFAULT_SCHMIDT_CUTOFF,
     PartyLayout,
     PureState,
+    _check_filter_norm,
     _fix_phase,
+    _matricize,
     apply_local,
     schmidt,
 )
@@ -68,9 +75,7 @@ class FilterOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("filter matrix must be square")
-        smax = np.linalg.norm(m, 2)
-        if smax > 1.0 + 1e-12:
-            raise ValueError(f"filter has singular value {smax!r} > 1")
+        _check_filter_norm(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -123,7 +128,27 @@ class ExtractionResult:
 
 
 def _single_party_rank(psi: PureState, party: int, cutoff: float) -> int:
-    return schmidt(psi, (party,), cutoff).rank
+    """One-vs-rest Schmidt rank: singular values above ``cutoff``, values only."""
+    s = np.linalg.svd(_matricize(psi, (party,))[2], compute_uv=False)
+    rank = int(np.count_nonzero(s > cutoff))
+    if rank == 0:
+        raise ValueError("state has no Schmidt coefficient above the cutoff")
+    return rank
+
+
+def _apply_filter(
+    state: PureState, fop: FilterOperator, floor: float = 0.0
+) -> tuple[PureState, float]:
+    """Apply one filter and renormalize; the weight is the outcome's probability.
+
+    Raises :class:`NumericDegeneracyError` when the weight is at most ``floor``.
+    """
+    vec, weight = apply_local(state, fop.party, fop.matrix)
+    if weight <= floor:
+        raise NumericDegeneracyError(
+            f"{fop.kind} filter at party {fop.party} annihilated the state"
+        )
+    return PureState(state.layout, vec / np.sqrt(weight)), weight
 
 
 def schmidt_profile(
@@ -152,48 +177,34 @@ def equalize_filter(
     decomp = schmidt(psi, (party,), cutoff)
     if decomp.rank < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
-    lam0 = float(decomp.coefficients[0])
-    lam1 = float(decomp.coefficients[1])
-    u0 = decomp.left_vectors[0].amplitudes
-    u1 = decomp.left_vectors[1].amplitudes
-
+    lam0, lam1 = (float(c) for c in decomp.coefficients[:2])
+    u0, u1 = (v.amplitudes for v in decomp.left_vectors[:2])
     d = psi.layout.dim_of(party)
     op = np.zeros((d, d), dtype=complex)
     op[0, :] = (lam1 / lam0) * u0.conj()
     op[1, :] = u1.conj()
     fop = FilterOperator(party, op, "equalize")
-
-    vec, weight = apply_local(psi, party, op)
-    if weight <= 0.0:
-        raise NumericDegeneracyError("equalize filter annihilated the state")
-    post = PureState(psi.layout, vec / np.sqrt(weight))
+    post, weight = _apply_filter(psi, fop)
     return fop, post, weight
 
 
-def _local_factor(phi: PureState, axis: int) -> tuple[np.ndarray, float]:
-    """Top eigenvector and purity of one party's reduced operator."""
-    dims = phi.layout.dims
-    t = np.moveaxis(phi.amplitudes.reshape(dims), axis, 0)
-    m = t.reshape(dims[axis], -1)
+def _local_factor(t: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
+    """Top eigenvector (phase-fixed) and purity of the reduced operator of the
+    party at ``axis`` of the amplitude tensor ``t``."""
+    m = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
     red = m @ m.conj().T
     purity = float(np.einsum("ij,ji->", red, red).real)
-    vals, vecs = np.linalg.eigh(red)
-    factor = _fix_phase(vecs[:, -1])
-    return factor, purity
+    _, vecs = np.linalg.eigh(red)
+    return _fix_phase(vecs[:, -1]), purity
 
 
 def _product_factors(phi: PureState) -> tuple[bool, list[np.ndarray]]:
     """Product test: every single-party reduced operator must be pure."""
     if phi.layout.num_parties == 1:
         return True, [_fix_phase(phi.amplitudes.copy())]
-    factors = []
-    is_product = True
-    for axis in range(phi.layout.num_parties):
-        factor, purity = _local_factor(phi, axis)
-        factors.append(factor)
-        if purity < 1.0 - PURITY_TOL:
-            is_product = False
-    return is_product, factors
+    t = phi.amplitudes.reshape(phi.layout.dims)
+    factors, purities = zip(*(_local_factor(t, axis) for axis in range(phi.layout.num_parties)))
+    return not any(p < 1.0 - PURITY_TOL for p in purities), list(factors)
 
 
 def classify_branch(psi: PureState, party: int) -> BranchClassification:
@@ -236,8 +247,7 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
     same, distinct, orthogonal = [], [], []
-    for i, p in enumerate(others):
-        chi, tau = factors0[i], factors1[i]
+    for p, chi, tau in zip(others, factors0, factors1):
         factors[p] = (chi, tau)
         g = abs(complex(np.vdot(chi, tau)))
         overlaps[p] = g
@@ -288,19 +298,12 @@ def _biorthogonal_filter(
     overlap with its own factor and kills the other — scaled to unit
     operator norm.
     """
-    v = np.stack([chi, tau], axis=1)
-    dual = np.linalg.pinv(v)  # rows: <chi'|, <tau'|
     d = state.layout.dim_of(party)
     op = np.zeros((d, d), dtype=complex)
-    op[0, :] = dual[0]
-    op[1, :] = dual[1]
-    smax = np.linalg.norm(op, 2)
-    op /= smax
+    op[:2] = np.linalg.pinv(np.stack([chi, tau], axis=1))  # rows: <chi'|, <tau'|
+    op /= np.linalg.norm(op, 2)
     fop = FilterOperator(party, op, "biorthogonal")
-    vec, weight = apply_local(state, party, op)
-    if weight <= 0.0:
-        raise NumericDegeneracyError(f"biorthogonal filter at party {party} annihilated the state")
-    return fop, PureState(state.layout, vec / np.sqrt(weight)), weight
+    return (fop, *_apply_filter(state, fop))
 
 
 def _plus_projection(state: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
@@ -309,10 +312,7 @@ def _plus_projection(state: PureState, party: int) -> tuple[FilterOperator, Pure
     op = np.zeros((d, d), dtype=complex)
     op[np.ix_([0, 1], [0, 1])] = 0.5
     fop = FilterOperator(party, op, "measure_pm")
-    vec, weight = apply_local(state, party, op)
-    if weight <= 1e-15:
-        raise NumericDegeneracyError(f"+/- measurement at party {party} annihilated the state")
-    return fop, PureState(state.layout, vec / np.sqrt(weight)), weight
+    return (fop, *_apply_filter(state, fop, floor=1e-15))
 
 
 def reduce_to_parties(state: PureState, keep) -> PureState:
@@ -328,10 +328,7 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     t = state.amplitudes.reshape(layout.dims)
     for party in sorted(set(labels) - set(kept), reverse=True):
         axis = labels.index(party)
-        m = np.moveaxis(t, axis, 0).reshape(dims[axis], -1)
-        red = m @ m.conj().T
-        _, vecs = np.linalg.eigh(red)
-        factor = _fix_phase(vecs[:, -1])
+        factor, _ = _local_factor(t, axis)
         t = np.tensordot(factor.conj(), t, axes=(0, axis))
         labels.pop(axis)
         dims.pop(axis)
@@ -351,10 +348,7 @@ def replay(psi: PureState, steps) -> PureState:
     """
     state = psi
     for step in steps:
-        vec, weight = apply_local(state, step.op.party, step.op.matrix)
-        if weight <= 0.0:
-            raise NumericDegeneracyError("replayed step annihilated the state")
-        state = PureState(state.layout, vec / np.sqrt(weight))
+        state, _ = _apply_filter(state, step.op)
     return state
 
 
@@ -379,29 +373,20 @@ def extract(
 
     state = psi
     steps: list[ExtractionStep] = []
-    probability = 1.0
-
-    first_round = True
     while True:
-        entangled = [
-            p
-            for p in range(1, n + 1)
-            if _single_party_rank(state, p, cutoff) >= 2
-        ]
+        entangled = [p for p in range(1, n + 1) if _single_party_rank(state, p, cutoff) >= 2]
         if not entangled:
-            if first_round:
+            if not steps:
                 raise NotEntangledError("state is a product state across every party")
             raise NumericDegeneracyError("entanglement vanished mid-protocol")
         if len(entangled) == 1:
             raise NumericDegeneracyError(
                 f"exactly one party ({entangled[0]}) reports Schmidt rank >= 2"
             )
-        first_round = False
         pivot = entangled[0]
 
         fop, state, weight = equalize_filter(state, pivot, cutoff)
         steps.append(ExtractionStep(fop, weight))
-        probability *= weight
 
         branch_info = classify_branch(state, pivot)
         if branch_info.case == "B":
@@ -410,38 +395,28 @@ def extract(
             proj = np.zeros((d, d), dtype=complex)
             proj[index, index] = 1.0
             fop = FilterOperator(pivot, proj, "project")
-            vec, weight = apply_local(state, pivot, proj)
-            if weight <= 0.0:
-                raise NumericDegeneracyError("branch projection annihilated the state")
-            state = PureState(layout, vec / np.sqrt(weight))
+            state, weight = _apply_filter(state, fop)
             steps.append(ExtractionStep(fop, weight))
-            probability *= weight
             continue
 
-        assert branch_info.factors is not None
         for p in branch_info.distinct_parties:
-            chi, tau = branch_info.factors[p]
-            fop, state, weight = _biorthogonal_filter(state, p, chi, tau)
+            fop, state, weight = _biorthogonal_filter(state, p, *branch_info.factors[p])
             steps.append(ExtractionStep(fop, weight))
-            probability *= weight
 
         survivors = tuple(sorted((pivot,) + branch_info.distinct_parties))
         chosen = target_pair_choice(survivors, pair)
         for p in survivors:
-            if p in chosen:
-                continue
-            fop, state, _actual = _plus_projection(state, p)
-            steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
+            if p not in chosen:
+                fop, state, _ = _plus_projection(state, p)
+                steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
 
         final = reduce_to_parties(state, chosen)
-        decomp = schmidt(final, (1,), cutoff)
-        c0 = float(decomp.coefficients[0])
-        c1 = float(decomp.coefficients[1]) if decomp.rank > 1 else 0.0
+        c = schmidt(final, (1,), cutoff).coefficients
         return ExtractionResult(
             pair=chosen,
-            probability=probability,
+            probability=math.prod(step.weight for step in steps),
             steps=tuple(steps),
             final_state=final,
-            schmidt_coeffs=(c0, c1),
+            schmidt_coeffs=(float(c[0]), float(c[1]) if c.size > 1 else 0.0),
             surviving_parties=survivors,
         )

@@ -140,8 +140,6 @@ def classify_family(
     The bound-entanglement claim is the conjunction of both facts; it holds
     exactly for N >= 4.
     """
-    if not 2 <= n <= 12:
-        raise ValueError(f"party count {n} outside supported range 2..12")
     spec = RhoFamilySpec(n, alpha)
     rho = rho_family(spec)
     # at N = 2 a two-party subset would be the whole system

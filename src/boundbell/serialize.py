@@ -4,8 +4,9 @@ Operators: ``{"dims": [..], "entries": [[row, col, re, im], ...]}`` with only
 the nonzero entries, row/col as global basis indices.  Pure states:
 ``{"dims": [..], "amps": [[idx, re, im], ...]}``.  Doubles survive the round
 trip bit-exactly (Python's JSON emits shortest-repr floats).  An operator's
-entries are its COO arrays, row-major; decoding rejects any file that is not
-a valid trace-1 operator rather than repairing it.
+entries are its COO arrays, row-major.  Decoding rejects, never repairs: a
+file must be a valid trace-1 operator or a normalized state, with integer
+dims and no index listed twice.
 """
 
 from __future__ import annotations
@@ -32,21 +33,36 @@ def operator_to_obj(op: DensityOperator) -> dict:
     return {"dims": list(op.layout.dims), "entries": _entries(op.rows, op.cols, op.vals)}
 
 
-def operator_from_obj(obj: dict) -> DensityOperator:
-    """Decode an operator; ValueError on a missing key, a malformed entry, an index
-    not an integer in range, a duplicate (row, col), a non-finite or non-Hermitian
-    value, or a trace other than 1."""
+def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
+    """Layout plus the index columns and complex values of the rows
+    ``[index x width, re, im]`` under ``key``; ValueError on a missing key, a
+    malformed row, an index not an integer in range, an index listed twice
+    or a non-finite value."""
     try:
-        layout = PartyLayout(tuple(int(d) for d in obj["dims"]))
-        table = np.array(obj["entries"], dtype=float)
+        layout = PartyLayout(obj["dims"])
+        table = np.array(obj[key], dtype=float)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"operators need 'dims' and 'entries' lists ({exc!r})") from exc
-    if table.ndim != 2 or table.shape[1] != 4:
-        raise ValueError("every operator entry must be [row, col, re, im]")
-    index = table[:, :2]
+        raise ValueError(f"need 'dims' and '{key}' lists ({exc!r})") from exc
+    if table.ndim != 2 or table.shape[1] != width + 2:
+        raise ValueError(f"every row of '{key}' must hold {width} indices, re and im")
+    index = table[:, :width]
     if not np.all((index >= 0) & (index < layout.dim) & (index == np.floor(index))):
-        raise ValueError(f"entry indices must be integers in 0..{layout.dim - 1}")
-    vals = table[:, 2:].copy().view(complex)[:, 0]  # bit-exact, signed zeros included
+        raise ValueError(f"indices must be integers in 0..{layout.dim - 1}")
+    index = index.astype(np.int64)
+    # sorted flat keys, not np.unique: that imports numpy.ma (~20 ms) into each CLI run
+    keys = np.sort(np.ravel_multi_index(tuple(index.T), (layout.dim,) * width))
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError(f"an index is listed twice in '{key}'")
+    vals = table[:, width:].copy().view(complex)[:, 0]  # bit-exact, signed zeros included
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"values in '{key}' must be finite")
+    return layout, index, vals
+
+
+def operator_from_obj(obj: dict) -> DensityOperator:
+    """Decode an operator; ValueError on any defect :func:`_decode_table` names,
+    a non-Hermitian value, or a trace other than 1."""
+    layout, index, vals = _decode_table(obj, "entries", 2)
     rho = DensityOperator(layout, index[:, 0], index[:, 1], vals)
     if not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError(f"operator trace {rho.trace!r} deviates from 1 beyond {TRACE_TOL}")
@@ -63,10 +79,11 @@ def state_to_obj(psi: PureState) -> dict:
 
 
 def state_from_obj(obj: dict) -> PureState:
-    layout = PartyLayout(tuple(int(d) for d in obj["dims"]))
+    """Decode a pure state; ValueError on any defect :func:`_decode_table` names
+    or a norm other than 1."""
+    layout, index, vals = _decode_table(obj, "amps", 1)
     amps = np.zeros(layout.dim, dtype=complex)
-    for i, re, im in obj["amps"]:
-        amps[int(i)] = complex(float(re), float(im))
+    amps[index[:, 0]] = vals
     return PureState(layout, amps)
 
 

@@ -24,7 +24,8 @@ def default_alpha(n: int) -> float:
 class RhoFamilySpec:
     """Parameters (party count, GHZ phase) selecting one family member.
 
-    ``alpha=None`` resolves to :func:`default_alpha`.
+    ``alpha=None`` resolves to :func:`default_alpha`.  The party count must
+    lie in 2..12: twelve qubits fill the global dimension cap.
     """
 
     n: int
@@ -33,8 +34,8 @@ class RhoFamilySpec:
     def __post_init__(self) -> None:
         n = int(self.n)
         object.__setattr__(self, "n", n)
-        if n < 2:
-            raise ValueError("family requires at least two parties")
+        if not 2 <= n <= 12:
+            raise ValueError(f"party count {n} outside supported range 2..12")
         alpha = default_alpha(n) if self.alpha is None else float(self.alpha)
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")

@@ -44,7 +44,13 @@ class PartyLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        raw = tuple(self.dims)
+        try:
+            dims = tuple(int(d) for d in raw)
+        except (TypeError, ValueError, OverflowError):
+            dims = None
+        if dims != raw:  # int() would also truncate 2.9: reject rather than repair
+            raise ValueError(f"local dimensions must be integers, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise ValueError("a layout needs at least one party")
@@ -144,15 +150,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-
-def basis_state(layout: PartyLayout, index: int) -> PureState:
-    """Computational basis state |index> in the mixed-radix encoding."""
-    if not 0 <= index < layout.dim:
-        raise ValueError(f"basis index {index} out of range")
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[index] = 1.0
-    return PureState(layout, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,19 +258,6 @@ class SchmidtDecomposition:
         return int(self.coefficients.size)
 
 
-def tensor_product(factors) -> PureState:
-    """Kronecker product of pure states; party order follows factor order."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    dims: tuple[int, ...] = ()
-    amps = np.ones(1, dtype=complex)
-    for f in factors:
-        dims = dims + f.layout.dims
-        amps = np.kron(amps, f.amplitudes)
-    return PureState(PartyLayout(dims), amps)
-
-
 def partial_transpose(rho: DensityOperator, parties) -> DensityOperator:
     """Transpose the matrix indices belonging to the given parties.
 
@@ -300,27 +284,17 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def hermitian_eigenvalues(op, return_vectors: bool = False, hermitian_tol: float = 1e-10):
+def hermitian_eigenvalues(op, hermitian_tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a Hermitian operator, sorted ascending.
 
-    A stack of matrices (shape (k, s, s)) gives one row per matrix.  With
-    ``return_vectors`` (one matrix only) also returns the eigenvector matrix
-    (columns), each column phase-fixed to a real positive leading component.
-    Raises on input that is not Hermitian within ``hermitian_tol``.
+    A stack of matrices (shape (k, s, s)) gives one row per matrix.  Raises
+    on input that is not Hermitian within ``hermitian_tol``.
     """
     m = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
     _check_hermitian(m - np.swapaxes(m, -1, -2).conj(), hermitian_tol)
-    if not return_vectors:
-        return np.linalg.eigvalsh(m)
-    if m.ndim != 2:
-        raise ValueError("eigenvectors are returned for one matrix at a time")
-    vals, vecs = np.linalg.eigh(m)
-    vecs = vecs.copy()
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = _fix_phase(vecs[:, i])
-    return vals, vecs
+    return np.linalg.eigvalsh(m)
 
 
 def _axis_aligned_basis(cols: np.ndarray) -> np.ndarray:
@@ -361,6 +335,20 @@ def _lex_key(vec: np.ndarray) -> tuple:
     return tuple((-z.real, -z.imag) for z in vec)
 
 
+def _matricize(psi: PureState, bipartition) -> tuple[tuple, tuple, np.ndarray]:
+    """Amplitudes of ``psi`` as a matrix: rows index the parties of
+    ``bipartition`` (a nonempty proper subset), columns the rest.
+
+    Returns the sorted row parties, the column parties and the matrix.
+    """
+    layout = psi.layout
+    left = layout.check_subset(bipartition, nonempty=True, proper=True)
+    right = tuple(p for p in range(1, layout.num_parties + 1) if p not in left)
+    dl = math.prod(layout.dims[p - 1] for p in left)
+    perm = [p - 1 for p in left + right]
+    return left, right, psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, -1)
+
+
 def schmidt(
     psi: PureState, bipartition, cutoff: float = DEFAULT_SCHMIDT_CUTOFF
 ) -> SchmidtDecomposition:
@@ -372,16 +360,7 @@ def schmidt(
     output deterministic (an aligned-axis basis state always maps to itself).
     """
     layout = psi.layout
-    left = layout.check_subset(bipartition, nonempty=True, proper=True)
-    gone = set(left)
-    right = tuple(p for p in range(1, layout.num_parties + 1) if p not in gone)
-    perm = [p - 1 for p in left] + [p - 1 for p in right]
-    dl = 1
-    for p in left:
-        dl *= layout.dims[p - 1]
-    dr = layout.dim // dl
-    m = psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, dr)
-
+    left, right, m = _matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = s > cutoff
     s = s[kept]
@@ -419,6 +398,14 @@ def schmidt(
     return SchmidtDecomposition(s, left_states, right_states, left)
 
 
+def _check_filter_norm(m: np.ndarray) -> None:
+    """Raise ValueError unless the largest singular value of ``m`` is at most 1
+    (within 1e-12): a local filter must be a valid measurement element."""
+    smax = np.linalg.norm(m, 2)
+    if not smax <= 1.0 + 1e-12:
+        raise ValueError(f"filter has singular value {smax!r} > 1; not a measurement filter")
+
+
 def apply_local(psi: PureState, party: int, operator) -> tuple[np.ndarray, float]:
     """Apply a local measurement filter to one party.
 
@@ -433,9 +420,7 @@ def apply_local(psi: PureState, party: int, operator) -> tuple[np.ndarray, float
     m = np.asarray(operator, dtype=complex)
     if m.shape != (d, d):
         raise ValueError(f"operator must act on dimension {d}, got shape {m.shape}")
-    smax = np.linalg.norm(m, 2)
-    if smax > 1.0 + 1e-12:
-        raise ValueError(f"operator norm {smax!r} exceeds 1; not a measurement filter")
+    _check_filter_norm(m)
     t = psi.amplitudes.reshape(layout.dims)
     out = np.moveaxis(np.tensordot(m, t, axes=(1, party - 1)), 0, party - 1)
     vec = np.ascontiguousarray(out).reshape(layout.dim)

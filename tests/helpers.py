@@ -7,6 +7,28 @@ import numpy as np
 from boundbell import DensityOperator, PartyLayout, PureState, random_pure
 
 
+def basis_state(layout: PartyLayout, index: int) -> PureState:
+    """Computational basis state |index> in the mixed-radix encoding."""
+    if not 0 <= index < layout.dim:
+        raise ValueError(f"basis index {index} out of range")
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[index] = 1.0
+    return PureState(layout, amps)
+
+
+def tensor_product(factors) -> PureState:
+    """Kronecker product of pure states; party order follows factor order."""
+    factors = list(factors)
+    if not factors:
+        raise ValueError("need at least one factor")
+    dims: tuple[int, ...] = ()
+    amps = np.ones(1, dtype=complex)
+    for f in factors:
+        dims = dims + f.layout.dims
+        amps = np.kron(amps, f.amplitudes)
+    return PureState(PartyLayout(dims), amps)
+
+
 def make_extraction_corpus(count: int = 200) -> list[tuple[str, PureState]]:
     """Seeded random pure states, N in {3,4,5}, local dims in {2,3}."""
     rng = np.random.default_rng(20260810)

@@ -135,17 +135,44 @@ def exit_code(argv):
         '{"dims": [2, 2], "entries": [[0, 0, 1.0, 0.0], [0, 1, 0.5, 0.0]]}',
         '{"dims": [2, 2], "entries": [[0, 0, 1.0]]}',
         '[[0, 0, 1.0, 0.0]]',
+        '{"dims": [2.9, 2], "entries": [[0, 0, 1.0, 0.0]]}',
     ],
     ids=[
         "negative-index", "index-out-of-range", "fractional-index", "duplicate-entry",
         "no-dims", "no-entries", "nan-value", "trace-five", "not-hermitian",
-        "short-entry", "not-an-object",
+        "short-entry", "not-an-object", "fractional-dims",
     ],
 )
 def test_malformed_operator_file_exit_code(tmp_path, command, text):
     src = tmp_path / "op.json"
     src.write_text(text)
     assert exit_code([command, "--input", src]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dims": [2, 2], "amps": [[-1, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[5, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[0.5, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[0, 0.6, 0.0], [3, 0.8, 0.0], [0, 0.6, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[0, NaN, 0.0], [3, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[0, 0.6], [3, 0.8]]}',
+        '{"dims": [2, 2]}',
+        '{"amps": [[0, 1.0, 0.0]]}',
+        '[[0, 1.0, 0.0]]',
+        '{"dims": [2.9, 2], "amps": [[0, 0.6, 0.0], [3, 0.8, 0.0]]}',
+    ],
+    ids=[
+        "negative-index", "index-out-of-range", "fractional-index",
+        "duplicate-index", "nan-value", "short-row", "no-amps", "no-dims",
+        "not-an-object", "fractional-dims",
+    ],
+)
+def test_malformed_state_file_exit_code(tmp_path, text):
+    src = tmp_path / "psi.json"
+    src.write_text(text)
+    assert exit_code(["extract", "--input", src]) == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

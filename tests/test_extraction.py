@@ -12,7 +12,6 @@ from boundbell import (
     PartyLayout,
     PureState,
     apply_local,
-    basis_state,
     classify_branch,
     equalize_filter,
     extract,
@@ -23,9 +22,8 @@ from boundbell import (
     schmidt,
     schmidt_profile,
     target_pair_choice,
-    tensor_product,
 )
-from helpers import brute_single_rank
+from helpers import basis_state, brute_single_rank, tensor_product
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +57,31 @@ def test_profile_matches_brute_force_oracle():
     for party, rank in profile:
         assert rank == brute_single_rank(psi, party)
     assert [r for _, r in profile] == [2, 3, 2]
+
+
+def test_profile_ranks_match_schmidt_decomposition(extraction_corpus):
+    # ranks count values-only singular values; the full decomposition is the
+    # reference, on every corpus state and every state the protocol passes through
+    for name, psi in extraction_corpus:
+        state = psi
+        for step in (None,) + extract(psi).steps:
+            if step is not None:
+                state = replay(state, [step])
+            for party, rank in schmidt_profile(state):
+                assert rank == schmidt(state, (party,)).rank, (name, party)
+
+
+@pytest.mark.parametrize("second, rank", [(1e-9, 2), (1e-11, 1)])
+def test_profile_ranks_beside_the_cutoff(second, rank):
+    # the second singular value sits just above or just below the 1e-10 cutoff
+    for dims in [(2, 2), (2, 3, 2), (3, 3)]:
+        layout = PartyLayout(dims)
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[0] = np.sqrt(1.0 - second**2)
+        amps[-1] = second
+        psi = PureState(layout, amps)
+        for party, r in schmidt_profile(psi):
+            assert r == rank == schmidt(psi, (party,)).rank
 
 
 # ---------------------------------------------------------------- equalize

@@ -11,7 +11,6 @@ from boundbell import (
     PartyLayout,
     PureState,
     apply_local,
-    basis_state,
     bell_value,
     classify_family,
     ghz,
@@ -22,14 +21,15 @@ from boundbell import (
     rho_family,
     RhoFamilySpec,
     schmidt,
-    tensor_product,
 )
 from helpers import (
+    basis_state,
     brute_reduced_operator,
     dense_partial_transpose,
     partial_trace,
     random_density,
     random_sparse_hermitian,
+    tensor_product,
 )
 
 
@@ -56,6 +56,14 @@ def test_layout_validation():
     assert layout.dim == 12
     assert layout.num_parties == 3
     assert layout.dim_of(2) == 3
+
+
+def test_layout_rejects_non_integral_dims():
+    for dims in [(2.9, 2), (2, 2.5), ("2", 2), (float("nan"), 2), (float("inf"), 2)]:
+        with pytest.raises(ValueError):
+            PartyLayout(dims)
+    assert PartyLayout((2.0, np.int64(3))).dims == (2, 3)
+    assert all(type(d) is int for d in PartyLayout((2.0, np.int64(3))).dims)
 
 
 @pytest.mark.parametrize(
@@ -276,24 +284,13 @@ def test_hermitian_eigenvalues_basics():
     np.testing.assert_allclose(hermitian_eigenvalues(diag), [0.1, 0.9], atol=1e-15)
 
 
-def test_hermitian_eigenvalues_sum_and_residual():
+def test_hermitian_eigenvalues_sum_and_order():
     for seed in range(5):
         rho = random_density(PartyLayout((2, 3)), seed=100 + seed)
-        vals, vecs = hermitian_eigenvalues(rho, return_vectors=True)
+        vals = hermitian_eigenvalues(rho)
         d = rho.layout.dim
         assert abs(vals.sum() - rho.trace) < 1e-9 * d
         assert np.all(np.diff(vals) >= -1e-14)
-        for i in range(d):
-            residual = np.linalg.norm(rho.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-            assert residual < 1e-8
-
-
-def test_hermitian_eigenvalues_phase_convention():
-    rho = random_density(PartyLayout((2, 2)), seed=31)
-    _, vecs = hermitian_eigenvalues(rho, return_vectors=True)
-    for i in range(vecs.shape[1]):
-        lead = vecs[np.flatnonzero(np.abs(vecs[:, i]) > 1e-12)[0], i]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
 def test_hermitian_eigenvalues_rejects_non_hermitian():
