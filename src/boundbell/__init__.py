@@ -19,7 +19,6 @@ from .extraction import (
     BranchClassification,
     ExtractionResult,
     ExtractionStep,
-    FilterOperator,
     NotEntangledError,
     NumericDegeneracyError,
     PairUnavailableError,
@@ -51,6 +50,7 @@ from .states import (
 )
 from .tensor import (
     DensityOperator,
+    FilterOperator,
     PartyLayout,
     PureState,
     SchmidtDecomposition,

@@ -18,7 +18,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .bell import BellSettings, bell_value, optimize_settings
@@ -53,35 +52,24 @@ EXIT_NUMERIC_DEGENERACY = 5
 
 _TOL_ENV = "BOUNDBELL_TOL"
 _VERDICT_KEYS = ("ppt_single", "npt_pairs", "bound_entangled_claim")
+_CONFIG_KEYS = (
+    "command", "n", "alpha", "tol", "seed", "restarts", "settings", "pair", "dims",
+    "input", "out", "format", "n_min", "n_max", "scan_max",
+)
+
+# exception type -> exit code, first match wins: subclasses before ValueError
+_EXIT_CODES = {
+    NotEntangledError: EXIT_NOT_ENTANGLED,
+    PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
+    NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration echoed into every report."""
-
-    command: str
-    n: int | None = None
-    alpha: float | None = None
-    tol: float | None = None
-    seed: int | None = None
-    restarts: int | None = None
-    settings: str | None = None
-    pair: tuple[int, int] | None = None
-    dims: tuple[int, ...] | None = None
-    input: str | None = None
-    out: str | None = None
-    format: str | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    scan_max: int | None = None
-
-    def to_obj(self) -> dict:
-        obj = asdict(self)
-        if self.pair is not None:
-            obj["pair"] = list(self.pair)
-        if self.dims is not None:
-            obj["dims"] = list(self.dims)
-        return obj
+def _config(**given) -> dict:
+    """Resolved configuration echoed into every report: every key, None unless given."""
+    return {**dict.fromkeys(_CONFIG_KEYS), **given}
 
 
 def tolerance(text) -> float:
@@ -148,9 +136,8 @@ def cmd_state(args) -> int:
     dump_json(operator_to_obj(rho), out)
     dump_json(state_to_obj(psi), ghz_out)
 
-    config = RunConfig("state", n=spec.n, alpha=spec.alpha, out=str(out))
     report = {
-        "config": config.to_obj(),
+        "config": _config(command="state", n=spec.n, alpha=spec.alpha, out=str(out)),
         "operator_file": str(out),
         "ghz_file": str(ghz_out),
         "nonzero_entries": int(rho.vals.size),
@@ -165,11 +152,12 @@ def cmd_scan(args) -> int:
     result = scan(rho, tol)
     summary = dict(zip(_VERDICT_KEYS, cut_verdicts(result.reports)))
 
-    config = RunConfig(
-        "scan", n=n, alpha=alpha, tol=tol, input=args.input, out=args.out, format=args.format
+    config = _config(
+        command="scan", n=n, alpha=alpha, tol=tol, input=args.input, out=args.out,
+        format=args.format,
     )
     report = {
-        "config": config.to_obj(),
+        "config": config,
         "N": n,
         "alpha": alpha,
         "reports": [
@@ -214,8 +202,8 @@ def cmd_bell(args) -> int:
         settings = settings_from_obj(load_json(args.settings))
         value = bell_value(rho, settings)
 
-    config = RunConfig(
-        "bell",
+    config = _config(
+        command="bell",
         n=n,
         alpha=alpha,
         tol=tol,
@@ -226,7 +214,7 @@ def cmd_bell(args) -> int:
         out=args.out,
     )
     report = {
-        "config": config.to_obj(),
+        "config": config,
         "value": value,
         "bound": 1.0,
         "violation": bool(abs(value) > 1.0),
@@ -262,8 +250,8 @@ def cmd_extract(args) -> int:
     pair = _parse_pair(args.pair) if args.pair else None
     result = extract(psi, pair)
 
-    config = RunConfig(
-        "extract",
+    config = _config(
+        command="extract",
         n=psi.layout.num_parties,
         seed=args.seed if args.random is not None else None,
         pair=pair,
@@ -271,7 +259,7 @@ def cmd_extract(args) -> int:
         input=args.input,
         out=args.out,
     )
-    report = {"config": config.to_obj(), **extraction_to_obj(result)}
+    report = {"config": config, **extraction_to_obj(result)}
     sys.stderr.write(
         f"pair={result.pair} probability={result.probability!r} "
         f"schmidt_coeffs={result.schmidt_coeffs!r}\n"
@@ -298,8 +286,8 @@ def cmd_sweep(args) -> int:
             f"n={n} bell_xy={row['bell_xy']!r} violation={row['violation']}\n"
         )
 
-    config = RunConfig(
-        "sweep",
+    config = _config(
+        command="sweep",
         alpha=None if args.alpha == "auto" else float(args.alpha),
         tol=tol,
         n_min=args.n_min,
@@ -308,7 +296,7 @@ def cmd_sweep(args) -> int:
         out=args.out,
         format=args.format,
     )
-    report = {"config": config.to_obj(), "rows": rows}
+    report = {"config": config, "rows": rows}
     if args.format == "csv":  # header from the first row: every row has the same keys
         _emit_csv(rows[0], (row.values() for row in rows), args.out)
     else:
@@ -376,22 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotEntangledError as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_ENTANGLED
-    except PairUnavailableError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PAIR_UNAVAILABLE
-    except NumericDegeneracyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC_DEGENERACY
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry_point() -> None:

@@ -7,7 +7,7 @@ probability.  The protocol:
 
 1. Pick the lowest-index party whose one-vs-rest Schmidt rank is >= 2.
    A rank is the number of singular values of the party-vs-rest amplitude
-   matrix above the cutoff, computed without singular vectors; the full
+   matrix above ``SCHMIDT_CUTOFF``, computed without singular vectors; the full
    Schmidt decomposition is taken only where its vectors or its reported
    coefficients are needed (the equalize filter and the final pair).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
@@ -22,6 +22,8 @@ probability.  The protocol:
 
 Parties are never dropped from the step log; spent parties simply hold
 pure local factors that are split off when the final pair state is built.
+Every filter is a :class:`FilterOperator`, whose norm is checked once, when
+it is built; applying or replaying it does not check it again.
 """
 
 from __future__ import annotations
@@ -32,17 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    DEFAULT_SCHMIDT_CUTOFF,
+    SCHMIDT_CUTOFF,
+    FilterOperator,
     PartyLayout,
     PureState,
-    _check_filter_norm,
     _fix_phase,
     _matricize,
     apply_local,
     schmidt,
 )
-
-FILTER_KINDS = ("equalize", "biorthogonal", "project", "measure_pm")
 
 PURITY_TOL = 1e-8
 OVERLAP_TOL = 1e-8
@@ -59,25 +59,6 @@ class PairUnavailableError(ValueError):
 
 class NumericDegeneracyError(RuntimeError):
     """The state is numerically inconsistent with the protocol's case logic."""
-
-
-@dataclass(frozen=True, eq=False)
-class FilterOperator:
-    """One local measurement element of the protocol."""
-
-    party: int
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("filter matrix must be square")
-        _check_filter_norm(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +108,10 @@ class ExtractionResult:
             raise ValueError(f"success probability {self.probability!r} outside (0, 1]")
 
 
-def _single_party_rank(psi: PureState, party: int, cutoff: float) -> int:
-    """One-vs-rest Schmidt rank: singular values above ``cutoff``, values only."""
+def _single_party_rank(psi: PureState, party: int) -> int:
+    """One-vs-rest Schmidt rank, >= 1 for a normalized state: singular values above the cutoff."""
     s = np.linalg.svd(_matricize(psi, (party,))[2], compute_uv=False)
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank == 0:
-        raise ValueError("state has no Schmidt coefficient above the cutoff")
-    return rank
+    return int(np.count_nonzero(s > SCHMIDT_CUTOFF))
 
 
 def _apply_filter(
@@ -143,7 +121,7 @@ def _apply_filter(
 
     Raises :class:`NumericDegeneracyError` when the weight is at most ``floor``.
     """
-    vec, weight = apply_local(state, fop.party, fop.matrix)
+    vec, weight = apply_local(state, fop)
     if weight <= floor:
         raise NumericDegeneracyError(
             f"{fop.kind} filter at party {fop.party} annihilated the state"
@@ -151,21 +129,17 @@ def _apply_filter(
     return PureState(state.layout, vec / np.sqrt(weight)), weight
 
 
-def schmidt_profile(
-    psi: PureState, cutoff: float = DEFAULT_SCHMIDT_CUTOFF
-) -> list[tuple[int, int]]:
+def schmidt_profile(psi: PureState) -> list[tuple[int, int]]:
     """One-vs-rest Schmidt rank for every party; any rank >= 2 means entangled."""
     if psi.layout.num_parties < 2:
         return [(1, 1)]
     return [
-        (party, _single_party_rank(psi, party, cutoff))
+        (party, _single_party_rank(psi, party))
         for party in range(1, psi.layout.num_parties + 1)
     ]
 
 
-def equalize_filter(
-    psi: PureState, party: int, cutoff: float = DEFAULT_SCHMIDT_CUTOFF
-) -> tuple[FilterOperator, PureState, float]:
+def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
     """Filter that balances the party's top two Schmidt coefficients.
 
     The filter maps the two leading Schmidt vectors onto the party's
@@ -174,7 +148,7 @@ def equalize_filter(
     operator norm (maximal success probability).  The returned weight is
     2*lambda_1**2; the post state carries coefficients 1/sqrt(2) each.
     """
-    decomp = schmidt(psi, (party,), cutoff)
+    decomp = schmidt(psi, (party,))
     if decomp.rank < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
     lam0, lam1 = (float(c) for c in decomp.coefficients[:2])
@@ -352,9 +326,7 @@ def replay(psi: PureState, steps) -> PureState:
     return state
 
 
-def extract(
-    psi: PureState, pair=None, cutoff: float = DEFAULT_SCHMIDT_CUTOFF
-) -> ExtractionResult:
+def extract(psi: PureState, pair=None) -> ExtractionResult:
     """Run the full protocol on an entangled pure state.
 
     Returns the executed step list, the product of branch weights (the
@@ -362,19 +334,22 @@ def extract(
     weight 1 since both outcomes succeed), the surviving parties and the
     final two-party state with its Schmidt coefficients.
 
-    Raises :class:`NotEntangledError` on product input, and
-    :class:`PairUnavailableError` when ``pair`` requests a party that does
-    not survive.
+    Raises :class:`NotEntangledError` on product input, ValueError when
+    ``pair`` is not two distinct parties of the layout, and
+    :class:`PairUnavailableError` when it names a party that does not
+    survive.
     """
     layout = psi.layout
     n = layout.num_parties
     if n < 2:
         raise NotEntangledError("need at least two parties")
+    if pair is not None and len(layout.check_subset(pair)) != 2:
+        raise ValueError(f"requested pair {pair} must name two distinct parties")
 
     state = psi
     steps: list[ExtractionStep] = []
     while True:
-        entangled = [p for p in range(1, n + 1) if _single_party_rank(state, p, cutoff) >= 2]
+        entangled = [p for p in range(1, n + 1) if _single_party_rank(state, p) >= 2]
         if not entangled:
             if not steps:
                 raise NotEntangledError("state is a product state across every party")
@@ -385,7 +360,7 @@ def extract(
             )
         pivot = entangled[0]
 
-        fop, state, weight = equalize_filter(state, pivot, cutoff)
+        fop, state, weight = equalize_filter(state, pivot)
         steps.append(ExtractionStep(fop, weight))
 
         branch_info = classify_branch(state, pivot)
@@ -411,7 +386,7 @@ def extract(
                 steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
 
         final = reduce_to_parties(state, chosen)
-        c = schmidt(final, (1,), cutoff).coefficients
+        c = schmidt(final, (1,)).coefficients
         return ExtractionResult(
             pair=chosen,
             probability=math.prod(step.weight for step in steps),

@@ -95,7 +95,7 @@ def _min_eigenvalue(op: DensityOperator) -> float:
     local = np.empty_like(order)  # each node's position inside its block
     local[order] = np.arange(nodes.size) - (np.cumsum(sizes) - sizes)[block[order]]
     lows = [0.0] if nodes.size < op.layout.dim else []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         slot = np.cumsum(sizes == size) - 1  # a block's place among those of its size
         sel = sizes[block[r]] == size
         stack = np.zeros((slot[-1] + 1, size, size), dtype=complex)

@@ -9,6 +9,8 @@ Conventions used throughout the package:
   they hold only their nonzero entries as coordinate (COO) arrays, the
   same list the wire format stores, so a partial transpose moves indices
   and never values, and a dense matrix is built only when asked for.
+* A local filter's norm is checked once, when its :class:`FilterOperator` is
+  built.  Schmidt ranks count coefficients above the constant SCHMIDT_CUTOFF.
 * Arrays are treated as immutable after construction; every operation
   here is a pure function and safe to call concurrently.
 """
@@ -24,7 +26,8 @@ MAX_GLOBAL_DIM = 4096
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
-DEFAULT_SCHMIDT_CUTOFF = 1e-10
+SCHMIDT_CUTOFF = 1e-10
+FILTER_KINDS = ("equalize", "biorthogonal", "project", "measure_pm")
 
 _PHASE_TOL = 1e-12
 _TIE_TOL = 1e-12
@@ -97,27 +100,6 @@ class PartyLayout:
         if proper and len(subset) == self.num_parties:
             raise ValueError("subset must be a proper subset of the parties")
         return subset
-
-    def index_to_digits(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"basis index {index} out of range 0..{self.dim - 1}")
-        digits = []
-        rem = int(index)
-        for d in reversed(self.dims):
-            digits.append(rem % d)
-            rem //= d
-        return tuple(reversed(digits))
-
-    def digits_to_index(self, digits) -> int:
-        digits = tuple(int(x) for x in digits)
-        if len(digits) != self.num_parties:
-            raise ValueError("one digit per party required")
-        index = 0
-        for dig, d in zip(digits, self.dims):
-            if not 0 <= dig < d:
-                raise ValueError(f"digit {dig} out of range for local dimension {d}")
-            index = index * d + dig
-        return index
 
     def drop(self, parties) -> "PartyLayout":
         """Layout with the given parties removed."""
@@ -284,16 +266,17 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def hermitian_eigenvalues(op, hermitian_tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator, sorted ascending.
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of a dense Hermitian matrix, sorted ascending.
 
     A stack of matrices (shape (k, s, s)) gives one row per matrix.  Raises
-    on input that is not Hermitian within ``hermitian_tol``.
+    ValueError on input that is not Hermitian within 1e-10 (pass a
+    :class:`DensityOperator` as its ``.matrix``).
     """
-    m = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
-    _check_hermitian(m - np.swapaxes(m, -1, -2).conj(), hermitian_tol)
+    _check_hermitian(m - np.swapaxes(m, -1, -2).conj(), 1e-10)
     return np.linalg.eigvalsh(m)
 
 
@@ -349,25 +332,22 @@ def _matricize(psi: PureState, bipartition) -> tuple[tuple, tuple, np.ndarray]:
     return left, right, psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, -1)
 
 
-def schmidt(
-    psi: PureState, bipartition, cutoff: float = DEFAULT_SCHMIDT_CUTOFF
-) -> SchmidtDecomposition:
+def schmidt(psi: PureState, bipartition) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across ``bipartition`` vs the rest.
 
-    Coefficients are sorted descending and truncated at ``cutoff``.  Within
-    groups of degenerate coefficients the left basis is re-canonicalized to
-    align with computational axes and ordered lexicographically, making the
-    output deterministic (an aligned-axis basis state always maps to itself).
+    Coefficients are sorted descending and truncated at ``SCHMIDT_CUTOFF``
+    (a normalized state always keeps one).  Within groups of degenerate
+    coefficients the left basis is re-canonicalized to align with
+    computational axes and ordered lexicographically, making the output
+    deterministic (an aligned-axis basis state always maps to itself).
     """
     layout = psi.layout
     left, right, m = _matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    kept = s > cutoff
+    kept = s > SCHMIDT_CUTOFF
     s = s[kept]
     u = u[:, kept].copy()
     vh = vh[kept, :].copy()
-    if s.size == 0:
-        raise ValueError("state has no Schmidt coefficient above the cutoff")
 
     for group in _tie_groups(s, _TIE_TOL):
         if len(group) < 2:
@@ -398,31 +378,43 @@ def schmidt(
     return SchmidtDecomposition(s, left_states, right_states, left)
 
 
-def _check_filter_norm(m: np.ndarray) -> None:
-    """Raise ValueError unless the largest singular value of ``m`` is at most 1
-    (within 1e-12): a local filter must be a valid measurement element."""
-    smax = np.linalg.norm(m, 2)
-    if not smax <= 1.0 + 1e-12:
-        raise ValueError(f"filter has singular value {smax!r} > 1; not a measurement filter")
+@dataclass(frozen=True, eq=False)
+class FilterOperator:
+    """One local measurement element: a square matrix for ``party``, of
+    largest singular value at most 1 (within 1e-12), checked here once."""
+
+    party: int
+    matrix: np.ndarray
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in FILTER_KINDS:
+            raise ValueError(f"unknown filter kind {self.kind!r}")
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("filter matrix must be square")
+        smax = np.linalg.norm(m, 2)
+        if not smax <= 1.0 + 1e-12:
+            raise ValueError(f"filter has singular value {smax!r} > 1; not a measurement filter")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
-def apply_local(psi: PureState, party: int, operator) -> tuple[np.ndarray, float]:
-    """Apply a local measurement filter to one party.
+def apply_local(psi: PureState, fop: FilterOperator) -> tuple[np.ndarray, float]:
+    """Apply a local filter to its party, ``fop.party``.
 
     Returns the unnormalized output vector together with its squared norm,
     interpreted as the success probability of the filter outcome.  A weight
     of zero signals an annihilated branch and is returned, not raised.  The
-    operator must be a valid measurement element (largest singular value
-    at most 1).
+    filter's norm was checked when it was built; only its dimension is
+    checked against the party here.
     """
     layout = psi.layout
-    d = layout.dim_of(party)
-    m = np.asarray(operator, dtype=complex)
-    if m.shape != (d, d):
-        raise ValueError(f"operator must act on dimension {d}, got shape {m.shape}")
-    _check_filter_norm(m)
+    d = layout.dim_of(fop.party)
+    if fop.matrix.shape != (d, d):
+        raise ValueError(f"operator must act on dimension {d}, got shape {fop.matrix.shape}")
     t = psi.amplitudes.reshape(layout.dims)
-    out = np.moveaxis(np.tensordot(m, t, axes=(1, party - 1)), 0, party - 1)
+    out = np.moveaxis(np.tensordot(fop.matrix, t, axes=(1, fop.party - 1)), 0, fop.party - 1)
     vec = np.ascontiguousarray(out).reshape(layout.dim)
     weight = float(np.vdot(vec, vec).real)
     return vec, weight

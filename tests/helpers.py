@@ -16,6 +16,31 @@ def basis_state(layout: PartyLayout, index: int) -> PureState:
     return PureState(layout, amps)
 
 
+def index_to_digits(layout: PartyLayout, index: int) -> tuple[int, ...]:
+    """Mixed-radix digits of a basis index, party 1 most significant."""
+    if not 0 <= index < layout.dim:
+        raise ValueError(f"basis index {index} out of range 0..{layout.dim - 1}")
+    digits = []
+    rem = int(index)
+    for d in reversed(layout.dims):
+        digits.append(rem % d)
+        rem //= d
+    return tuple(reversed(digits))
+
+
+def digits_to_index(layout: PartyLayout, digits) -> int:
+    """Basis index of one digit per party, party 1 most significant."""
+    digits = tuple(int(x) for x in digits)
+    if len(digits) != layout.num_parties:
+        raise ValueError("one digit per party required")
+    index = 0
+    for dig, d in zip(digits, layout.dims):
+        if not 0 <= dig < d:
+            raise ValueError(f"digit {dig} out of range for local dimension {d}")
+        index = index * d + dig
+    return index
+
+
 def tensor_product(factors) -> PureState:
     """Kronecker product of pure states; party order follows factor order."""
     factors = list(factors)

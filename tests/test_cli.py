@@ -1,9 +1,16 @@
 """CLI commands, exit codes, file formats, and byte-level determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from boundbell import DensityOperator, PartyLayout, PureState, rho_family, RhoFamilySpec
+import boundbell
+from boundbell import DensityOperator, PartyLayout, PureState, ghz, rho_family, RhoFamilySpec
 from boundbell.cli import main
 from boundbell.serialize import (
     dump_json,
@@ -208,7 +215,23 @@ def test_extract_product_exit_code(tmp_path):
 
 
 def test_extract_pair_unavailable_exit_code(tmp_path):
-    assert run(["extract", "--ghz", 3, "--pair", "1,9"]) == 4
+    # party 1 is a product spectator of a GHZ state and never survives
+    amps = np.kron([1, 0], ghz(3, 0.0).amplitudes)
+    src = tmp_path / "spectator.json"
+    dump_json(state_to_obj(PureState(PartyLayout.qubits(4), amps)), src)
+    assert run(["extract", "--input", src, "--pair", "1,2"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random", "2,2", "--pair", "1,1"],  # repeated party
+        ["--random", "2,2,2", "--seed", 1, "--pair", "1,9"],  # party out of range
+        ["--ghz", 3, "--pair", "0,2"],
+    ],
+)
+def test_extract_malformed_pair_exit_code(argv):
+    assert run(["extract", *argv]) == 2
 
 
 def test_extract_source_validation(tmp_path):
@@ -262,6 +285,24 @@ def test_config_echoes_resolved_alpha(tmp_path):
     assert config["command"] == "bell"
 
 
+def test_every_config_block_lists_the_same_keys(tmp_path, capsys):
+    keys = {
+        "command", "n", "alpha", "tol", "seed", "restarts", "settings", "pair", "dims",
+        "input", "out", "format", "n_min", "n_max", "scan_max",
+    }
+    run(["state", "--n", 3, "--out", tmp_path / "rho.json"])
+    assert set(json.loads(capsys.readouterr().out)["config"]) == keys
+    for argv in (
+        ["scan", "--n", 3],
+        ["bell", "--n", 3],
+        ["extract", "--random", "2,2", "--pair", "1,2"],
+        ["sweep", "--n-max", 3],
+    ):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "--out", out]) == 0
+        assert set(load_json(out)["config"]) == keys, argv[0]
+
+
 def test_tolerance_env_override(tmp_path, monkeypatch):
     # an absurdly loose tolerance flips the pair verdicts to PSD
     monkeypatch.setenv("BOUNDBELL_TOL", "1.0")
@@ -277,3 +318,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs ~20 ms of start-up in every CLI child; plain np.unique imports it
+    code = (
+        "import sys\n"
+        "from boundbell.cli import main\n"
+        f"main(['scan', '--n', '7', '--out', {str(tmp_path / 'scan.json')!r}])\n"
+        f"main(['sweep', '--n-max', '5', '--out', {str(tmp_path / 'sweep.json')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(boundbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

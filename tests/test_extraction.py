@@ -220,6 +220,15 @@ def test_extract_requested_pair_unavailable():
         extract(psi, pair=(1, 2))
 
 
+def test_extract_rejects_malformed_pair():
+    # checked against the layout before the protocol runs: a plain ValueError,
+    # not PairUnavailableError, which is for valid parties that do not survive
+    for pair in [(1, 1), (1, 9), (0, 2), (1, 2, 3)]:
+        with pytest.raises(ValueError) as err:
+            extract(ghz(3, 0.0), pair=pair)
+        assert err.type is ValueError, pair
+
+
 def test_extract_spectator_factor_becomes_same_site():
     psi = tensor_product([basis_state(PartyLayout((2,)), 1), ghz(3, 0.2)])
     res = extract(psi)
@@ -263,7 +272,7 @@ def test_extract_case_b_strictly_shrinks_entanglement(extraction_corpus):
         state = psi
         entangled_before = sum(1 for _, r in schmidt_profile(state) if r >= 2)
         for step in res.steps:
-            vec, weight = apply_local(state, step.op.party, step.op.matrix)
+            vec, weight = apply_local(state, step.op)
             state = PureState(state.layout, vec / np.sqrt(weight))
             if step.op.kind == "project":
                 entangled_now = sum(1 for _, r in schmidt_profile(state) if r >= 2)

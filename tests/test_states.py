@@ -90,7 +90,7 @@ def test_family_diagonal_entries():
 def test_family_rank_counts_projector_pieces():
     # GHZ projector plus 2N mutually orthogonal rank-1 projectors
     rho = rho_family(RhoFamilySpec(4, 0.7))
-    eigs = hermitian_eigenvalues(rho)
+    eigs = hermitian_eigenvalues(rho.matrix)
     assert int(np.sum(eigs > 1e-12)) == 9
 
 
@@ -123,7 +123,7 @@ def test_family_trace_one():
 def test_family_psd():
     for n in range(2, 11):
         rho = rho_family(RhoFamilySpec(n))
-        assert hermitian_eigenvalues(rho)[0] >= -1e-10
+        assert hermitian_eigenvalues(rho.matrix)[0] >= -1e-10
 
 
 def test_family_alpha_touches_only_ghz_corners():

@@ -8,6 +8,7 @@ import pytest
 from boundbell import (
     BellSettings,
     DensityOperator,
+    FilterOperator,
     PartyLayout,
     PureState,
     apply_local,
@@ -26,6 +27,8 @@ from helpers import (
     basis_state,
     brute_reduced_operator,
     dense_partial_transpose,
+    digits_to_index,
+    index_to_digits,
     partial_trace,
     random_density,
     random_sparse_hermitian,
@@ -72,8 +75,8 @@ def test_layout_rejects_non_integral_dims():
 def test_encoding_round_trip(dims):
     layout = PartyLayout(dims)
     for index in range(layout.dim):
-        digits = layout.index_to_digits(index)
-        assert layout.digits_to_index(digits) == index
+        digits = index_to_digits(layout, index)
+        assert digits_to_index(layout, digits) == index
 
 
 def test_encoding_party_one_most_significant():
@@ -82,7 +85,7 @@ def test_encoding_party_one_most_significant():
     for k, index in [(1, 8), (2, 4), (3, 2), (4, 1)]:
         digits = [0, 0, 0, 0]
         digits[k - 1] = 1
-        assert layout.digits_to_index(digits) == index
+        assert digits_to_index(layout, digits) == index
 
 
 # ---------------------------------------------------------------- tensor product
@@ -145,7 +148,7 @@ def test_partial_transpose_linearity_and_trace():
 def test_partial_transpose_max_entangled_negative():
     rho = DensityOperator.from_pure(bell_phi_plus())
     pt = partial_transpose(rho, (2,))
-    eigs = hermitian_eigenvalues(pt)
+    eigs = hermitian_eigenvalues(pt.matrix)
     assert abs(eigs[0] - (-0.5)) < 1e-12
     # cross-check the spectrum against characteristic polynomial roots; the
     # triple root 1/2 limits that oracle to ~eps**(1/3) accuracy
@@ -279,15 +282,15 @@ def test_partial_ops_commute_on_disjoint_subsets():
 
 def test_hermitian_eigenvalues_basics():
     half = DensityOperator.from_dense(PartyLayout((2,)), np.eye(2) / 2)
-    np.testing.assert_allclose(hermitian_eigenvalues(half), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(hermitian_eigenvalues(half.matrix), [0.5, 0.5], atol=1e-15)
     diag = DensityOperator.from_dense(PartyLayout((2,)), np.diag([0.1, 0.9]))
-    np.testing.assert_allclose(hermitian_eigenvalues(diag), [0.1, 0.9], atol=1e-15)
+    np.testing.assert_allclose(hermitian_eigenvalues(diag.matrix), [0.1, 0.9], atol=1e-15)
 
 
 def test_hermitian_eigenvalues_sum_and_order():
     for seed in range(5):
         rho = random_density(PartyLayout((2, 3)), seed=100 + seed)
-        vals = hermitian_eigenvalues(rho)
+        vals = hermitian_eigenvalues(rho.matrix)
         d = rho.layout.dim
         assert abs(vals.sum() - rho.trace) < 1e-9 * d
         assert np.all(np.diff(vals) >= -1e-14)
@@ -361,7 +364,7 @@ def test_schmidt_bad_bipartition():
 
 def test_apply_local_identity():
     psi = random_pure(PartyLayout((2, 3)), seed=8)
-    vec, weight = apply_local(psi, 2, np.eye(3))
+    vec, weight = apply_local(psi, FilterOperator(2, np.eye(3), "project"))
     assert abs(weight - 1.0) < 1e-12
     np.testing.assert_allclose(vec, psi.amplitudes, atol=1e-15)
 
@@ -369,7 +372,7 @@ def test_apply_local_identity():
 def test_apply_local_projector_on_ghz():
     psi = ghz(4, 0.7)
     proj = np.array([[1, 0], [0, 0]], dtype=complex)
-    vec, weight = apply_local(psi, 1, proj)
+    vec, weight = apply_local(psi, FilterOperator(1, proj, "project"))
     assert abs(weight - 0.5) < 1e-12
     expected = np.zeros(16, dtype=complex)
     expected[0] = 1.0
@@ -383,7 +386,7 @@ def test_apply_local_balancing_filter():
     u0 = sd.left_vectors[0].amplitudes
     u1 = sd.left_vectors[1].amplitudes
     op = (lam1 * np.outer(u0, u0.conj()) + lam0 * np.outer(u1, u1.conj())) / lam0
-    vec, weight = apply_local(psi, 1, op)
+    vec, weight = apply_local(psi, FilterOperator(1, op, "equalize"))
     assert weight > 0
     post = PureState(psi.layout, vec / np.sqrt(weight))
     post_sd = schmidt(post, (1,))
@@ -393,15 +396,21 @@ def test_apply_local_balancing_filter():
 def test_apply_local_annihilation_returns_zero_weight():
     zero_op = np.zeros((2, 2))
     psi = ghz(2, 0.0)
-    vec, weight = apply_local(psi, 1, zero_op)
+    vec, weight = apply_local(psi, FilterOperator(1, zero_op, "project"))
     assert weight == 0.0
     assert np.all(vec == 0)
 
 
 def test_apply_local_rejects_amplifying_operator():
-    psi = ghz(2, 0.0)
-    with pytest.raises(ValueError):
-        apply_local(psi, 1, 2.0 * np.eye(2))
+    # a filter is checked once, when built, so an amplifying one never reaches apply_local
+    with pytest.raises(ValueError, match="singular value"):
+        FilterOperator(1, 2.0 * np.eye(2), "project")
+
+
+def test_apply_local_rejects_wrong_dimension():
+    psi = random_pure(PartyLayout((2, 3)), seed=8)
+    with pytest.raises(ValueError, match="dimension 3"):
+        apply_local(psi, FilterOperator(2, np.eye(2), "project"))
 
 
 # ---------------------------------------------------------------- type invariants
