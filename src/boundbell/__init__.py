@@ -7,11 +7,8 @@ maximally entangled pair from any entangled pure state.
 """
 
 from .bell import (
-    BellOperator,
     BellSettings,
     bell_value,
-    build_bell,
-    closed_form_xy,
     optimize_settings,
     pauli_along,
 )
@@ -63,7 +60,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellOperator",
     "BellSettings",
     "BipartitionScan",
     "BranchClassification",
@@ -82,10 +78,8 @@ __all__ = [
     "SchmidtDecomposition",
     "apply_local",
     "bell_value",
-    "build_bell",
     "classify_branch",
     "classify_family",
-    "closed_form_xy",
     "default_alpha",
     "equalize_filter",
     "extract",

@@ -8,19 +8,19 @@ B_N + iB'_N = c_N (x)_j M_j with M_j = sigma.a_j + i sigma.a'_j and
 c_N = ((1-i)/2)^(N-1).  B_N is its Hermitian part, and tr(B rho) =
 Re[c_N tr((x)_j M_j rho)] never forms B: each nonzero entry rho[r, c]
 contributes rho[r, c] prod_j M_j[c_j, r_j], with r_j and c_j party j's
-digits of r and c.  With every party measuring along x and y, B collapses to a
-rank-2 operator coupling |0...0> and |1...1>.
+digits of r and c.  No dense 2^N x 2^N operator exists in the package: the
+cost is O(N nnz) for any N the layout admits, and with every party measuring
+along x and y only the entries coupling |0...0> and |1...1> contribute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .tensor import DensityOperator, PartyLayout, _check_hermitian
+from .tensor import DensityOperator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,25 +85,6 @@ class BellSettings:
         return len(self.a)
 
 
-@dataclass(frozen=True, eq=False)
-class BellOperator:
-    """Hermitian Bell operator over an all-qubit layout."""
-
-    layout: PartyLayout
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must have shape {(d, d)}")
-        if any(dim != 2 for dim in self.layout.dims):
-            raise ValueError("Bell operators are defined on all-qubit layouts")
-        _check_hermitian(m - m.conj().T, 1e-12)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def _prefactor(n: int) -> complex:
     return ((1.0 - 1.0j) / 2.0) ** (n - 1)
 
@@ -124,31 +105,6 @@ def _trace_terms(vals: np.ndarray, factors, codes) -> np.ndarray:
     for m, code in zip(factors, codes):
         vals = vals * m.reshape(4)[code]
     return vals
-
-
-def build_bell(settings: BellSettings) -> BellOperator:
-    """Dense Bell operator for the given settings: the Hermitian part of the
-    product form c_N (x)_j M_j."""
-    n = settings.num_parties
-    c = _prefactor(n) * reduce(np.kron, _factors(settings.a, settings.a_prime))
-    return BellOperator(PartyLayout.qubits(n), 0.5 * (c + c.conj().T))
-
-
-def closed_form_xy(n: int) -> BellOperator:
-    """Rank-2 closed form of the all-x/all-y operator.
-
-    The only nonzero entries couple the extremal basis states with magnitude
-    2^((N-1)/2) and phase pi*(N-1)/4, i.e. the Gaussian-integer power (1+i)^(N-1).
-    """
-    if n < 2:
-        raise ValueError("closed form needs at least two parties")
-    layout = PartyLayout.qubits(n)
-    d = layout.dim
-    m = np.zeros((d, d), dtype=complex)
-    corner = (1.0 + 1.0j) ** (n - 1)
-    m[d - 1, 0] = corner
-    m[0, d - 1] = np.conj(corner)
-    return BellOperator(layout, m)
 
 
 def bell_value(rho: DensityOperator, settings: BellSettings) -> float:

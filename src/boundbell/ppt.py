@@ -15,7 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from .states import RhoFamilySpec, rho_family
-from .tensor import DensityOperator, hermitian_eigenvalues, partial_transpose
+from .tensor import (
+    MAX_GLOBAL_DIM, DensityOperator, dense_size, hermitian_eigenvalues, partial_transpose,
+)
 
 PSD = "PSD"
 NOT_PSD = "NOT_PSD"
@@ -85,7 +87,9 @@ def _min_eigenvalue(op: DensityOperator) -> float:
     Basis states linked by an entry share a block, so the spectrum is the
     union of the spectra of the connected components of the sparsity graph,
     plus 0 when some basis state carries no entry at all.  Blocks of equal
-    size are eigensolved densely as one stack.
+    size are eigensolved densely in stacks of at most MAX_GLOBAL_DIM rows, so
+    no stack outgrows one dense matrix at the cap; a block above the cap
+    raises ValueError.
     """
     nodes, inverse = np.unique(np.concatenate([op.rows, op.cols]), return_inverse=True)
     r, c = np.split(inverse, 2)
@@ -96,11 +100,14 @@ def _min_eigenvalue(op: DensityOperator) -> float:
     local[order] = np.arange(nodes.size) - (np.cumsum(sizes) - sizes)[block[order]]
     lows = [0.0] if nodes.size < op.layout.dim else []
     for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
+        per_stack = MAX_GLOBAL_DIM // dense_size(size)
         slot = np.cumsum(sizes == size) - 1  # a block's place among those of its size
-        sel = sizes[block[r]] == size
-        stack = np.zeros((slot[-1] + 1, size, size), dtype=complex)
-        stack[slot[block[r[sel]]], local[r[sel]], local[c[sel]]] = op.vals[sel]
-        lows.append(float(hermitian_eigenvalues(stack)[:, 0].min()))
+        stack_of = np.where(sizes[block[r]] == size, slot[block[r]] // per_stack, -1)
+        for first in range(0, slot[-1] + 1, per_stack):
+            sel = stack_of == first // per_stack
+            stack = np.zeros((min(per_stack, slot[-1] + 1 - first), size, size), dtype=complex)
+            stack[slot[block[r[sel]]] - first, local[r[sel]], local[c[sel]]] = op.vals[sel]
+            lows.append(float(hermitian_eigenvalues(stack)[:, 0].min()))
     return min(lows)
 
 

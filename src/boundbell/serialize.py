@@ -82,7 +82,7 @@ def state_from_obj(obj: dict) -> PureState:
     """Decode a pure state; ValueError on any defect :func:`_decode_table` names
     or a norm other than 1."""
     layout, index, vals = _decode_table(obj, "amps", 1)
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(layout.dense_dim, dtype=complex)
     amps[index[:, 0]] = vals
     return PureState(layout, amps)
 

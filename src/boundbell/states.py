@@ -25,7 +25,8 @@ class RhoFamilySpec:
     """Parameters (party count, GHZ phase) selecting one family member.
 
     ``alpha=None`` resolves to :func:`default_alpha`.  The party count must
-    lie in 2..12: twelve qubits fill the global dimension cap.
+    lie in 2..31, the qubit layouts whose int64 entry keys cannot wrap; the
+    family itself is sparse (2N+4 entries), so nothing dense bounds it.
     """
 
     n: int
@@ -34,8 +35,8 @@ class RhoFamilySpec:
     def __post_init__(self) -> None:
         n = int(self.n)
         object.__setattr__(self, "n", n)
-        if not 2 <= n <= 12:
-            raise ValueError(f"party count {n} outside supported range 2..12")
+        if not 2 <= n <= 31:
+            raise ValueError(f"party count {n} outside supported range 2..31")
         alpha = default_alpha(n) if self.alpha is None else float(self.alpha)
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
@@ -47,7 +48,7 @@ def ghz(n: int, alpha: float) -> PureState:
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
     layout = PartyLayout.qubits(n)
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(layout.dense_dim, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)
     amps[-1] = np.exp(1j * alpha) / math.sqrt(2.0)
     return PureState(layout, amps)
@@ -111,7 +112,8 @@ def random_pure(layout: PartyLayout, seed: int) -> PureState:
     Amplitudes are drawn i.i.d. from the rotation-invariant complex normal
     distribution and normalized.
     """
+    d = layout.dense_dim
     rng = np.random.default_rng(int(seed))
-    amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)
     return PureState(layout, amps)

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   they hold only their nonzero entries as coordinate (COO) arrays, the
   same list the wire format stores, so a partial transpose moves indices
   and never values, and a dense matrix is built only when asked for.
+* A layout only bounds its index arithmetic: dim**2 < 2**63, so that the
+  int64 keys ``row * dim + col`` cannot wrap (at most 31 qubits).  Code that
+  allocates a dense array asks :attr:`PartyLayout.dense_dim` (or
+  :func:`dense_size`) first, which refuses sizes above MAX_GLOBAL_DIM.
 * A local filter's norm is checked once, when its :class:`FilterOperator` is
   built.  Schmidt ranks count coefficients above the constant SCHMIDT_CUTOFF.
 * Arrays are treated as immutable after construction; every operation
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_GLOBAL_DIM = 4096
+MAX_GLOBAL_DIM = 4096  # largest side of any dense array: 256 MiB as a complex matrix
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -31,6 +35,25 @@ FILTER_KINDS = ("equalize", "biorthogonal", "project", "measure_pm")
 
 _PHASE_TOL = 1e-12
 _TIE_TOL = 1e-12
+
+
+def dense_size(size: int) -> int:
+    """``size`` if a dense array of that side may be allocated; ValueError above MAX_GLOBAL_DIM."""
+    if size > MAX_GLOBAL_DIM:
+        raise ValueError(f"dense dimension {size} exceeds the cap {MAX_GLOBAL_DIM}")
+    return size
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints; ValueError unless each already is one (2.9 is not cut to 2)."""
+    raw = tuple(values)
+    try:
+        ints = tuple(int(v) for v in raw)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != raw:
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return ints
 
 
 def _check_hermitian(diff: np.ndarray, tol: float) -> None:
@@ -47,22 +70,14 @@ class PartyLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.dims)
-        try:
-            dims = tuple(int(d) for d in raw)
-        except (TypeError, ValueError, OverflowError):
-            dims = None
-        if dims != raw:  # int() would also truncate 2.9: reject rather than repair
-            raise ValueError(f"local dimensions must be integers, got {self.dims!r}")
+        dims = _integers(self.dims, "local dimensions")
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise ValueError("a layout needs at least one party")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        if self.dim > MAX_GLOBAL_DIM:
-            raise ValueError(
-                f"global dimension {self.dim} exceeds the dense cap {MAX_GLOBAL_DIM}"
-            )
+        if self.dim**2 >= 2**63:
+            raise ValueError(f"global dimension {self.dim} too large for int64 entry keys")
 
     @classmethod
     def qubits(cls, n: int) -> "PartyLayout":
@@ -78,6 +93,12 @@ class PartyLayout:
     def dim(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def dense_dim(self) -> int:
+        """``dim``, for code about to allocate a dense array over the layout;
+        ValueError above MAX_GLOBAL_DIM."""
+        return dense_size(self.dim)
+
     def dim_of(self, party: int) -> int:
         self._check_party(party)
         return self.dims[party - 1]
@@ -92,7 +113,7 @@ class PartyLayout:
         self, parties, *, nonempty: bool = False, proper: bool = False
     ) -> tuple[int, ...]:
         """Validate a collection of party indices, returning them sorted."""
-        subset = tuple(sorted({int(p) for p in parties}))
+        subset = tuple(sorted(set(_integers(parties, "party indices"))))
         for p in subset:
             self._check_party(p)
         if nonempty and not subset:
@@ -118,11 +139,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        d = self.layout.dense_dim
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.layout.dim,):
-            raise ValueError(
-                f"amplitude vector must have length {self.layout.dim}, got {amps.shape}"
-            )
+        if amps.shape != (d,):
+            raise ValueError(f"amplitude vector must have length {d}, got {amps.shape}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
@@ -180,9 +200,10 @@ class DensityOperator:
     @classmethod
     def from_dense(cls, layout: PartyLayout, matrix) -> "DensityOperator":
         """Operator from a dense d x d matrix, keeping its nonzero entries."""
+        d = layout.dense_dim
         m = np.asarray(matrix, dtype=complex)
-        if m.shape != (layout.dim, layout.dim):
-            raise ValueError(f"matrix must have shape {(layout.dim,) * 2}, got {m.shape}")
+        if m.shape != (d, d):
+            raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
         rows, cols = np.nonzero(m)
         return cls(layout, rows, cols, m[rows, cols])
 
@@ -195,7 +216,8 @@ class DensityOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense d x d matrix, built afresh on every access."""
-        m = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
+        d = self.layout.dense_dim
+        m = np.zeros((d, d), dtype=complex)
         m[self.rows, self.cols] = self.vals
         return m
 

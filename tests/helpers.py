@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from boundbell import DensityOperator, PartyLayout, PureState, random_pure
+
+
+def traced_peak(job):
+    """(``job()``, the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = job()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def raises_value_error(job) -> bool:
+    """Whether ``job()`` raises ValueError (any other outcome propagates or is False)."""
+    try:
+        job()
+    except ValueError:
+        return True
+    return False
 
 
 def basis_state(layout: PartyLayout, index: int) -> PureState:
@@ -196,6 +217,25 @@ def bell_matrix_recursion(avecs: np.ndarray, apvecs: np.ndarray) -> np.ndarray:
             0.5 * (np.kron(bp, plus) - np.kron(b, minus)),
         )
     return b
+
+
+def closed_form_xy(n: int) -> np.ndarray:
+    """Rank-2 closed form of the all-x/all-y Bell operator (oracle path).
+
+    The only nonzero entries couple the extremal basis states with magnitude
+    2^((N-1)/2) and phase pi*(N-1)/4, i.e. the Gaussian-integer power (1+i)^(N-1).
+    """
+    d = 2**n
+    m = np.zeros((d, d), dtype=complex)
+    corner = (1.0 + 1.0j) ** (n - 1)
+    m[d - 1, 0] = corner
+    m[0, d - 1] = np.conj(corner)
+    return m
+
+
+def bell_matrix(settings) -> np.ndarray:
+    """Dense Bell operator of a BellSettings by the recursion oracle."""
+    return bell_matrix_recursion(np.array(settings.a), np.array(settings.a_prime))
 
 
 def planar_grid_oracle(step_deg: float = 1.0) -> float:

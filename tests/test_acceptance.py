@@ -22,8 +22,6 @@ from boundbell import (
     PureState,
     RhoFamilySpec,
     bell_value,
-    build_bell,
-    closed_form_xy,
     extract,
     flip_projectors,
     ghz,
@@ -34,7 +32,13 @@ from boundbell import (
     rho_family,
 )
 from boundbell.serialize import canonical_dumps
-from helpers import make_extraction_corpus, planar_grid_oracle, separable_fixture
+from helpers import (
+    bell_matrix,
+    closed_form_xy,
+    make_extraction_corpus,
+    planar_grid_oracle,
+    separable_fixture,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -109,9 +113,8 @@ def build_transpose_report():
 def build_equivalence_report():
     devs = {}
     for n in range(2, 11):
-        b = build_bell(BellSettings.xy(n)).matrix
-        c = closed_form_xy(n).matrix
-        devs[str(n)] = float(np.max(np.abs(b - c)))
+        b = bell_matrix(BellSettings.xy(n))
+        devs[str(n)] = float(np.max(np.abs(b - closed_form_xy(n))))
     return {"max_entrywise_deviation": devs}
 
 
@@ -119,14 +122,11 @@ def build_ghz_max_report():
     rows = {}
     for n in range(2, 11):
         beta = np.pi * (n - 1) / 4
-        b = build_bell(BellSettings.xy(n)).matrix
-        rho = DensityOperator.from_pure(ghz(n, beta))
-        value = float(np.einsum("ij,ji->", b, rho.matrix).real)
+        xy = BellSettings.xy(n)
+        value = bell_value(DensityOperator.from_pure(ghz(n, beta)), xy)
         flips = []
         for k in range(1, n + 1):
-            pk, pkbar = flip_projectors(n, k)
-            flips.append(float(abs(np.einsum("ij,ji->", b, pk.matrix))))
-            flips.append(float(abs(np.einsum("ij,ji->", b, pkbar.matrix))))
+            flips.extend(abs(bell_value(p, xy)) for p in flip_projectors(n, k))
         rows[str(n)] = {"ghz_value": value, "flip_traces_max": max(flips)}
     return {"rows": rows}
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from boundbell import (
-    BellOperator,
     BellSettings,
     DensityOperator,
     PartyLayout,
     PureState,
     RhoFamilySpec,
     bell_value,
-    build_bell,
-    closed_form_xy,
     flip_projectors,
     ghz,
     optimize_settings,
@@ -20,7 +17,9 @@ from boundbell import (
     rho_family,
 )
 from helpers import (
+    bell_matrix,
     bell_matrix_recursion,
+    closed_form_xy,
     planar_grid_oracle,
     random_density,
     random_sparse_hermitian,
@@ -76,19 +75,18 @@ def test_settings_validation():
 # ---------------------------------------------------------------- product form
 
 
-def test_build_bell_matches_closed_form_small():
-    b = build_bell(BellSettings.xy(3))
-    c = closed_form_xy(3)
-    assert np.max(np.abs(b.matrix - c.matrix)) <= 1e-12
+def test_xy_value_matches_closed_form_small():
+    rho = random_density(PartyLayout.qubits(3), seed=3)
+    expected = np.einsum("ij,ji->", closed_form_xy(3), rho.matrix).real
+    assert abs(bell_value(rho, BellSettings.xy(3)) - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_product_form_matches_recursion_oracle(n):
     vecs = np.random.default_rng(100 + n).standard_normal((2 * n, 3))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     settings = BellSettings(tuple(map(tuple, vecs[:n])), tuple(map(tuple, vecs[n:])))
     oracle = bell_matrix_recursion(vecs[:n], vecs[n:])
-    assert np.max(np.abs(build_bell(settings).matrix - oracle)) <= 1e-12
     rho = random_density(PartyLayout.qubits(n), seed=n)
     expected = np.einsum("ij,ji->", oracle, rho.matrix).real
     assert abs(bell_value(rho, settings) - expected) <= 1e-12
@@ -96,18 +94,19 @@ def test_product_form_matches_recursion_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_recursion_closed_form_equivalence(n):
-    b = build_bell(BellSettings.xy(n))
-    c = closed_form_xy(n)
-    assert np.max(np.abs(b.matrix - c.matrix)) <= 1e-12
+    b = bell_matrix(BellSettings.xy(n))
+    assert np.max(np.abs(b - closed_form_xy(n))) <= 1e-12
 
 
-def test_build_bell_degenerate_settings():
+def test_bell_value_degenerate_settings():
     # a = a' makes the difference term vanish: B_2 = sx (x) sx
     x = (1.0, 0.0, 0.0)
-    b = build_bell(BellSettings((x, x), (x, x)))
-    np.testing.assert_allclose(
-        b.matrix, np.kron(pauli_along(x), pauli_along(x)), atol=1e-15
-    )
+    settings = BellSettings((x, x), (x, x))
+    sxsx = np.kron(pauli_along(x), pauli_along(x))
+    np.testing.assert_allclose(bell_matrix(settings), sxsx, atol=1e-15)
+    rho = random_density(PartyLayout.qubits(2), seed=5)
+    expected = np.einsum("ij,ji->", sxsx, rho.matrix).real
+    assert abs(bell_value(rho, settings) - expected) <= 1e-15
 
 
 def test_ghz_expectation_two_parties():
@@ -121,15 +120,15 @@ def test_ghz_expectation_two_parties():
 
 def test_closed_form_entries():
     c2 = closed_form_xy(2)
-    assert abs(c2.matrix[3, 0] - np.sqrt(2) * np.exp(1j * np.pi / 4)) < 1e-12
-    assert np.count_nonzero(c2.matrix) == 2
+    assert abs(c2[3, 0] - np.sqrt(2) * np.exp(1j * np.pi / 4)) < 1e-12
+    assert np.count_nonzero(c2) == 2
     c8 = closed_form_xy(8)
-    assert abs(abs(c8.matrix[255, 0]) - 2**3.5) < 1e-12
+    assert abs(abs(c8[255, 0]) - 2**3.5) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_closed_form_spectrum(n):
-    eigs = np.sort(np.linalg.eigvalsh(closed_form_xy(n).matrix))
+    eigs = np.sort(np.linalg.eigvalsh(closed_form_xy(n)))
     top = 2 ** ((n - 1) / 2)
     assert abs(eigs[0] + top) < 1e-12
     assert abs(eigs[-1] - top) < 1e-12
@@ -165,10 +164,10 @@ def test_bell_value_and_optimizer_match_dense_oracle(n):
         random_sparse_hermitian(layout, seed=n),
     ]
     for rho in states:
-        dense = np.einsum("ij,ji->", build_bell(settings).matrix, rho.matrix).real
+        dense = np.einsum("ij,ji->", bell_matrix(settings), rho.matrix).real
         assert abs(bell_value(rho, settings) - dense) <= 1e-12
         best, value = optimize_settings(rho, restarts=1, seed=n, max_sweeps=2)
-        dense = np.einsum("ij,ji->", build_bell(best).matrix, rho.matrix).real
+        dense = np.einsum("ij,ji->", bell_matrix(best), rho.matrix).real
         assert abs(value - dense) <= 1e-12
 
 
@@ -188,11 +187,11 @@ def test_ghz_gives_quantum_maximum():
 
 def test_flip_projectors_are_blind_to_the_operator():
     for n in (3, 5, 7):
-        b = build_bell(BellSettings.xy(n)).matrix
+        b = bell_matrix(BellSettings.xy(n))
         for k in range(1, n + 1):
-            pk, pkbar = flip_projectors(n, k)
-            assert abs(np.einsum("ij,ji->", b, pk.matrix)) < 1e-12
-            assert abs(np.einsum("ij,ji->", b, pkbar.matrix)) < 1e-12
+            for p in flip_projectors(n, k):
+                assert abs(np.einsum("ij,ji->", b, p.matrix)) < 1e-12
+                assert abs(bell_value(p, BellSettings.xy(n))) < 1e-12
 
 
 def test_expectation_affine_in_each_direction():
@@ -220,7 +219,7 @@ def test_expectation_affine_in_each_direction():
 
 def test_operator_norm_bound():
     def norm(settings):
-        return np.max(np.abs(np.linalg.eigvalsh(build_bell(settings).matrix)))
+        return np.max(np.abs(np.linalg.eigvalsh(bell_matrix(settings))))
 
     rng = np.random.default_rng(12)
     for n in (2, 3, 4, 5):
@@ -232,13 +231,6 @@ def test_operator_norm_bound():
             )
             assert norm(settings) <= 2 ** ((n - 1) / 2) + 1e-8
     assert norm(BellSettings.xy(8)) <= 2**3.5 + 1e-8
-
-
-def test_bell_operator_requires_hermitian_qubit_layout():
-    with pytest.raises(ValueError):
-        BellOperator(PartyLayout((2, 3)), np.eye(6))
-    with pytest.raises(ValueError):
-        BellOperator(PartyLayout.qubits(1), np.array([[0, 1], [0, 0]]))
 
 
 # ---------------------------------------------------------------- optimizer

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from boundbell.serialize import (
     operator_to_obj,
     state_to_obj,
 )
+from helpers import traced_peak
 
 
 def run(argv):
@@ -82,6 +84,28 @@ def test_bell_xy_threshold(tmp_path):
     report7 = load_json(out7)
     assert report7["value"] == pytest.approx(1.0, abs=1e-10)
     assert report7["violation"] is False
+
+
+@pytest.mark.parametrize("n, violation", [(7, False), (8, True)])
+def test_optimized_violation_verdict_has_a_margin(tmp_path, n, violation):
+    # the N = 7 maximum is exactly 1; the optimizer reaches 1 + 7e-16, which is no violation
+    out = tmp_path / "bell.json"
+    for seed in range(4):
+        assert run(["bell", "--n", n, "--settings", "optimize", "--seed", seed,
+                    "--out", out]) == 0
+        report = load_json(out)
+        assert report["value"] == pytest.approx(2 ** ((n - 1) / 2) / (n + 1), abs=1e-9)
+        assert report["violation"] is violation, (seed, report["value"])
+
+
+@pytest.mark.parametrize("settings", ["xy", "optimize", "file"])
+def test_bell_rejects_a_qudit_operator(tmp_path, settings):
+    src = tmp_path / "qudit.json"
+    src.write_text('{"dims": [2, 3], "entries": [[0, 0, 0.5, 0.0], [5, 5, 0.5, 0.0]]}')
+    if settings == "file":
+        settings = tmp_path / "xy.json"
+        dump_json({"a": [[1, 0, 0]] * 2, "a_prime": [[0, 1, 0]] * 2}, settings)
+    assert run(["bell", "--input", src, "--settings", settings]) == 2
 
 
 def test_bell_optimize_and_settings_file(tmp_path):
@@ -234,6 +258,24 @@ def test_extract_malformed_pair_exit_code(argv):
     assert run(["extract", *argv]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random", ",".join(["2"] * 31)],
+        ["--ghz", 13],
+        ["--input", "STATE"],
+    ],
+    ids=["random-31-qubits", "ghz-13", "state-file-31-qubits"],
+)
+def test_extract_refuses_dense_states_above_the_cap(tmp_path, argv):
+    src = tmp_path / "psi.json"
+    src.write_text(json.dumps({"dims": [2] * 31, "amps": [[0, 1.0, 0.0]]}))
+    argv = [src if a == "STATE" else a for a in argv]
+    code, peak = traced_peak(lambda: run(["extract", *argv]))
+    assert code == 2
+    assert peak < 4 * 2**20, peak
+
+
 def test_extract_source_validation(tmp_path):
     assert run(["extract"]) == 2
     assert run(["extract", "--ghz", 3, "--random", "2,2"]) == 2
@@ -257,6 +299,25 @@ def test_sweep_json_and_csv(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("n,alpha,bell_xy")
+
+
+def test_sweep_to_31_parties(tmp_path):
+    out = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    assert run(["sweep", "--n-min", 2, "--n-max", 31, "--scan-max", 31, "--format", "csv",
+                "--out", out]) == 0
+    assert time.perf_counter() - start < 10.0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,alpha,bell_xy,violation,ppt_single,npt_pairs,bound_entangled_claim"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(2, 32))
+    for row in rows:
+        n = int(row[0])
+        want = 2 ** ((n - 1) / 2) / (n + 1)
+        assert abs(float(row[2]) - want) <= 1e-12 * want, n
+        assert row[3] == str(n >= 8), n
+        if n >= 4:
+            assert row[4:] == ["True"] * 3, n  # ppt_single, npt_pairs, claim
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

@@ -223,10 +223,11 @@ def test_extract_requested_pair_unavailable():
 def test_extract_rejects_malformed_pair():
     # checked against the layout before the protocol runs: a plain ValueError,
     # not PairUnavailableError, which is for valid parties that do not survive
-    for pair in [(1, 1), (1, 9), (0, 2), (1, 2, 3)]:
+    for pair in [(1, 1), (1, 9), (0, 2), (1, 2, 3), (1.7, 2.2)]:
         with pytest.raises(ValueError) as err:
             extract(ghz(3, 0.0), pair=pair)
         assert err.type is ValueError, pair
+    assert extract(ghz(3, 0.0), pair=(1.0, np.int64(2))).pair == (1, 2)
 
 
 def test_extract_spectator_factor_becomes_same_site():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from boundbell import (
+    BellSettings,
     DensityOperator,
     PartyLayout,
     RhoFamilySpec,
+    bell_value,
     classify_family,
     ppt_check,
     rho_family,
@@ -18,9 +20,11 @@ from boundbell.ppt import DERIVED_BY_THEOREM, NOT_PSD, PSD
 from helpers import (
     dense_min_eigenvalue,
     dense_partial_transpose,
+    raises_value_error,
     random_density,
     random_sparse_hermitian,
     separable_fixture,
+    traced_peak,
 )
 
 
@@ -50,6 +54,10 @@ def test_ppt_check_rejects_bad_subsets():
         ppt_check(rho, (1, 2, 3))
     with pytest.raises(ValueError):
         ppt_check(rho, (4,))
+    with pytest.raises(ValueError):
+        ppt_check(rho, (1.9,))  # not truncated to party 1
+    for subset in [(1.0,), (np.int64(1),)]:
+        assert ppt_check(rho, subset).subset == (1,)
 
 
 def test_scan_family_five_parties():
@@ -103,7 +111,46 @@ def test_classify_family_range():
     with pytest.raises(ValueError):
         classify_family(1)
     with pytest.raises(ValueError):
-        classify_family(13)
+        classify_family(32)
+
+
+def test_family_table_to_31_parties():
+    # the paper's three claims at every N the layout admits, against closed forms
+    for n in range(2, 32):
+        rho = rho_family(RhoFamilySpec(n))
+        want = 2 ** ((n - 1) / 2) / (n + 1)
+        assert abs(bell_value(rho, BellSettings.xy(n)) - want) <= 1e-12 * want, n
+        singles = [ppt_check(rho, (k,)).min_eigenvalue for k in range(1, n + 1)]
+        assert min(singles) >= -1e-12, n  # PSD; a zero eigenvalue from N = 3 on
+        assert n == 2 or max(map(abs, singles)) <= 1e-12, n
+        if n >= 4:
+            for pair in combinations(range(1, n + 1), 2):
+                eig = ppt_check(rho, pair).min_eigenvalue
+                assert abs(eig + 1 / (2 * (n + 1))) <= 1e-12, (n, pair)
+
+
+def test_ppt_check_refuses_a_block_above_the_dense_cap():
+    # a chain linking basis states 0..4200 of 14 qubits: one 4201-state block,
+    # left intact by transposing party 1 (all its states have party-1 digit 0)
+    chain = np.arange(4200)
+    rows = np.concatenate([[0], chain, chain + 1])
+    cols = np.concatenate([[0], chain + 1, chain])
+    vals = np.concatenate([[1.0], np.full(2 * chain.size, 1e-4)])
+    rho = DensityOperator(PartyLayout.qubits(14), rows, cols, vals)
+    refused, peak = traced_peak(lambda: raises_value_error(lambda: ppt_check(rho, (1,))))
+    assert refused
+    assert peak < 4 * 2**20, peak
+
+
+def test_ppt_check_splits_many_blocks_into_capped_stacks():
+    # 5000 one-state blocks exceed one stack of 4096 rows; the verdict is unchanged
+    diag = np.arange(5000)
+    vals = np.linspace(1.0, 2.0, diag.size) / np.linspace(1.0, 2.0, diag.size).sum()
+    vals[1234] = -1e-3
+    rho = DensityOperator(PartyLayout.qubits(13), diag, diag, vals)
+    report = ppt_check(rho, (13,))
+    assert report.min_eigenvalue == -1e-3
+    assert report.verdict == NOT_PSD
 
 
 def test_family_statement_across_alphas():

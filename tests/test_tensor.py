@@ -1,7 +1,5 @@
 """Tensor-core tests: encoding, partial ops, eigensolves, Schmidt, filters."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -30,9 +28,11 @@ from helpers import (
     digits_to_index,
     index_to_digits,
     partial_trace,
+    raises_value_error,
     random_density,
     random_sparse_hermitian,
     tensor_product,
+    traced_peak,
 )
 
 
@@ -54,9 +54,14 @@ def test_layout_validation():
     with pytest.raises(ValueError):
         PartyLayout((2, 1))
     with pytest.raises(ValueError):
-        PartyLayout((2,) * 13)  # above the dense cap
+        PartyLayout((2,) * 32)  # int64 entry keys rows * dim + cols would wrap
+    assert PartyLayout((2,) * 31).dim == 2**31  # no dense cap on a layout
+    with pytest.raises(ValueError):
+        PartyLayout((3037000500,))  # dim**2 just above 2**63 - 1
+    assert PartyLayout((3037000499,)).num_parties == 1
     layout = PartyLayout((2, 3, 2))
-    assert layout.dim == 12
+    assert layout.dim == layout.dense_dim == 12
+    assert PartyLayout.qubits(12).dense_dim == 4096
     assert layout.num_parties == 3
     assert layout.dim_of(2) == 3
 
@@ -207,23 +212,36 @@ def test_non_finite_values_rejected(bad):
         PureState(PartyLayout((2,)), np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize("n", [12, 31])
 @pytest.mark.parametrize(
     "job",
     [
-        lambda: classify_family(12),
-        lambda: bell_value(rho_family(RhoFamilySpec(12)), BellSettings.xy(12)),
-        lambda: optimize_settings(rho_family(RhoFamilySpec(12)), restarts=1, max_sweeps=1),
+        lambda n: classify_family(n),
+        lambda n: bell_value(rho_family(RhoFamilySpec(n)), BellSettings.xy(n)),
+        lambda n: optimize_settings(rho_family(RhoFamilySpec(n)), restarts=1, max_sweeps=1),
     ],
     ids=["classify", "bell_value", "optimizer_sweep"],
 )
-def test_family_paths_never_build_a_dense_operator(job):
-    # one dense 12-qubit operator is 256 MiB; the sparse family has 28 entries
-    tracemalloc.start()
-    try:
-        job()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_family_paths_never_build_a_dense_operator(job, n):
+    # one dense 12-qubit operator is 256 MiB; the sparse family has 2N+4 entries
+    _, peak = traced_peak(lambda: job(n))
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        lambda: ghz(13, 0.0),
+        lambda: random_pure(PartyLayout.qubits(31), seed=0),
+        lambda: rho_family(RhoFamilySpec(13)).matrix,
+        lambda: PureState(PartyLayout.qubits(31), [1.0]),
+        lambda: DensityOperator.from_dense(PartyLayout.qubits(13), np.eye(1)),
+    ],
+    ids=["ghz", "random_pure", "matrix", "pure_state", "from_dense"],
+)
+def test_dense_allocations_above_the_cap_are_refused(job):
+    refused, peak = traced_peak(lambda: raises_value_error(job))
+    assert refused
     assert peak < 4 * 2**20, peak
 
 
