@@ -50,7 +50,6 @@ from .tensor import (
     FilterOperator,
     PartyLayout,
     PureState,
-    SchmidtDecomposition,
     apply_local,
     hermitian_eigenvalues,
     partial_transpose,
@@ -75,7 +74,6 @@ __all__ = [
     "PureState",
     "RhoClassification",
     "RhoFamilySpec",
-    "SchmidtDecomposition",
     "apply_local",
     "bell_value",
     "classify_branch",

@@ -39,6 +39,7 @@ from .tensor import (
     PartyLayout,
     PureState,
     _fix_phase,
+    _integers,
     _matricize,
     apply_local,
     schmidt,
@@ -110,7 +111,7 @@ class ExtractionResult:
 
 def _single_party_rank(psi: PureState, party: int) -> int:
     """One-vs-rest Schmidt rank, >= 1 for a normalized state: singular values above the cutoff."""
-    s = np.linalg.svd(_matricize(psi, (party,))[2], compute_uv=False)
+    s = np.linalg.svd(_matricize(psi, (party,)), compute_uv=False)
     return int(np.count_nonzero(s > SCHMIDT_CUTOFF))
 
 
@@ -148,15 +149,14 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     operator norm (maximal success probability).  The returned weight is
     2*lambda_1**2; the post state carries coefficients 1/sqrt(2) each.
     """
-    decomp = schmidt(psi, (party,))
-    if decomp.rank < 2:
+    coeffs, left, _ = schmidt(psi, (party,))
+    if coeffs.size < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
-    lam0, lam1 = (float(c) for c in decomp.coefficients[:2])
-    u0, u1 = (v.amplitudes for v in decomp.left_vectors[:2])
+    lam0, lam1 = (float(c) for c in coeffs[:2])
     d = psi.layout.dim_of(party)
     op = np.zeros((d, d), dtype=complex)
-    op[0, :] = (lam1 / lam0) * u0.conj()
-    op[1, :] = u1.conj()
+    op[0, :] = (lam1 / lam0) * left[:, 0].conj()
+    op[1, :] = left[:, 1].conj()
     fop = FilterOperator(party, op, "equalize")
     post, weight = _apply_filter(psi, fop)
     return fop, post, weight
@@ -249,13 +249,16 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
 
 
 def target_pair_choice(surviving_parties, requested=None) -> tuple[int, int]:
-    """Pick the pair to keep: the two lowest survivors, unless overridden."""
-    survivors = tuple(sorted({int(p) for p in surviving_parties}))
+    """Pick the pair to keep: the two lowest survivors, unless overridden.
+
+    Raises ValueError on a non-integral party index (1.7 is not cut to 1).
+    """
+    survivors = tuple(sorted(set(_integers(surviving_parties, "surviving parties"))))
     if len(survivors) < 2:
         raise ValueError("need at least two surviving parties")
     if requested is None:
         return survivors[0], survivors[1]
-    pair = tuple(sorted({int(p) for p in requested}))
+    pair = tuple(sorted(set(_integers(requested, "requested pair"))))
     if len(pair) != 2 or not set(pair) <= set(survivors):
         raise PairUnavailableError(
             f"requested pair {requested} not contained in survivors {survivors}"
@@ -386,7 +389,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
 
         final = reduce_to_parties(state, chosen)
-        c = schmidt(final, (1,)).coefficients
+        c = schmidt(final, (1,))[0]
         return ExtractionResult(
             pair=chosen,
             probability=math.prod(step.weight for step in steps),

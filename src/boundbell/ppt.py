@@ -144,13 +144,16 @@ def classify_family(
 ) -> RhoClassification:
     """Classify one family member: PPT across single cuts, NPT across pairs.
 
-    The bound-entanglement claim is the conjunction of both facts; it holds
-    exactly for N >= 4.
+    Checks cut (1,) and, for N >= 3, cut (1, 2); at N = 2 a pair would be the
+    whole system.  That is exact for every cut of both sizes: the family is
+    invariant under party permutations, and a permutation pi relabels the
+    basis, mapping PT_S unitarily to PT_pi(S), so the spectrum depends on
+    |S| only.  The bound-entanglement claim is the conjunction of both
+    facts; it holds exactly for N >= 4.
     """
     spec = RhoFamilySpec(n, alpha)
     rho = rho_family(spec)
-    # at N = 2 a two-party subset would be the whole system
-    cuts = [s for size in (1, 2) if size < n for s in combinations(range(1, n + 1), size)]
+    cuts = [(1,), (1, 2)] if spec.n >= 3 else [(1,)]
     ppt_single, npt_pairs, claim = cut_verdicts([ppt_check(rho, s, tol) for s in cuts])
     basis = DERIVED_BY_THEOREM if ppt_single else NOT_INFERRED
-    return RhoClassification(n, spec.alpha, ppt_single, npt_pairs, claim, basis)
+    return RhoClassification(spec.n, spec.alpha, ppt_single, npt_pairs, claim, basis)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOperator, PartyLayout, PureState
+from .tensor import DensityOperator, PartyLayout, PureState, _integers
 
 
 def default_alpha(n: int) -> float:
@@ -25,15 +25,16 @@ class RhoFamilySpec:
     """Parameters (party count, GHZ phase) selecting one family member.
 
     ``alpha=None`` resolves to :func:`default_alpha`.  The party count must
-    lie in 2..31, the qubit layouts whose int64 entry keys cannot wrap; the
-    family itself is sparse (2N+4 entries), so nothing dense bounds it.
+    be an integer (4.7 is rejected, not cut to 4) in 2..31, the qubit
+    layouts whose int64 entry keys cannot wrap; the family itself is sparse
+    (2N+4 entries), so nothing dense bounds it.
     """
 
     n: int
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        (n,) = _integers((self.n,), "party count")
         object.__setattr__(self, "n", n)
         if not 2 <= n <= 31:
             raise ValueError(f"party count {n} outside supported range 2..31")

@@ -14,7 +14,8 @@ Conventions used throughout the package:
   allocates a dense array asks :attr:`PartyLayout.dense_dim` (or
   :func:`dense_size`) first, which refuses sizes above MAX_GLOBAL_DIM.
 * A local filter's norm is checked once, when its :class:`FilterOperator` is
-  built.  Schmidt ranks count coefficients above the constant SCHMIDT_CUTOFF.
+  built.  A Schmidt decomposition is three plain arrays; its rank counts
+  the coefficients above the constant SCHMIDT_CUTOFF.
 * Arrays are treated as immutable after construction; every operation
   here is a pure function and safe to call concurrently.
 """
@@ -226,42 +227,6 @@ class DensityOperator:
         return float(self.vals[self.rows == self.cols].real.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Bi-orthonormal expansion of a pure state across a bipartition.
-
-    ``coefficients`` are real, descending, each above the rank cutoff, and
-    their squares sum to one.  Left vectors follow the first-nonzero-real-
-    positive phase convention; right vectors carry the compensating phase so
-    that ``sum_k c_k |left_k>|right_k>`` reconstructs the input.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: tuple[PureState, ...]
-    right_vectors: tuple[PureState, ...]
-    bipartition: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coefficients, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("need at least one Schmidt coefficient")
-        if np.any(np.diff(c) > _TIE_TOL):
-            raise ValueError("coefficients must be sorted in descending order")
-        if np.any(c <= 0.0):
-            raise ValueError("coefficients must be positive")
-        total = float(np.sum(c**2))
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"squared coefficients sum to {total!r}, expected 1")
-        if not len(self.left_vectors) == len(self.right_vectors) == c.size:
-            raise ValueError("one left and one right vector per coefficient")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def rank(self) -> int:
-        return int(self.coefficients.size)
-
-
 def partial_transpose(rho: DensityOperator, parties) -> DensityOperator:
     """Transpose the matrix indices belonging to the given parties.
 
@@ -326,57 +291,37 @@ def _axis_aligned_basis(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def _tie_groups(values: np.ndarray, tol: float) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for i in range(values.size):
-        if groups and abs(values[i] - values[groups[-1][-1]]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _lex_key(vec: np.ndarray) -> tuple:
-    return tuple((-z.real, -z.imag) for z in vec)
-
-
-def _matricize(psi: PureState, bipartition) -> tuple[tuple, tuple, np.ndarray]:
+def _matricize(psi: PureState, bipartition) -> np.ndarray:
     """Amplitudes of ``psi`` as a matrix: rows index the parties of
-    ``bipartition`` (a nonempty proper subset), columns the rest.
-
-    Returns the sorted row parties, the column parties and the matrix.
-    """
+    ``bipartition`` (a nonempty proper subset, sorted), columns the rest."""
     layout = psi.layout
     left = layout.check_subset(bipartition, nonempty=True, proper=True)
     right = tuple(p for p in range(1, layout.num_parties + 1) if p not in left)
     dl = math.prod(layout.dims[p - 1] for p in left)
     perm = [p - 1 for p in left + right]
-    return left, right, psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, -1)
+    return psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, -1)
 
 
-def schmidt(psi: PureState, bipartition) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` across ``bipartition`` vs the rest.
+def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition ``(c, left, right)`` of ``psi`` across ``bipartition``.
 
-    Coefficients are sorted descending and truncated at ``SCHMIDT_CUTOFF``
-    (a normalized state always keeps one).  Within groups of degenerate
-    coefficients the left basis is re-canonicalized to align with
-    computational axes and ordered lexicographically, making the output
-    deterministic (an aligned-axis basis state always maps to itself).
+    ``psi = sum_k c[k] left[:, k] (x) right[k]``, with the sorted parties of
+    ``bipartition`` before the rest.  Coefficients are sorted descending and
+    truncated at ``SCHMIDT_CUTOFF`` (a normalized state always keeps one).
+    Within a run of tied coefficients the left basis is re-chosen to align
+    with computational axes, so an aligned-axis basis state maps to itself.
+    Each left vector's first nonzero component is real positive; the right
+    vectors carry the compensating phase.
     """
-    layout = psi.layout
-    left, right, m = _matricize(psi, bipartition)
+    m = _matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = s > SCHMIDT_CUTOFF
-    s = s[kept]
-    u = u[:, kept].copy()
-    vh = vh[kept, :].copy()
+    s, u, vh = s[kept], u[:, kept], vh[kept]
 
-    for group in _tie_groups(s, _TIE_TOL):
-        if len(group) < 2:
-            continue
-        new_cols = _axis_aligned_basis(u[:, group])
-        u[:, group] = new_cols
-        vh[group, :] = (new_cols.conj().T @ m) / s[group, None]
+    for group in np.split(np.arange(s.size), np.flatnonzero(np.diff(s) < -_TIE_TOL) + 1):
+        if group.size > 1:
+            u[:, group] = _axis_aligned_basis(u[:, group])
+            vh[group] = (u[:, group].conj().T @ m) / s[group, None]
 
     for i in range(s.size):
         col = u[:, i]
@@ -385,19 +330,7 @@ def schmidt(psi: PureState, bipartition) -> SchmidtDecomposition:
             phase = col[idx[0]] / abs(col[idx[0]])
             u[:, i] = col * np.conj(phase)
             vh[i, :] = vh[i, :] * phase
-
-    order: list[int] = []
-    for group in _tie_groups(s, _TIE_TOL):
-        order.extend(sorted(group, key=lambda i: _lex_key(u[:, i])))
-    s = s[order]
-    u = u[:, order]
-    vh = vh[order, :]
-
-    left_layout = PartyLayout(tuple(layout.dims[p - 1] for p in left))
-    right_layout = PartyLayout(tuple(layout.dims[p - 1] for p in right))
-    left_states = tuple(PureState(left_layout, u[:, i]) for i in range(s.size))
-    right_states = tuple(PureState(right_layout, vh[i, :]) for i in range(s.size))
-    return SchmidtDecomposition(s, left_states, right_states, left)
+    return s, u, vh
 
 
 @dataclass(frozen=True, eq=False)

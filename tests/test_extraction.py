@@ -68,7 +68,7 @@ def test_profile_ranks_match_schmidt_decomposition(extraction_corpus):
             if step is not None:
                 state = replay(state, [step])
             for party, rank in schmidt_profile(state):
-                assert rank == schmidt(state, (party,)).rank, (name, party)
+                assert rank == schmidt(state, (party,))[0].size, (name, party)
 
 
 @pytest.mark.parametrize("second, rank", [(1e-9, 2), (1e-11, 1)])
@@ -81,7 +81,7 @@ def test_profile_ranks_beside_the_cutoff(second, rank):
         amps[-1] = second
         psi = PureState(layout, amps)
         for party, r in schmidt_profile(psi):
-            assert r == rank == schmidt(psi, (party,)).rank
+            assert r == rank == schmidt(psi, (party,))[0].size
 
 
 # ---------------------------------------------------------------- equalize
@@ -102,8 +102,8 @@ def test_equalize_skewed_two_qubit():
     psi = PureState(PartyLayout.qubits(2), amps)
     fop, post, weight = equalize_filter(psi, 1)
     assert abs(weight - 0.2) < 1e-12
-    sd = schmidt(post, (1,))
-    np.testing.assert_allclose(sd.coefficients, [INV_SQRT2, INV_SQRT2], atol=1e-10)
+    coeffs, _, _ = schmidt(post, (1,))
+    np.testing.assert_allclose(coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-10)
 
 
 def test_equalize_ghz_any_party():
@@ -115,13 +115,13 @@ def test_equalize_ghz_any_party():
 
 def test_equalize_truncates_higher_rank():
     psi = random_pure(PartyLayout((3, 3)), seed=32)
-    sd = schmidt(psi, (1,))
-    assert sd.rank == 3
+    coeffs, _, _ = schmidt(psi, (1,))
+    assert coeffs.size == 3
     _, post, weight = equalize_filter(psi, 1)
-    assert abs(weight - 2 * sd.coefficients[1] ** 2) < 1e-12
-    post_sd = schmidt(post, (1,))
-    assert post_sd.rank == 2
-    np.testing.assert_allclose(post_sd.coefficients, [INV_SQRT2, INV_SQRT2], atol=1e-10)
+    assert abs(weight - 2 * coeffs[1] ** 2) < 1e-12
+    post_coeffs, _, _ = schmidt(post, (1,))
+    assert post_coeffs.size == 2
+    np.testing.assert_allclose(post_coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-10)
 
 
 def test_equalize_rejects_product_party():
@@ -183,6 +183,12 @@ def test_target_pair_choice_rules():
     assert target_pair_choice({1, 4}, requested=(1, 4)) == (1, 4)
     with pytest.raises(PairUnavailableError):
         target_pair_choice({1, 2, 3}, requested=(1, 5))
+    # a plain ValueError: 1.7 is malformed, not a party that failed to survive
+    for survivors, requested in [((1, 2, 3), (1.7, 2.2)), ((1, 2.5, 3), None)]:
+        with pytest.raises(ValueError) as err:
+            target_pair_choice(survivors, requested)
+        assert err.type is ValueError, (survivors, requested)
+    assert target_pair_choice((1, 2, 3), (1.0, np.int64(2))) == (1, 2)
 
 
 # ---------------------------------------------------------------- extract

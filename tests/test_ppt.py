@@ -16,7 +16,7 @@ from boundbell import (
     rho_family,
     scan,
 )
-from boundbell.ppt import DERIVED_BY_THEOREM, NOT_PSD, PSD
+from boundbell.ppt import DERIVED_BY_THEOREM, NOT_PSD, PSD, cut_verdicts
 from helpers import (
     dense_min_eigenvalue,
     dense_partial_transpose,
@@ -112,6 +112,22 @@ def test_classify_family_range():
         classify_family(1)
     with pytest.raises(ValueError):
         classify_family(32)
+    for n in (5.9, 4.5):  # fractional counts are rejected, not cut to an integer
+        with pytest.raises(ValueError):
+            classify_family(n)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3, 2.9])
+def test_classify_family_two_cuts_match_the_full_scan(alpha):
+    # cuts (1,) and (1, 2) stand for every single and pair cut of the family
+    for n in range(2, 13):
+        rho = rho_family(RhoFamilySpec(n, alpha))
+        reports = scan(rho).reports
+        if n == 3:  # scan stops at size N // 2; each pair complements a single
+            reports += tuple(ppt_check(rho, s) for s in combinations((1, 2, 3), 2))
+        c = classify_family(n, alpha)
+        full = cut_verdicts(reports)
+        assert (c.ppt_single, c.npt_pairs, c.bound_entangled_claim) == full, n
 
 
 def test_family_table_to_31_parties():

@@ -29,8 +29,8 @@ def test_ghz_amplitudes():
 
 
 def test_ghz_schmidt_phase_independent():
-    sd = schmidt(ghz(4, 0.3), (1,))
-    np.testing.assert_allclose(sd.coefficients, [2**-0.5, 2**-0.5], atol=1e-12)
+    coeffs, _, _ = schmidt(ghz(4, 0.3), (1,))
+    np.testing.assert_allclose(coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
 
 
 def test_ghz_requires_two_parties():
@@ -74,6 +74,11 @@ def test_family_spec_defaults():
         RhoFamilySpec(1)
     with pytest.raises(ValueError):
         RhoFamilySpec(4, float("nan"))
+    for n in (4.7, 2.5, "4", float("nan")):  # rejected, not cut to an integer
+        with pytest.raises(ValueError):
+            RhoFamilySpec(n)
+    assert RhoFamilySpec(4.0).n == RhoFamilySpec(np.int64(4)).n == 4
+    assert type(RhoFamilySpec(np.int64(4)).n) is int
 
 
 def test_family_diagonal_entries():
@@ -152,6 +157,6 @@ def test_random_pure_generic_full_rank():
     full = 0
     for seed in range(1000):
         psi = random_pure(layout, seed)
-        if all(schmidt(psi, (p,)).rank == 2 for p in (1, 2, 3)):
+        if all(schmidt(psi, (p,))[0].size == 2 for p in (1, 2, 3)):
             full += 1
     assert full == 1000  # full Schmidt rank everywhere is measure-one

@@ -324,27 +324,57 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
 
 def test_schmidt_ghz_single_party():
     for alpha in (0.0, 0.3, np.pi):
-        sd = schmidt(ghz(4, alpha), (1,))
-        np.testing.assert_allclose(sd.coefficients, [2**-0.5, 2**-0.5], atol=1e-12)
+        coeffs, left, _ = schmidt(ghz(4, alpha), (1,))
+        np.testing.assert_allclose(coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
         # degenerate pair resolves onto computational axes, |0> first
-        np.testing.assert_allclose(sd.left_vectors[0].amplitudes, [1, 0], atol=1e-12)
-        np.testing.assert_allclose(sd.left_vectors[1].amplitudes, [0, 1], atol=1e-12)
+        np.testing.assert_allclose(left[:, 0], [1, 0], atol=1e-12)
+        np.testing.assert_allclose(left[:, 1], [0, 1], atol=1e-12)
+
+
+def _uniform_superposition(dims, indices) -> PureState:
+    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps[list(indices)] = 1 / np.sqrt(len(indices))
+    return PureState(PartyLayout(dims), amps)
+
+
+@pytest.mark.parametrize(
+    "psi, coeffs, left",
+    [
+        # tied pair spanning levels 1 and 2 only: the aligned basis skips axis 0
+        (_uniform_superposition((3, 3, 3), [13, 26]), [2**-0.5] * 2, np.eye(3)[:, 1:]),
+        # the same span, which the solver returns rotated: (|1>|+'> + |2>|-'>)/sqrt(2)
+        # with |+-'> = (|1> +- |2>)/sqrt(2)
+        (PureState(PartyLayout((3, 3)), np.array([0, 0, 0, 0, 1, 1, 0, 1, -1]) / 2),
+         [2**-0.5] * 2, np.eye(3)[:, 1:]),
+        # W states: untied, each party's vectors |0>, |1> with real positive pivots
+        (_uniform_superposition((2, 2, 2), [1, 2, 4]), [(2 / 3) ** 0.5, 3**-0.5], np.eye(2)),
+        (_uniform_superposition((2,) * 4, [1, 2, 4, 8]), [0.75**0.5, 0.5], np.eye(2)),
+    ],
+    ids=["qutrit-ghz-levels-1-2", "qutrit-rotated-levels-1-2", "w3", "w4"],
+)
+def test_schmidt_left_vectors_are_fixed_axes(psi, coeffs, left):
+    for party in range(1, psi.layout.num_parties + 1):
+        c, u, _ = schmidt(psi, (party,))
+        np.testing.assert_allclose(c, coeffs, atol=1e-15)
+        np.testing.assert_allclose(u, left, rtol=0, atol=1e-15)
+        pivots = u[np.argmax(np.abs(u) > 1e-12, axis=0), range(c.size)]
+        assert np.all(pivots.imag == 0) and np.all(pivots.real > 0)
 
 
 def test_schmidt_product_state():
     psi = tensor_product([qubit(1, 1), qubit(1, 0), qubit(2, 1)])
     for cut in [(1,), (2,), (1, 3)]:
-        sd = schmidt(psi, cut)
-        assert sd.rank == 1
-        assert abs(sd.coefficients[0] - 1.0) < 1e-12
+        coeffs, _, _ = schmidt(psi, cut)
+        assert coeffs.size == 1
+        assert abs(coeffs[0] - 1.0) < 1e-12
 
 
 def test_schmidt_matches_reduced_spectrum_oracle():
     psi = random_pure(PartyLayout((3, 3)), seed=77)
-    sd = schmidt(psi, (1,))
+    coeffs, _, _ = schmidt(psi, (1,))
     # oracle: eigenvalues of the explicitly contracted reduced operator
     eigs = np.sort(np.linalg.eigvalsh(brute_reduced_operator(psi, 1)))[::-1]
-    np.testing.assert_allclose(sd.coefficients**2, eigs[: sd.rank], atol=1e-12)
+    np.testing.assert_allclose(coeffs**2, eigs[: coeffs.size], atol=1e-12)
 
 
 def test_schmidt_reconstruction_fidelity():
@@ -356,13 +386,13 @@ def test_schmidt_reconstruction_fidelity():
         psi = random_pure(layout, int(rng.integers(0, 10**9)))
         size = int(rng.integers(1, n))
         cut = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False)))
-        sd = schmidt(psi, cut)
+        coeffs, lefts, rights = schmidt(psi, cut)
         rebuilt = np.zeros(layout.dim, dtype=complex)
         rest = tuple(p for p in range(1, n + 1) if p not in cut)
         perm = [p - 1 for p in cut] + [p - 1 for p in rest]
         inv = np.argsort(perm)
-        for c, left, right in zip(sd.coefficients, sd.left_vectors, sd.right_vectors):
-            term = c * np.outer(left.amplitudes, right.amplitudes)
+        for c, left, right in zip(coeffs, lefts.T, rights):
+            term = c * np.outer(left, right)
             shaped = term.reshape([dims[i] for i in perm]).transpose(inv)
             rebuilt += shaped.reshape(layout.dim)
         fidelity = abs(np.vdot(rebuilt, psi.amplitudes)) ** 2
@@ -399,16 +429,16 @@ def test_apply_local_projector_on_ghz():
 
 def test_apply_local_balancing_filter():
     psi = random_pure(PartyLayout((2, 2, 2)), seed=15)
-    sd = schmidt(psi, (1,))
-    lam0, lam1 = sd.coefficients[0], sd.coefficients[1]
-    u0 = sd.left_vectors[0].amplitudes
-    u1 = sd.left_vectors[1].amplitudes
+    coeffs, left, _ = schmidt(psi, (1,))
+    lam0, lam1 = coeffs[0], coeffs[1]
+    u0 = left[:, 0]
+    u1 = left[:, 1]
     op = (lam1 * np.outer(u0, u0.conj()) + lam0 * np.outer(u1, u1.conj())) / lam0
     vec, weight = apply_local(psi, FilterOperator(1, op, "equalize"))
     assert weight > 0
     post = PureState(psi.layout, vec / np.sqrt(weight))
-    post_sd = schmidt(post, (1,))
-    assert abs(post_sd.coefficients[0] - post_sd.coefficients[1]) < 1e-10
+    post_coeffs, _, _ = schmidt(post, (1,))
+    assert abs(post_coeffs[0] - post_coeffs[1]) < 1e-10
 
 
 def test_apply_local_annihilation_returns_zero_weight():
