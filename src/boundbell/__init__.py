@@ -28,10 +28,10 @@ from .extraction import (
     target_pair_choice,
 )
 from .ppt import (
-    BipartitionScan,
     PptReport,
-    RhoClassification,
+    Verdicts,
     classify_family,
+    cut_verdicts,
     ppt_check,
     scan,
 )
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellSettings",
-    "BipartitionScan",
     "BranchClassification",
     "DensityOperator",
     "ExtractionResult",
@@ -72,12 +71,13 @@ __all__ = [
     "PartyLayout",
     "PptReport",
     "PureState",
-    "RhoClassification",
     "RhoFamilySpec",
+    "Verdicts",
     "apply_local",
     "bell_value",
     "classify_branch",
     "classify_family",
+    "cut_verdicts",
     "default_alpha",
     "equalize_filter",
     "extract",

@@ -20,15 +20,16 @@ import os
 import sys
 from pathlib import Path
 
-from .bell import BellSettings, bell_value, optimize_settings
+from .bell import DEFAULT_OPT_TOL, BellSettings, bell_value, optimize_settings
 from .extraction import (
     NotEntangledError,
     NumericDegeneracyError,
     PairUnavailableError,
     extract,
 )
+from .ppt import DEFAULT_PPT_TOL, PSD, Verdicts, classify_family, cut_verdicts, scan
 # ppt_check stays importable from here: bench/tracing.py rebinds it.
-from .ppt import classify_family, cut_verdicts, ppt_check, scan  # noqa: F401
+from .ppt import ppt_check  # noqa: F401
 from .serialize import (
     canonical_dumps,
     dump_json,
@@ -51,7 +52,6 @@ EXIT_PAIR_UNAVAILABLE = 4
 EXIT_NUMERIC_DEGENERACY = 5
 
 _TOL_ENV = "BOUNDBELL_TOL"
-_VERDICT_KEYS = ("ppt_single", "npt_pairs", "bound_entangled_claim")
 _CONFIG_KEYS = (
     "command", "n", "alpha", "tol", "seed", "restarts", "settings", "pair", "dims",
     "input", "out", "format", "n_min", "n_max", "scan_max",
@@ -153,10 +153,10 @@ def cmd_state(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(1e-9)
+    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_PPT_TOL)
     rho, n, alpha = _load_operator_source(args)
-    result = scan(rho, tol)
-    summary = dict(zip(_VERDICT_KEYS, cut_verdicts(result.reports)))
+    reports = scan(rho, tol)
+    summary = cut_verdicts(reports, n)._asdict()
 
     config = _config(
         command="scan", n=n, alpha=alpha, tol=tol, input=args.input, out=args.out,
@@ -168,20 +168,16 @@ def cmd_scan(args) -> int:
         "alpha": alpha,
         "reports": [
             {"subset": list(r.subset), "min_eig": r.min_eigenvalue, "verdict": r.verdict}
-            for r in result.reports
+            for r in reports
         ],
-        "all_ppt": result.all_ppt,
+        "all_ppt": all(r.verdict == PSD for r in reports),
         "summary": summary,
     }
-    sys.stderr.write(
-        "ppt_single={ppt_single} npt_pairs={npt_pairs} "
-        "bound_entangled_claim={bound_entangled_claim}\n".format(**summary)
-    )
+    sys.stderr.write(" ".join(f"{key}={value}" for key, value in summary.items()) + "\n")
     if args.format == "csv":
         _emit_csv(
             ["subset", "min_eigenvalue", "verdict"],
-            ([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict]
-             for r in result.reports),
+            ([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict] for r in reports),
             args.out,
         )
     else:
@@ -190,7 +186,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(1e-10)
+    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_OPT_TOL)
     rho, n, alpha = _load_operator_source(args)
     optimized = False
     if args.settings == "xy":
@@ -272,7 +268,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(1e-9)
+    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_PPT_TOL)
     if args.n_min > args.n_max:
         raise ValueError("need --n-min <= --n-max")
     members = [_family_member(args.alpha, n) for n in range(args.n_min, args.n_max + 1)]
@@ -281,9 +277,9 @@ def cmd_sweep(args) -> int:
         n, alpha = spec.n, spec.alpha
         value = bell_value(rho, BellSettings.xy(n))
         row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": _violates(value, tol)}
-        family = classify_family(n, alpha, tol) if n <= args.scan_max else None
-        for key in _VERDICT_KEYS:  # None outside the PPT range
-            row[key] = getattr(family, key, None)
+        row.update(dict.fromkeys(Verdicts._fields))  # None outside the PPT range
+        if n <= args.scan_max:
+            row.update(classify_family(n, alpha, tol)._asdict())
         rows.append(row)
         sys.stderr.write(
             f"n={n} bell_xy={row['bell_xy']!r} violation={row['violation']}\n"

@@ -2,15 +2,17 @@
 
 Positivity of every partial transpose is necessary for full separability;
 a negative two-party transpose certifies entanglement.  Non-distillability
-follows from single-party PPT by theorem (filtering extraction plus
-monotonicity of the partial-transpose sign under local operations) and is
-reported as a derived verdict, never re-proved numerically.
+is the theorem-level corollary of single-cut PPT (filtering extraction plus
+monotonicity of the partial-transpose sign under local operations), stated
+here and never re-proved numerically or reported as a verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +26,6 @@ NOT_PSD = "NOT_PSD"
 
 DEFAULT_PPT_TOL = 1e-9
 
-DERIVED_BY_THEOREM = "derived-by-theorem"
-NOT_INFERRED = "not-inferred"
-
 
 @dataclass(frozen=True)
 class PptReport:
@@ -35,36 +34,15 @@ class PptReport:
     subset: tuple[int, ...]
     min_eigenvalue: float
     verdict: str
-    tolerance_used: float
 
 
-@dataclass(frozen=True)
-class BipartitionScan:
-    """PPT reports over all subsets of size 1..floor(N/2).
+class Verdicts(NamedTuple):
+    """Single-cut PPT, pair-cut NPT (None when no pair cut exists, N = 2),
+    and the bound-entanglement claim, their conjunction."""
 
-    Complementary subsets share the transpose spectrum, so larger subsets
-    are redundant and skipped.  Report order is by size, then lexicographic.
-    """
-
-    reports: tuple[PptReport, ...]
-    all_ppt: bool
-
-
-@dataclass(frozen=True)
-class RhoClassification:
-    """Family verdict record: single-cut PPT, pair-cut NPT, and the claim.
-
-    ``npt_pairs`` is None when no two-party cut exists (N = 2).  The
-    non-distillability entry is a theorem-level corollary of single-cut PPT,
-    labeled as such rather than numerically certified.
-    """
-
-    n: int
-    alpha: float
     ppt_single: bool
     npt_pairs: bool | None
     bound_entangled_claim: bool
-    non_distillability: str
 
 
 def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
@@ -112,36 +90,44 @@ def _min_eigenvalue(op: DensityOperator) -> float:
 
 
 def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> PptReport:
-    """Check positivity of the partial transpose on ``subset`` (tol >= 0)."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be a non-negative number, got {tol!r}")
+    """Check positivity of the partial transpose on ``subset`` (tol finite, >= 0)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
     parties = rho.layout.check_subset(subset, nonempty=True, proper=True)
     min_eig = _min_eigenvalue(partial_transpose(rho, parties))
     threshold = -tol * max(1.0, rho.trace)
     verdict = PSD if min_eig >= threshold else NOT_PSD
-    return PptReport(parties, min_eig, verdict, tol)
+    return PptReport(parties, min_eig, verdict)
 
 
-def scan(rho: DensityOperator, tol: float = DEFAULT_PPT_TOL) -> BipartitionScan:
-    """PPT-check every subset of size up to floor(N/2), in deterministic order."""
+def scan(rho: DensityOperator, tol: float = DEFAULT_PPT_TOL) -> tuple[PptReport, ...]:
+    """PPT-check every subset of size 1..floor(N/2), by size, then lexicographic.
+
+    Complementary subsets share the transposed spectrum, so larger subsets
+    are redundant and skipped.  A layout of fewer than two parties has no
+    cut and raises ValueError.
+    """
     n = rho.layout.num_parties
+    if n < 2:
+        raise ValueError(f"a PPT scan needs at least two parties, got {n}")
     cuts = (s for size in range(1, n // 2 + 1) for s in combinations(range(1, n + 1), size))
-    reports = tuple(ppt_check(rho, s, tol) for s in cuts)
-    return BipartitionScan(reports, all(r.verdict == PSD for r in reports))
+    return tuple(ppt_check(rho, s, tol) for s in cuts)
 
 
-def cut_verdicts(reports) -> tuple[bool, bool | None, bool]:
-    """(ppt_single, npt_pairs, bound-entanglement claim) from the single- and
-    two-party reports among ``reports``; npt_pairs is None without pairs."""
-    ppt_single = all(r.verdict == PSD for r in reports if len(r.subset) == 1)
-    pairs = [r.verdict == NOT_PSD for r in reports if len(r.subset) == 2]
-    npt_pairs = all(pairs) if pairs else None
-    return ppt_single, npt_pairs, bool(ppt_single and npt_pairs)
+def cut_verdicts(reports, n: int) -> Verdicts:
+    """The verdicts from reports on an ``n``-party operator: a report is a single
+    (pair) cut when its subset or complement has one (two) parties, since
+    both sides share the transposed spectrum."""
+    def verdicts(size):
+        return [r.verdict for r in reports if size in (len(r.subset), n - len(r.subset))]
+
+    ppt_single = all(v == PSD for v in verdicts(1))
+    pairs = verdicts(2)
+    npt_pairs = all(v == NOT_PSD for v in pairs) if pairs else None
+    return Verdicts(ppt_single, npt_pairs, bool(ppt_single and npt_pairs))
 
 
-def classify_family(
-    n: int, alpha: float | None = None, tol: float = DEFAULT_PPT_TOL
-) -> RhoClassification:
+def classify_family(n: int, alpha: float | None = None, tol: float = DEFAULT_PPT_TOL) -> Verdicts:
     """Classify one family member: PPT across single cuts, NPT across pairs.
 
     Checks cut (1,) and, for N >= 3, cut (1, 2); at N = 2 a pair would be the
@@ -154,6 +140,4 @@ def classify_family(
     spec = RhoFamilySpec(n, alpha)
     rho = rho_family(spec)
     cuts = [(1,), (1, 2)] if spec.n >= 3 else [(1,)]
-    ppt_single, npt_pairs, claim = cut_verdicts([ppt_check(rho, s, tol) for s in cuts])
-    basis = DERIVED_BY_THEOREM if ppt_single else NOT_INFERRED
-    return RhoClassification(spec.n, spec.alpha, ppt_single, npt_pairs, claim, basis)
+    return cut_verdicts([ppt_check(rho, s, tol) for s in cuts], spec.n)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -62,6 +64,24 @@ def test_scan_from_input_file(tmp_path):
     out = tmp_path / "scan.json"
     assert run(["scan", "--input", src, "--out", out]) == 0
     assert load_json(out)["all_ppt"] is True
+
+
+def test_scan_refuses_a_one_party_operator(tmp_path):
+    src = tmp_path / "one.json"
+    src.write_text('{"dims": [2], "entries": [[0, 0, 0.5, 0.0], [1, 1, 0.5, 0.0]]}')
+    assert run(["scan", "--input", src]) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scan_summary_matches_sweep_verdicts(tmp_path, n):
+    # scan's reports stop at size N // 2 (singles only at N = 3); sweep checks (1,) and (1, 2)
+    assert run(["scan", "--n", n, "--out", tmp_path / "scan.json"]) == 0
+    assert run(["sweep", "--n-min", n, "--n-max", n, "--scan-max", n,
+                "--out", tmp_path / "sweep.json"]) == 0
+    (row,) = load_json(tmp_path / "sweep.json")["rows"]
+    summary = load_json(tmp_path / "scan.json")["summary"]
+    verdicts = ("ppt_single", "npt_pairs", "bound_entangled_claim")
+    assert summary == {key: row[key] for key in verdicts}
 
 
 def test_scan_csv(tmp_path):
@@ -398,3 +418,16 @@ def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    sketch = re.search(r"## Library sketch.*?```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    lines = [line.split("#")[0] for line in commands.splitlines()]
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("boundbell ")]
+    assert len(argvs) == 7
+    for argv in argvs:
+        assert run(argv) == 0, argv
+    exec(sketch, {})

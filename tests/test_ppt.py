@@ -16,7 +16,7 @@ from boundbell import (
     rho_family,
     scan,
 )
-from boundbell.ppt import DERIVED_BY_THEOREM, NOT_PSD, PSD, cut_verdicts
+from boundbell.ppt import NOT_PSD, PSD, cut_verdicts
 from helpers import (
     dense_min_eigenvalue,
     dense_partial_transpose,
@@ -43,7 +43,7 @@ def test_ppt_check_separable_fixture_all_psd():
     for size in (1,):
         for subset in combinations((1, 2, 3), size):
             assert ppt_check(rho, subset).verdict == PSD
-    assert scan(rho).all_ppt
+    assert all(r.verdict == PSD for r in scan(rho))
 
 
 def test_ppt_check_rejects_bad_subsets():
@@ -61,18 +61,17 @@ def test_ppt_check_rejects_bad_subsets():
 
 
 def test_scan_family_five_parties():
-    result = scan(rho_family(RhoFamilySpec(5)))
-    for report in result.reports:
+    reports = scan(rho_family(RhoFamilySpec(5)))
+    for report in reports:
         if len(report.subset) == 1:
             assert report.verdict == PSD
         else:
             assert report.verdict == NOT_PSD
-    assert not result.all_ppt
+    assert not all(r.verdict == PSD for r in reports)
 
 
 def test_scan_subset_enumeration_order():
-    result = scan(rho_family(RhoFamilySpec(4)))
-    subsets = [r.subset for r in result.reports]
+    subsets = [r.subset for r in scan(rho_family(RhoFamilySpec(4)))]
     expected = [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert subsets == expected
 
@@ -80,22 +79,27 @@ def test_scan_subset_enumeration_order():
 def test_scan_maximally_mixed():
     layout = PartyLayout.qubits(3)
     rho = DensityOperator.from_dense(layout, np.eye(8) / 8)
-    result = scan(rho)
-    assert result.all_ppt
-    for report in result.reports:
+    reports = scan(rho)
+    assert all(r.verdict == PSD for r in reports)
+    for report in reports:
         assert abs(report.min_eigenvalue - 1 / 8) < 1e-12
 
 
 def test_scan_three_party_family_all_psd():
-    result = scan(rho_family(RhoFamilySpec(3)))
-    assert result.all_ppt  # only single-party cuts are in range at N=3
-    assert all(len(r.subset) == 1 for r in result.reports)
+    reports = scan(rho_family(RhoFamilySpec(3)))
+    assert all(r.verdict == PSD for r in reports)  # only single-party cuts are in range at N=3
+    assert all(len(r.subset) == 1 for r in reports)
+
+
+def test_scan_needs_two_parties():
+    rho = DensityOperator(PartyLayout((2,)), np.arange(2), np.arange(2), np.full(2, 0.5))
+    with pytest.raises(ValueError):
+        scan(rho)
 
 
 def test_classify_family_examples():
     c4 = classify_family(4)
     assert (c4.ppt_single, c4.npt_pairs, c4.bound_entangled_claim) == (True, True, True)
-    assert c4.non_distillability == DERIVED_BY_THEOREM
     c8 = classify_family(8)
     assert (c8.ppt_single, c8.npt_pairs, c8.bound_entangled_claim) == (True, True, True)
     c2 = classify_family(2)
@@ -122,12 +126,25 @@ def test_classify_family_two_cuts_match_the_full_scan(alpha):
     # cuts (1,) and (1, 2) stand for every single and pair cut of the family
     for n in range(2, 13):
         rho = rho_family(RhoFamilySpec(n, alpha))
-        reports = scan(rho).reports
-        if n == 3:  # scan stops at size N // 2; each pair complements a single
-            reports += tuple(ppt_check(rho, s) for s in combinations((1, 2, 3), 2))
         c = classify_family(n, alpha)
-        full = cut_verdicts(reports)
+        full = cut_verdicts(scan(rho), n)
         assert (c.ppt_single, c.npt_pairs, c.bound_entangled_claim) == full, n
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_three_party_scan_verdicts_match_all_six_cuts(dims):
+    # scan stops at size 1; each single cut also stands for its complementary pair
+    layout = PartyLayout(dims)
+    cuts = [s for size in (1, 2) for s in combinations((1, 2, 3), size)]
+    seen = set()
+    for seed in (1, 2, 3):
+        m, noise = random_density(layout, seed=seed).matrix, np.eye(layout.dim) / layout.dim
+        for p in (0.2, 0.4, 0.6, 1.0):  # white noise makes some cuts PSD
+            rho = DensityOperator.from_dense(layout, p * m + (1 - p) * noise)
+            verdicts = cut_verdicts(scan(rho), 3)
+            assert verdicts == cut_verdicts([ppt_check(rho, s) for s in cuts], 3), (seed, p)
+            seen.add(verdicts)
+    assert len(seen) > 1, seen
 
 
 def test_family_table_to_31_parties():
@@ -204,7 +221,7 @@ def test_transpose_complement_equivalence():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ppt_check_matches_dense_oracle_on_family(n):
     rho = rho_family(RhoFamilySpec(n, 0.7 * n))
-    for report in scan(rho).reports:
+    for report in scan(rho):
         want = dense_min_eigenvalue(dense_partial_transpose(rho, report.subset))
         assert abs(report.min_eigenvalue - want) <= 1e-12, report
 
@@ -223,9 +240,9 @@ def test_ppt_check_matches_dense_oracle_on_random_operators(dims, make):
 
 def test_scan_family_ten_parties_exact():
     n = 10
-    result = scan(rho_family(RhoFamilySpec(n)))
-    assert len(result.reports) == 637
-    for report in result.reports:
+    reports = scan(rho_family(RhoFamilySpec(n)))
+    assert len(reports) == 637
+    for report in reports:
         if len(report.subset) == 1:
             assert report.verdict == PSD
             assert abs(report.min_eigenvalue) <= 1e-12
@@ -233,7 +250,7 @@ def test_scan_family_ten_parties_exact():
             assert abs(report.min_eigenvalue + 1 / (2 * (n + 1))) <= 1e-12, report
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
 def test_ppt_check_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         ppt_check(rho_family(RhoFamilySpec(4)), (1,), tol)
