@@ -89,9 +89,18 @@ def _prefactor(n: int) -> complex:
     return ((1.0 - 1.0j) / 2.0) ** (n - 1)
 
 
+def _factor(a, ap) -> np.ndarray:
+    """M = sigma.a + i sigma.a' as the flat array [M00, M01, M10, M11]."""
+    ax, ay, az = a
+    bx, by, bz = ap
+    return np.array(
+        [complex(az, bz), complex(ax + by, bx - ay), complex(ax - by, ay + bx), complex(-az, -bz)]
+    )
+
+
 def _factors(avecs, apvecs) -> list[np.ndarray]:
-    """The 2x2 product-form factors M_j = sigma.a_j + i sigma.a'_j."""
-    return [_sigma(a) + 1j * _sigma(ap) for a, ap in zip(avecs, apvecs)]
+    """The flat product-form factors M_j = sigma.a_j + i sigma.a'_j."""
+    return [_factor(a, ap) for a, ap in zip(avecs, apvecs)]
 
 
 def _entry_codes(rho: DensityOperator):
@@ -103,7 +112,7 @@ def _entry_codes(rho: DensityOperator):
 def _trace_terms(vals: np.ndarray, factors, codes) -> np.ndarray:
     """Per entry, rho[r, c] prod_j M_j[c_j, r_j]; they sum to tr((x)_j M_j rho)."""
     for m, code in zip(factors, codes):
-        vals = vals * m.reshape(4)[code]
+        vals = vals * m[code]
     return vals
 
 
@@ -143,6 +152,13 @@ def optimize_settings(
     draw seeded random initial directions; the best value wins, ties going
     to the earliest restart.  A direction with vanishing gradient is left
     untouched for that sweep.
+
+    A restart stops after ``max_sweeps`` sweeps or after the first sweep that
+    raises the value by less than ``tol``.  Exact ascent never lowers the
+    value beyond rounding, so a negative ``tol`` runs ``max_sweeps`` sweeps in
+    practice, and ``tol=-math.inf`` always does.  ValueError on a NaN ``tol``
+    (it would never stop a restart early) and on +inf (it would stop every
+    restart after one sweep).
     """
     layout = rho.layout
     if any(d != 2 for d in layout.dims):
@@ -150,6 +166,8 @@ def optimize_settings(
     n = layout.num_parties
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if not tol < math.inf:
+        raise ValueError(f"optimizer tolerance must be a number below +inf, got {tol!r}")
 
     c = _prefactor(n)
     codes = list(_entry_codes(rho))
@@ -169,7 +187,7 @@ def optimize_settings(
         for _sweep in range(max_sweeps):
             suffix = [np.ones(1)]  # suffix[k]: product over the last k parties
             for m, code in zip(reversed(factors), reversed(codes)):
-                suffix.append(suffix[-1] * m.reshape(4)[code])
+                suffix.append(suffix[-1] * m[code])
             prefix = rho.vals
             for j in range(n):
                 w = prefix * suffix[n - 1 - j]
@@ -179,8 +197,8 @@ def optimize_settings(
                     gnorm = np.linalg.norm(grad)
                     if gnorm >= _ZERO_GRADIENT:
                         target[j] = grad / gnorm
-                factors[j] = _sigma(avecs[j]) + 1j * _sigma(apvecs[j])
-                prefix = prefix * factors[j].reshape(4)[codes[j]]
+                factors[j] = _factor(avecs[j], apvecs[j])
+                prefix = prefix * factors[j][codes[j]]
             new_value = (c * prefix.sum()).real
             improvement = new_value - value
             value = new_value

@@ -9,15 +9,21 @@ probability.  The protocol:
    A rank is the number of singular values of the party-vs-rest amplitude
    matrix above ``SCHMIDT_CUTOFF``, computed without singular vectors; the full
    Schmidt decomposition is taken only where its vectors or its reported
-   coefficients are needed (the equalize filter and the final pair).
+   coefficients are needed (the equalize filter and the final pair).  Each
+   round ranks parties in order and stops at the second one of rank >= 2:
+   the first is the pivot, and the second checks consistency (an entangled
+   pure state never has exactly one entangled party).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.
-3. Classify the two branch states.  If both are products (case A), map the
-   differing local factors onto computational 0/1 with biorthogonal filters;
-   the result is a GHZ state over the pivot and the differing sites, from
-   which +/- measurements leave any chosen pair maximally entangled, with
-   certainty.  Otherwise (case B) project the pivot onto an entangled
+3. Classify the two branch states.  A branch is a product when every
+   single-party reduced state is pure; the test reads purities only and
+   stops at the branch's first impure party.  If both are products (case A),
+   take their local factors (top reduced-state eigenvectors, computed only
+   here) and map the differing ones onto computational 0/1 with biorthogonal
+   filters; the result is a GHZ state over the pivot and the differing sites,
+   from which +/- measurements leave any chosen pair maximally entangled,
+   with certainty.  Otherwise (case B) project the pivot onto an entangled
    branch and repeat on the strictly smaller entangled system.
 
 Parties are never dropped from the step log; spent parties simply hold
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .tensor import (
     PureState,
     _fix_phase,
     _integers,
-    _matricize,
+    _party_matrix,
     apply_local,
     schmidt,
 )
@@ -111,7 +118,8 @@ class ExtractionResult:
 
 def _single_party_rank(psi: PureState, party: int) -> int:
     """One-vs-rest Schmidt rank, >= 1 for a normalized state: singular values above the cutoff."""
-    s = np.linalg.svd(_matricize(psi, (party,)), compute_uv=False)
+    m = _party_matrix(psi.amplitudes.reshape(psi.layout.dims), party - 1)
+    s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > SCHMIDT_CUTOFF))
 
 
@@ -162,23 +170,35 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     return fop, post, weight
 
 
-def _local_factor(t: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
-    """Top eigenvector (phase-fixed) and purity of the reduced operator of the
-    party at ``axis`` of the amplitude tensor ``t``."""
-    m = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
-    red = m @ m.conj().T
-    purity = float(np.einsum("ij,ji->", red, red).real)
-    _, vecs = np.linalg.eigh(red)
-    return _fix_phase(vecs[:, -1]), purity
+def _reduced_operator(t: np.ndarray, axis: int) -> np.ndarray:
+    """Reduced operator of the party at ``axis`` of the amplitude tensor ``t``."""
+    m = _party_matrix(t, axis)
+    return m @ m.conj().T
 
 
-def _product_factors(phi: PureState) -> tuple[bool, list[np.ndarray]]:
-    """Product test: every single-party reduced operator must be pure."""
-    if phi.layout.num_parties == 1:
-        return True, [_fix_phase(phi.amplitudes.copy())]
+def _local_factor(t: np.ndarray, axis: int) -> np.ndarray:
+    """Top eigenvector (phase-fixed) of the reduced operator at ``axis``."""
+    _, vecs = np.linalg.eigh(_reduced_operator(t, axis))
+    return _fix_phase(vecs[:, -1])
+
+
+def _is_product(phi: PureState) -> bool:
+    """Product test: no single-party reduced operator has purity below
+    1 - PURITY_TOL; stops at the first party that does."""
     t = phi.amplitudes.reshape(phi.layout.dims)
-    factors, purities = zip(*(_local_factor(t, axis) for axis in range(phi.layout.num_parties)))
-    return not any(p < 1.0 - PURITY_TOL for p in purities), list(factors)
+    for axis in range(phi.layout.num_parties):
+        red = _reduced_operator(t, axis)
+        if float(np.einsum("ij,ji->", red, red).real) < 1.0 - PURITY_TOL:
+            return False
+    return True
+
+
+def _branch_factors(phi: PureState) -> list[np.ndarray]:
+    """Local factor of every party of a product branch."""
+    if phi.layout.num_parties == 1:
+        return [_fix_phase(phi.amplitudes.copy())]
+    t = phi.amplitudes.reshape(phi.layout.dims)
+    return [_local_factor(t, axis) for axis in range(phi.layout.num_parties)]
 
 
 def classify_branch(psi: PureState, party: int) -> BranchClassification:
@@ -186,9 +206,12 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
 
     Requires the pivot's weight to sit on computational levels 0/1 with
     equal (1/2) probability and orthogonal branches, as produced by
-    :func:`equalize_filter`.  Raises :class:`NumericDegeneracyError` when
-    both branches test as products yet no remaining party is locally
-    orthogonal (case A demands one).
+    :func:`equalize_filter`.  Each branch is tested for product form on its
+    single-party purities alone, up to its first impure party; both branches
+    are always tested, so ``branch_product`` is complete.  Local factors and
+    overlaps are computed only in case A.  Raises
+    :class:`NumericDegeneracyError` when both branches test as products yet no
+    remaining party is locally orthogonal (case A demands one).
     """
     layout = psi.layout
     n = layout.num_parties
@@ -213,15 +236,14 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
     phi0 = PureState(rest, b0 / np.sqrt(w0))
     phi1 = PureState(rest, b1 / np.sqrt(w1))
 
-    prod0, factors0 = _product_factors(phi0)
-    prod1, factors1 = _product_factors(phi1)
+    prod0, prod1 = _is_product(phi0), _is_product(phi1)
     if not (prod0 and prod1):
         return BranchClassification("B", (phi0, phi1), (prod0, prod1))
 
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
     same, distinct, orthogonal = [], [], []
-    for p, chi, tau in zip(others, factors0, factors1):
+    for p, chi, tau in zip(others, _branch_factors(phi0), _branch_factors(phi1)):
         factors[p] = (chi, tau)
         g = abs(complex(np.vdot(chi, tau)))
         overlaps[p] = g
@@ -305,7 +327,7 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     t = state.amplitudes.reshape(layout.dims)
     for party in sorted(set(labels) - set(kept), reverse=True):
         axis = labels.index(party)
-        factor, _ = _local_factor(t, axis)
+        factor = _local_factor(t, axis)
         t = np.tensordot(factor.conj(), t, axes=(0, axis))
         labels.pop(axis)
         dims.pop(axis)
@@ -352,7 +374,9 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
     state = psi
     steps: list[ExtractionStep] = []
     while True:
-        entangled = [p for p in range(1, n + 1) if _single_party_rank(state, p) >= 2]
+        # stop at the second entangled party: the first is the pivot, the second need only exist
+        ranked = (p for p in range(1, n + 1) if _single_party_rank(state, p) >= 2)
+        entangled = list(islice(ranked, 2))
         if not entangled:
             if not steps:
                 raise NotEntangledError("state is a product state across every party")

@@ -291,6 +291,13 @@ def _axis_aligned_basis(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
+def _party_matrix(t: np.ndarray, axis: int) -> np.ndarray:
+    """Amplitude tensor ``t`` as a matrix: rows index its ``axis``, columns the
+    other axes in order; equal to ``np.moveaxis(t, axis, 0).reshape(d, -1)``."""
+    d = t.shape[axis]
+    return t.reshape(math.prod(t.shape[:axis]), d, -1).transpose(1, 0, 2).reshape(d, -1)
+
+
 def _matricize(psi: PureState, bipartition) -> np.ndarray:
     """Amplitudes of ``psi`` as a matrix: rows index the parties of
     ``bipartition`` (a nonempty proper subset, sorted), columns the rest."""
@@ -348,7 +355,7 @@ class FilterOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("filter matrix must be square")
-        smax = np.linalg.norm(m, 2)
+        smax = np.linalg.svd(m, compute_uv=False)[0]
         if not smax <= 1.0 + 1e-12:
             raise ValueError(f"filter has singular value {smax!r} > 1; not a measurement filter")
         m.setflags(write=False)
@@ -369,7 +376,7 @@ def apply_local(psi: PureState, fop: FilterOperator) -> tuple[np.ndarray, float]
     if fop.matrix.shape != (d, d):
         raise ValueError(f"operator must act on dimension {d}, got shape {fop.matrix.shape}")
     t = psi.amplitudes.reshape(layout.dims)
-    out = np.moveaxis(np.tensordot(fop.matrix, t, axes=(1, fop.party - 1)), 0, fop.party - 1)
-    vec = np.ascontiguousarray(out).reshape(layout.dim)
+    out = np.dot(fop.matrix, _party_matrix(t, fop.party - 1))
+    vec = out.reshape(d, math.prod(layout.dims[: fop.party - 1]), -1).transpose(1, 0, 2).reshape(-1)
     weight = float(np.vdot(vec, vec).real)
     return vec, weight

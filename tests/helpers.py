@@ -177,6 +177,13 @@ def brute_reduced_operator(psi: PureState, party: int) -> np.ndarray:
     return m @ m.conj().T
 
 
+def tensordot_apply_local(psi: PureState, fop) -> np.ndarray:
+    """Filter output built with ``tensordot`` and ``moveaxis`` (reference path)."""
+    t = psi.amplitudes.reshape(psi.layout.dims)
+    out = np.moveaxis(np.tensordot(fop.matrix, t, axes=(1, fop.party - 1)), 0, fop.party - 1)
+    return np.ascontiguousarray(out).reshape(psi.layout.dim)
+
+
 def brute_single_rank(psi: PureState, party: int, cutoff: float = 1e-10) -> int:
     """Schmidt rank at one party from reduced-operator eigenvalues (oracle)."""
     eigs = np.linalg.eigvalsh(brute_reduced_operator(psi, party))

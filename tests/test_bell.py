@@ -1,5 +1,7 @@
 """Bell operator product form, closed form, expectations, and optimization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,23 @@ def test_optimizer_eleven_qubits_one_sweep():
     rho = rho_family(RhoFamilySpec(11))
     settings, value = optimize_settings(rho, restarts=1, seed=0, max_sweeps=1)
     assert abs(bell_value(rho, settings) - value) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_optimizer_rejects_nan_and_infinite_tolerance(tol):
+    # NaN would never stop a restart early; +inf would stop every one after a sweep
+    with pytest.raises(ValueError, match="tolerance"):
+        optimize_settings(rho_family(RhoFamilySpec(6)), restarts=1, tol=tol)
+
+
+def test_optimizer_minus_infinite_tolerance_runs_every_sweep():
+    # -inf stops only at max_sweeps: one sweep gives 0.80159 here, all of
+    # them the x/y maximum 2^(5/2)/7
+    rho = rho_family(RhoFamilySpec(6))
+    _, one_sweep = optimize_settings(rho, restarts=1, seed=0, tol=-math.inf, max_sweeps=1)
+    _, full = optimize_settings(rho, restarts=1, seed=0, tol=-math.inf)
+    assert abs(one_sweep - 0.80159) < 1e-5
+    assert abs(full - 2**2.5 / 7) <= 1e-9
 
 
 def test_optimizer_rejects_large_or_qutrit_layouts():

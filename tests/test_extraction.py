@@ -167,6 +167,38 @@ def test_classify_shared_local_factor_counts_as_same():
     assert info.overlaps[3] < 1e-10
 
 
+def one_product_branch(product_first: bool) -> PureState:
+    """(|0> b0 + |1> b1)/sqrt2 with orthogonal branches |01> and (|00>+|11>)/sqrt2."""
+    t = np.zeros((2, 2, 2), dtype=complex)
+    product, entangled = (0, 1) if product_first else (1, 0)
+    t[product, 0, 1] = INV_SQRT2
+    t[entangled, 0, 0] = t[entangled, 1, 1] = 0.5
+    return PureState(PartyLayout.qubits(3), t.reshape(-1))
+
+
+@pytest.mark.parametrize("product_first", [True, False])
+def test_classify_one_product_branch_reports_both(product_first):
+    # the product test stops at a branch's first impure party, yet both
+    # branches are tested
+    info = classify_branch(one_product_branch(product_first), 1)
+    assert info.case == "B"
+    assert info.branch_product == (product_first, not product_first)
+    assert info.factors is None
+
+
+@pytest.mark.parametrize("product_first", [True, False])
+def test_extract_projects_onto_the_entangled_branch(product_first):
+    res = extract(one_product_branch(product_first))
+    equalize, project = res.steps[:2]
+    assert (equalize.op.kind, equalize.op.party) == ("equalize", 1)
+    assert (project.op.kind, project.op.party) == ("project", 1)
+    entangled = 1 if product_first else 0
+    expected = np.zeros((2, 2))
+    expected[entangled, entangled] = 1.0
+    assert np.array_equal(project.op.matrix, expected)
+    np.testing.assert_allclose(res.schmidt_coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+
+
 def test_classify_rejects_unbalanced():
     amps = np.zeros(4, dtype=complex)
     amps[0] = np.sqrt(0.9)
@@ -285,6 +317,19 @@ def test_extract_case_b_strictly_shrinks_entanglement(extraction_corpus):
                 entangled_now = sum(1 for _, r in schmidt_profile(state) if r >= 2)
                 assert entangled_now < entangled_before, case_id
                 entangled_before = entangled_now
+
+
+def test_extract_pivot_is_first_entangled_party_of_several(extraction_corpus):
+    # the per-round scan stops at the second entangled party: the pivot must
+    # still be the lowest party of rank >= 2, and another must exist
+    for case_id, psi in extraction_corpus[:40]:
+        state = psi
+        for step in extract(psi).steps:
+            if step.op.kind == "equalize":
+                entangled = [p for p, r in schmidt_profile(state) if r >= 2]
+                assert step.op.party == entangled[0], case_id
+                assert len(entangled) >= 2, case_id
+            state = replay(state, [step])
 
 
 def test_extract_case_a_orthogonal_site(extraction_corpus):

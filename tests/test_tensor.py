@@ -32,8 +32,10 @@ from helpers import (
     random_density,
     random_sparse_hermitian,
     tensor_product,
+    tensordot_apply_local,
     traced_peak,
 )
+from boundbell.tensor import _party_matrix
 
 
 def qubit(amp0, amp1):
@@ -439,6 +441,39 @@ def test_apply_local_balancing_filter():
     post = PureState(psi.layout, vec / np.sqrt(weight))
     post_coeffs, _, _ = schmidt(post, (1,))
     assert abs(post_coeffs[0] - post_coeffs[1]) < 1e-10
+
+
+BIT_IDENTITY_DIMS = [(2, 3), (3, 2, 2), (2, 2, 2, 2), (4, 2, 3)]
+
+
+@pytest.mark.parametrize("dims", BIT_IDENTITY_DIMS)
+def test_apply_local_matches_tensordot_reference_bitwise(dims):
+    layout = PartyLayout(dims)
+    psi = random_pure(layout, seed=len(dims) * 10 + dims[0])
+    rng = np.random.default_rng(sum(dims))
+    for party, d in enumerate(dims, start=1):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        fop = FilterOperator(party, m / np.linalg.norm(m, 2) * (1 - 1e-9), "equalize")
+        vec, weight = apply_local(psi, fop)
+        ref = tensordot_apply_local(psi, fop)
+        assert np.array_equal(vec, ref), (dims, party)
+        assert weight == float(np.vdot(ref, ref).real)
+
+
+@pytest.mark.parametrize("dims", BIT_IDENTITY_DIMS)
+def test_party_matrix_equals_moveaxis_bitwise(dims):
+    t = random_pure(PartyLayout(dims), seed=3).amplitudes.reshape(dims)
+    for k, d in enumerate(dims):
+        assert np.array_equal(_party_matrix(t, k), np.moveaxis(t, k, 0).reshape(d, -1)), (dims, k)
+
+
+def test_filter_norm_is_the_largest_singular_value():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m /= np.linalg.norm(m, 2)
+    FilterOperator(1, m, "project")  # exactly at the bound: accepted
+    with pytest.raises(ValueError, match="singular value"):
+        FilterOperator(1, m * (1 + 1e-9), "project")
 
 
 def test_apply_local_annihilation_returns_zero_weight():
