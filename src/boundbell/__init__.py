@@ -38,8 +38,6 @@ from .ppt import (
 from .states import (
     RhoFamilySpec,
     default_alpha,
-    flip_index,
-    flip_projectors,
     ghz,
     ghz_projector,
     random_pure,
@@ -81,8 +79,6 @@ __all__ = [
     "default_alpha",
     "equalize_filter",
     "extract",
-    "flip_index",
-    "flip_projectors",
     "ghz",
     "ghz_projector",
     "hermitian_eigenvalues",

@@ -8,7 +8,8 @@ B_N + iB'_N = c_N (x)_j M_j with M_j = sigma.a_j + i sigma.a'_j and
 c_N = ((1-i)/2)^(N-1).  B_N is its Hermitian part, and tr(B rho) =
 Re[c_N tr((x)_j M_j rho)] never forms B: each nonzero entry rho[r, c]
 contributes rho[r, c] prod_j M_j[c_j, r_j], with r_j and c_j party j's
-digits of r and c.  No dense 2^N x 2^N operator exists in the package: the
+digits of r and c, read from an (N, nnz) table of codes 2 c_j + r_j built by
+one vectorized shift.  No dense 2^N x 2^N operator exists in the package: the
 cost is O(N nnz) for any N the layout admits, and with every party measuring
 along x and y only the entries coupling |0...0> and |1...1> contribute.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOperator
+from .tensor import DensityOperator, _integers
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -33,6 +34,7 @@ DEFAULT_RESTARTS = 16
 DEFAULT_OPT_TOL = 1e-10
 MAX_SWEEPS = 500
 _ZERO_GRADIENT = 1e-14
+_CODE_CHUNK = 1 << 13  # entries per bell_value code table
 
 
 def _sigma(vec: np.ndarray) -> np.ndarray:
@@ -41,14 +43,15 @@ def _sigma(vec: np.ndarray) -> np.ndarray:
 
 def _unit_direction(v) -> tuple[float, float, float]:
     """Validate one measurement direction: three finite components, unit norm."""
-    v = tuple(float(x) for x in v)
+    v = tuple(map(float, v))
     if len(v) != 3:
         raise ValueError("directions must be 3-vectors")
-    if not all(math.isfinite(x) for x in v):
+    x, y, z = v
+    if abs(math.sqrt(x**2 + y**2 + z**2) - 1.0) <= UNIT_TOL:
+        return v  # a unit norm implies finite components
+    if not all(map(math.isfinite, v)):
         raise ValueError(f"direction {v} has a non-finite component")
-    if abs(math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) - 1.0) > UNIT_TOL:
-        raise ValueError(f"direction {v} is not a unit vector")
-    return v
+    raise ValueError(f"direction {v} is not a unit vector")
 
 
 def pauli_along(a) -> np.ndarray:
@@ -68,8 +71,8 @@ class BellSettings:
     a_prime: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        a = tuple(_unit_direction(v) for v in self.a)
-        ap = tuple(_unit_direction(v) for v in self.a_prime)
+        a = tuple(map(_unit_direction, self.a))
+        ap = tuple(map(_unit_direction, self.a_prime))
         if len(a) != len(ap) or len(a) < 1:
             raise ValueError("need one (a, a') pair of directions per party")
         object.__setattr__(self, "a", a)
@@ -98,15 +101,16 @@ def _factor(a, ap) -> np.ndarray:
     )
 
 
-def _factors(avecs, apvecs) -> list[np.ndarray]:
-    """The flat product-form factors M_j = sigma.a_j + i sigma.a'_j."""
-    return [_factor(a, ap) for a, ap in zip(avecs, apvecs)]
-
-
-def _entry_codes(rho: DensityOperator):
-    """Per party j, the flat index 2*c_j + r_j of the M_j[c_j, r_j] each entry meets."""
-    for shift in range(rho.layout.num_parties - 1, -1, -1):
-        yield 2 * ((rho.cols >> shift) & 1) + ((rho.rows >> shift) & 1)
+def _entry_codes(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The (n, nnz) code table: row j - 1 holds, per entry, the flat index
+    2*c_j + r_j of the M_j[c_j, r_j] it meets; built in place (two tables)."""
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    codes = (cols >> shifts) & 1
+    codes <<= 1
+    bits = rows >> shifts
+    bits &= 1
+    codes |= bits
+    return codes
 
 
 def _trace_terms(vals: np.ndarray, factors, codes) -> np.ndarray:
@@ -120,17 +124,20 @@ def bell_value(rho: DensityOperator, settings: BellSettings) -> float:
     """Expectation tr(B rho); |value| > 1 signals a Bell violation.
 
     The imaginary part of c_N tr((x)_j M_j rho) is tr(B' rho), the primed
-    operator's expectation, and is discarded.
+    operator's expectation, and is discarded.  Code tables cover at most
+    _CODE_CHUNK entries at a time, so dense input holds no full table.
     """
     if any(d != 2 for d in rho.layout.dims):
         raise ValueError("Bell evaluation requires an all-qubit layout")
     n = rho.layout.num_parties
     if settings.num_parties != n:
-        raise ValueError(
-            f"settings cover {settings.num_parties} parties, state has {n}"
-        )
-    factors = _factors(settings.a, settings.a_prime)
-    terms = _trace_terms(rho.vals, factors, _entry_codes(rho))
+        raise ValueError(f"settings cover {settings.num_parties} parties, state has {n}")
+    factors = list(map(_factor, settings.a, settings.a_prime))
+    terms = np.empty_like(rho.vals)
+    for k in range(0, terms.size, _CODE_CHUNK):
+        part = slice(k, k + _CODE_CHUNK)
+        codes = _entry_codes(rho.rows[part], rho.cols[part], n)
+        terms[part] = _trace_terms(rho.vals[part], factors, codes)
     return float((_prefactor(n) * terms.sum()).real)
 
 
@@ -153,52 +160,59 @@ def optimize_settings(
     to the earliest restart.  A direction with vanishing gradient is left
     untouched for that sweep.
 
+    One code table (:func:`_entry_codes`, 8 N nnz bytes) serves every
+    restart: row j - 1 gathers party j's factor elements and bins its gradient.
+
     A restart stops after ``max_sweeps`` sweeps or after the first sweep that
     raises the value by less than ``tol``.  Exact ascent never lowers the
     value beyond rounding, so a negative ``tol`` runs ``max_sweeps`` sweeps in
     practice, and ``tol=-math.inf`` always does.  ValueError on a NaN ``tol``
     (it would never stop a restart early) and on +inf (it would stop every
-    restart after one sweep).
+    restart after one sweep); on non-integer counts (1.7 is not cut to 1), on
+    ``restarts`` < 1 and ``max_sweeps`` < 0 (0 scores the random starts).
     """
     layout = rho.layout
     if any(d != 2 for d in layout.dims):
         raise ValueError("optimizer requires an all-qubit layout")
     n = layout.num_parties
+    restarts, seed, max_sweeps = _integers((restarts, seed, max_sweeps), "restarts/seed/max_sweeps")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     if not tol < math.inf:
         raise ValueError(f"optimizer tolerance must be a number below +inf, got {tol!r}")
 
     c = _prefactor(n)
-    codes = list(_entry_codes(rho))
-    rng = np.random.default_rng(int(seed))
-    best_value = -np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
+    codes = _entry_codes(rho.rows, rho.cols, n)
+    paulis, one = _PAULIS.reshape(3, 4), np.ones(1)
+    rng = np.random.default_rng(seed)
+    best_value, best = -np.inf, None
     for _ in range(restarts):
         vecs = rng.standard_normal((2 * n, 3))
         norms = np.linalg.norm(vecs, axis=1)
         norms[norms < 1e-12] = 1.0
         vecs /= norms[:, None]
-        avecs = vecs[:n].copy()
-        apvecs = vecs[n:].copy()
-        factors = _factors(avecs, apvecs)
+        avecs = vecs[:n].tolist()
+        apvecs = vecs[n:].tolist()
+        factors = list(map(_factor, avecs, apvecs))
 
         value = (c * _trace_terms(rho.vals, factors, codes).sum()).real
         for _sweep in range(max_sweeps):
-            suffix = [np.ones(1)]  # suffix[k]: product over the last k parties
-            for m, code in zip(reversed(factors), reversed(codes)):
+            suffix = [one]  # suffix[k]: product over the last k parties
+            for m, code in zip(reversed(factors), codes[::-1]):
                 suffix.append(suffix[-1] * m[code])
             prefix = rho.vals
-            for j in range(n):
+            for j, code in enumerate(codes):
                 w = prefix * suffix[n - 1 - j]
-                g = np.bincount(codes[j], w.real, 4) + 1j * np.bincount(codes[j], w.imag, 4)
-                v = c * (_PAULIS.reshape(3, 4) @ g)
+                g = np.bincount(code, w.real, 4) + 1j * np.bincount(code, w.imag, 4)
+                v = c * (paulis @ g)
                 for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
-                    gnorm = np.linalg.norm(grad)
+                    gnorm = math.sqrt(grad.dot(grad))
                     if gnorm >= _ZERO_GRADIENT:
-                        target[j] = grad / gnorm
+                        target[j] = (grad / gnorm).tolist()
                 factors[j] = _factor(avecs[j], apvecs[j])
-                prefix = prefix * factors[j][codes[j]]
+                prefix = prefix * factors[j][code]
             new_value = (c * prefix.sum()).real
             improvement = new_value - value
             value = new_value
@@ -206,10 +220,7 @@ def optimize_settings(
                 break
         if value > best_value:
             best_value = value
-            best = (avecs.copy(), apvecs.copy())
+            best = (tuple(map(tuple, avecs)), tuple(map(tuple, apvecs)))
 
     assert best is not None
-    settings = BellSettings(
-        tuple(tuple(v) for v in best[0]), tuple(tuple(v) for v in best[1])
-    )
-    return settings, float(best_value)
+    return BellSettings(*best), float(best_value)

@@ -55,11 +55,15 @@ def ghz(n: int, alpha: float) -> PureState:
     return PureState(layout, amps)
 
 
-def flip_index(n: int, k: int) -> int:
-    """Basis index of |0..1..0> with the 1 at party k (party 1 most significant)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"party index {k} out of range 1..{n}")
-    return 1 << (n - k)
+def _ghz_corners(n: int, alpha: float):
+    """(layout, rows, cols, vals) of the GHZ projector's four corner entries."""
+    if n < 2:
+        raise ValueError("GHZ projector needs at least two parties")
+    layout = PartyLayout.qubits(n)
+    last = layout.dim - 1
+    phase = np.exp(1j * float(alpha))
+    corners = np.array([0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5], dtype=complex)
+    return layout, [0, 0, last, last], [0, last, 0, last], corners
 
 
 def ghz_projector(n: int, alpha: float) -> DensityOperator:
@@ -68,23 +72,7 @@ def ghz_projector(n: int, alpha: float) -> DensityOperator:
     The two diagonal corners are exact 1/2 (independent of the phase), so
     only the off-diagonal corners vary with alpha.
     """
-    if n < 2:
-        raise ValueError("GHZ projector needs at least two parties")
-    layout = PartyLayout.qubits(n)
-    last = layout.dim - 1
-    phase = np.exp(1j * float(alpha))
-    corners = [0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5]
-    return DensityOperator(layout, [0, 0, last, last], [0, last, 0, last], corners)
-
-
-def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
-    """Rank-1 projectors onto the single-flip state at party k and its complement."""
-    if n < 2:
-        raise ValueError("need at least two parties")
-    idx = flip_index(n, k)
-    layout = PartyLayout.qubits(n)
-    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
-    return p, pbar
+    return DensityOperator(*_ghz_corners(n, alpha))
 
 
 def rho_family(spec: RhoFamilySpec) -> DensityOperator:
@@ -96,15 +84,12 @@ def rho_family(spec: RhoFamilySpec) -> DensityOperator:
     GHZ corners depend on the phase.
     """
     n = spec.n
-    corners = ghz_projector(n, spec.alpha)
-    flips = np.array([flip_index(n, k) for k in range(1, n + 1)])
-    diag, count = np.unique(
-        np.concatenate([flips, corners.layout.dim - 1 - flips]), return_counts=True
-    )
-    rows, cols = (np.concatenate([idx, diag]) for idx in (corners.rows, corners.cols))
-    vals = np.concatenate([corners.vals, 0.5 * count])
+    layout, rows, cols, corners = _ghz_corners(n, spec.alpha)
+    flips = 1 << np.arange(n)
+    diag, count = np.unique(np.concatenate([flips, layout.dim - 1 - flips]), return_counts=True)
+    vals = np.concatenate([corners, 0.5 * count])
     vals *= 1.0 / (n + 1)
-    return DensityOperator(corners.layout, rows, cols, vals)
+    return DensityOperator(layout, np.concatenate([rows, diag]), np.concatenate([cols, diag]), vals)
 
 
 def random_pure(layout: PartyLayout, seed: int) -> PureState:

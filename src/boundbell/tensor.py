@@ -320,15 +320,20 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
     Each left vector's first nonzero component is real positive; the right
     vectors carry the compensating phase.
     """
-    m = _matricize(psi, bipartition)
+    return _schmidt_svd(_matricize(psi, bipartition), right=True)
+
+
+def _schmidt_svd(m: np.ndarray, right: bool):
+    """:func:`schmidt` of the matricized state ``m``; right vectors only if ``right``, else None."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = s > SCHMIDT_CUTOFF
-    s, u, vh = s[kept], u[:, kept], vh[kept]
+    s, u, vh = s[kept], u[:, kept], vh[kept] if right else None
 
     for group in np.split(np.arange(s.size), np.flatnonzero(np.diff(s) < -_TIE_TOL) + 1):
         if group.size > 1:
             u[:, group] = _axis_aligned_basis(u[:, group])
-            vh[group] = (u[:, group].conj().T @ m) / s[group, None]
+            if right:
+                vh[group] = (u[:, group].conj().T @ m) / s[group, None]
 
     for i in range(s.size):
         col = u[:, i]
@@ -336,7 +341,8 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
         if idx.size:
             phase = col[idx[0]] / abs(col[idx[0]])
             u[:, i] = col * np.conj(phase)
-            vh[i, :] = vh[i, :] * phase
+            if right:
+                vh[i, :] = vh[i, :] * phase
     return s, u, vh
 
 

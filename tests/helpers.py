@@ -28,6 +28,23 @@ def raises_value_error(job) -> bool:
     return False
 
 
+def flip_index(n: int, k: int) -> int:
+    """Basis index of |0..1..0> with the 1 at party k (party 1 most significant)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"party index {k} out of range 1..{n}")
+    return 1 << (n - k)
+
+
+def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
+    """Rank-1 projectors onto the single-flip state at party k and its complement."""
+    if n < 2:
+        raise ValueError("need at least two parties")
+    idx = flip_index(n, k)
+    layout = PartyLayout.qubits(n)
+    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
+    return p, pbar
+
+
 def basis_state(layout: PartyLayout, index: int) -> PureState:
     """Computational basis state |index> in the mixed-radix encoding."""
     if not 0 <= index < layout.dim:
@@ -264,3 +281,75 @@ def planar_grid_oracle(step_deg: float = 1.0) -> float:
         minus = np.linalg.norm(tb[i] - tb, axis=1)
         best = max(best, float(np.max(0.5 * (plus + minus))))
     return best
+
+
+def _reference_codes(rho: DensityOperator):
+    """Per party, the flat index 2*c_j + r_j of the factor element each entry meets."""
+    for shift in range(rho.layout.num_parties - 1, -1, -1):
+        yield 2 * ((rho.cols >> shift) & 1) + ((rho.rows >> shift) & 1)
+
+
+def _reference_factor(a, ap) -> np.ndarray:
+    ax, ay, az = a
+    bx, by, bz = ap
+    return np.array(
+        [complex(az, bz), complex(ax + by, bx - ay), complex(ax - by, ay + bx), complex(-az, -bz)]
+    )
+
+
+def _reference_terms(vals, factors, codes):
+    for m, code in zip(factors, codes):
+        vals = vals * m[code]
+    return vals
+
+
+def reference_bell_value(rho: DensityOperator, a, a_prime) -> float:
+    """tr(B rho) by the per-party code generator (reference formulation)."""
+    n = rho.layout.num_parties
+    factors = [_reference_factor(x, y) for x, y in zip(a, a_prime)]
+    terms = _reference_terms(rho.vals, factors, _reference_codes(rho))
+    return float((((1.0 - 1.0j) / 2.0) ** (n - 1) * terms.sum()).real)
+
+
+def reference_optimize(rho: DensityOperator, restarts: int, tol: float, seed: int, max_sweeps: int):
+    """Coordinate ascent as ``optimize_settings`` (reference formulation:
+    per-party code list, two-``bincount`` gradient, ``np.linalg.norm``,
+    numpy direction rows).  Returns ``(a, a_prime, value)``."""
+    n = rho.layout.num_parties
+    c = ((1.0 - 1.0j) / 2.0) ** (n - 1)
+    paulis = np.stack(_PAULI)
+    codes = list(_reference_codes(rho))
+    rng = np.random.default_rng(int(seed))
+    best_value, best = -np.inf, None
+    for _ in range(restarts):
+        vecs = rng.standard_normal((2 * n, 3))
+        norms = np.linalg.norm(vecs, axis=1)
+        norms[norms < 1e-12] = 1.0
+        vecs /= norms[:, None]
+        avecs, apvecs = vecs[:n].copy(), vecs[n:].copy()
+        factors = [_reference_factor(x, y) for x, y in zip(avecs, apvecs)]
+        value = (c * _reference_terms(rho.vals, factors, codes).sum()).real
+        for _sweep in range(max_sweeps):
+            suffix = [np.ones(1)]
+            for m, code in zip(reversed(factors), reversed(codes)):
+                suffix.append(suffix[-1] * m[code])
+            prefix = rho.vals
+            for j in range(n):
+                w = prefix * suffix[n - 1 - j]
+                g = np.bincount(codes[j], w.real, 4) + 1j * np.bincount(codes[j], w.imag, 4)
+                v = c * (paulis.reshape(3, 4) @ g)
+                for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
+                    gnorm = np.linalg.norm(grad)
+                    if gnorm >= 1e-14:
+                        target[j] = grad / gnorm
+                factors[j] = _reference_factor(avecs[j], apvecs[j])
+                prefix = prefix * factors[j][codes[j]]
+            new_value = (c * prefix.sum()).real
+            improvement = new_value - value
+            value = new_value
+            if improvement < tol:
+                break
+        if value > best_value:
+            best_value, best = value, (avecs.copy(), apvecs.copy())
+    a, a_prime = (tuple(tuple(float(x) for x in v) for v in vs) for vs in best)
+    return a, a_prime, float(best_value)

@@ -12,20 +12,24 @@ from boundbell import (
     PureState,
     RhoFamilySpec,
     bell_value,
-    flip_projectors,
     ghz,
     optimize_settings,
     pauli_along,
+    random_pure,
     rho_family,
 )
 from helpers import (
     bell_matrix,
     bell_matrix_recursion,
     closed_form_xy,
+    flip_projectors,
     planar_grid_oracle,
     random_density,
     random_sparse_hermitian,
+    reference_bell_value,
+    reference_optimize,
     separable_fixture,
+    traced_peak,
 )
 
 
@@ -299,3 +303,76 @@ def test_optimizer_rejects_large_or_qutrit_layouts():
     qutrit = DensityOperator.from_dense(PartyLayout((3,)), np.eye(3) / 3)
     with pytest.raises(ValueError):
         optimize_settings(qutrit)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": 1.7}, {"restarts": 1.5}, {"max_sweeps": 2.5}, {"max_sweeps": -1}, {"seed": "3"}],
+    ids=["fractional_seed", "fractional_restarts", "fractional_sweeps", "negative_sweeps",
+         "str_seed"],
+)
+def test_optimizer_rejects_non_integer_or_negative_counts(kwargs):
+    with pytest.raises(ValueError):
+        optimize_settings(rho_family(RhoFamilySpec(3)), **kwargs)
+
+
+def test_optimizer_accepts_numpy_integers_and_zero_sweeps():
+    rho = rho_family(RhoFamilySpec(4))
+    s1, v1 = optimize_settings(rho, restarts=np.int64(2), seed=np.int64(5), max_sweeps=np.int64(4))
+    s2, v2 = optimize_settings(rho, restarts=2, seed=5, max_sweeps=4)
+    assert repr((s1.a, s1.a_prime, v1)) == repr((s2.a, s2.a_prime, v2))
+    # zero sweeps score the random start of each restart and keep the best
+    start, value = optimize_settings(rho, restarts=1, seed=5, max_sweeps=0)
+    assert value == bell_value(rho, start)
+
+
+# ------------------------------------------------- bit identity with the reference
+
+
+def _bit_identity_cases():
+    cases = [(rho_family(RhoFamilySpec(n)), f"family{n}") for n in range(2, 13)]
+    for n in (2, 3, 4, 5):
+        layout = PartyLayout.qubits(n)
+        cases.append((random_density(layout, 40 + n), f"density{n}"))
+        cases.append((random_sparse_hermitian(layout, 50 + n), f"sparse{n}"))
+    return cases
+
+
+def test_optimizer_bit_identical_to_reference():
+    # repr equality: values and directions to the last bit, signed zeros included
+    for rho, name in _bit_identity_cases():
+        for seed in (0, 1, 7):
+            for restarts, tol, sweeps in ((2, 1e-10, 500), (1, -math.inf, 3)):
+                settings, value = optimize_settings(
+                    rho, restarts=restarts, tol=tol, seed=seed, max_sweeps=sweeps
+                )
+                got = (settings.a, settings.a_prime, value)
+                want = reference_optimize(rho, restarts, tol, seed, sweeps)
+                assert repr(got) == repr(want), (name, seed, restarts)
+                assert repr(bell_value(rho, settings)) == repr(
+                    reference_bell_value(rho, settings.a, settings.a_prime)
+                ), name
+
+
+def test_bell_value_bit_identical_to_reference_on_axis_settings():
+    # axis-aligned directions make most factor components exact zeros
+    axes = [tuple(float(s * (i == k)) for i in range(3)) for k in range(3) for s in (1, -1)]
+    rng = np.random.default_rng(17)
+    for rho, name in _bit_identity_cases():
+        n = rho.layout.num_parties
+        for _ in range(12):
+            a = tuple(axes[i] for i in rng.integers(0, 6, n))
+            ap = tuple(axes[i] for i in rng.integers(0, 6, n))
+            got = bell_value(rho, BellSettings(a, ap))
+            assert repr(got) == repr(reference_bell_value(rho, a, ap)), name
+
+
+def test_optimizer_restart_memory_on_dense_input():
+    # one 3-sweep restart on a dense 9-qubit operator (262,144 entries) peaks
+    # at about 66 MiB: the 8 N nnz code table (18 MiB) plus 16 (N+1) nnz of
+    # suffix products (40 MiB); one more code table would pass 80 MiB
+    rho = DensityOperator.from_pure(random_pure(PartyLayout.qubits(9), 3))
+    _, peak = traced_peak(
+        lambda: optimize_settings(rho, restarts=1, seed=0, tol=-math.inf, max_sweeps=3)
+    )
+    assert peak < 80 * 2**20, peak

@@ -7,8 +7,6 @@ from boundbell import (
     PartyLayout,
     RhoFamilySpec,
     default_alpha,
-    flip_index,
-    flip_projectors,
     ghz,
     ghz_projector,
     hermitian_eigenvalues,
@@ -16,6 +14,7 @@ from boundbell import (
     rho_family,
     schmidt,
 )
+from helpers import flip_index, flip_projectors
 
 
 def test_ghz_amplitudes():
