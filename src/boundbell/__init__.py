@@ -38,6 +38,8 @@ from .ppt import (
 from .states import (
     RhoFamilySpec,
     default_alpha,
+    flip_index,
+    flip_projectors,
     ghz,
     ghz_projector,
     random_pure,
@@ -79,6 +81,8 @@ __all__ = [
     "default_alpha",
     "equalize_filter",
     "extract",
+    "flip_index",
+    "flip_projectors",
     "ghz",
     "ghz_projector",
     "hermitian_eigenvalues",

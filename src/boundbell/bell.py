@@ -8,10 +8,11 @@ B_N + iB'_N = c_N (x)_j M_j with M_j = sigma.a_j + i sigma.a'_j and
 c_N = ((1-i)/2)^(N-1).  B_N is its Hermitian part, and tr(B rho) =
 Re[c_N tr((x)_j M_j rho)] never forms B: each nonzero entry rho[r, c]
 contributes rho[r, c] prod_j M_j[c_j, r_j], with r_j and c_j party j's
-digits of r and c, read from an (N, nnz) table of codes 2 c_j + r_j built by
-one vectorized shift.  No dense 2^N x 2^N operator exists in the package: the
-cost is O(N nnz) for any N the layout admits, and with every party measuring
-along x and y only the entries coupling |0...0> and |1...1> contribute.
+digits of r and c, read from codes 2 c_j + r_j (per party for one value, an
+(N, nnz) table for the optimizer's restarts).  No dense 2^N x 2^N operator
+exists in the package: the cost is O(N nnz) for any N the layout admits, and
+with every party measuring along x and y only the entries coupling |0...0>
+and |1...1> contribute.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ DEFAULT_RESTARTS = 16
 DEFAULT_OPT_TOL = 1e-10
 MAX_SWEEPS = 500
 _ZERO_GRADIENT = 1e-14
-_CODE_CHUNK = 1 << 13  # entries per bell_value code table
 
 
 def _sigma(vec: np.ndarray) -> np.ndarray:
@@ -101,13 +101,13 @@ def _factor(a, ap) -> np.ndarray:
     )
 
 
-def _entry_codes(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """The (n, nnz) code table: row j - 1 holds, per entry, the flat index
-    2*c_j + r_j of the M_j[c_j, r_j] it meets; built in place (two tables)."""
-    shifts = np.arange(n - 1, -1, -1)[:, None]
-    codes = (cols >> shifts) & 1
+def _entry_codes(rho: DensityOperator, shifts) -> np.ndarray:
+    """Per entry, the flat index 2*c_j + r_j of the M_j[c_j, r_j] it meets, for
+    the party at bit ``shifts``: one row for an int, the table for a column of
+    them (party j sits at bit N - j); built in place (two arrays)."""
+    codes = (rho.cols >> shifts) & 1
     codes <<= 1
-    bits = rows >> shifts
+    bits = rho.rows >> shifts
     bits &= 1
     codes |= bits
     return codes
@@ -124,8 +124,8 @@ def bell_value(rho: DensityOperator, settings: BellSettings) -> float:
     """Expectation tr(B rho); |value| > 1 signals a Bell violation.
 
     The imaginary part of c_N tr((x)_j M_j rho) is tr(B' rho), the primed
-    operator's expectation, and is discarded.  Code tables cover at most
-    _CODE_CHUNK entries at a time, so dense input holds no full table.
+    operator's expectation, and is discarded.  The codes are built one party
+    at a time, so dense input never holds a full code table.
     """
     if any(d != 2 for d in rho.layout.dims):
         raise ValueError("Bell evaluation requires an all-qubit layout")
@@ -133,11 +133,8 @@ def bell_value(rho: DensityOperator, settings: BellSettings) -> float:
     if settings.num_parties != n:
         raise ValueError(f"settings cover {settings.num_parties} parties, state has {n}")
     factors = list(map(_factor, settings.a, settings.a_prime))
-    terms = np.empty_like(rho.vals)
-    for k in range(0, terms.size, _CODE_CHUNK):
-        part = slice(k, k + _CODE_CHUNK)
-        codes = _entry_codes(rho.rows[part], rho.cols[part], n)
-        terms[part] = _trace_terms(rho.vals[part], factors, codes)
+    codes = (_entry_codes(rho, shift) for shift in range(n - 1, -1, -1))
+    terms = _trace_terms(rho.vals, factors, codes)
     return float((_prefactor(n) * terms.sum()).real)
 
 
@@ -184,7 +181,7 @@ def optimize_settings(
         raise ValueError(f"optimizer tolerance must be a number below +inf, got {tol!r}")
 
     c = _prefactor(n)
-    codes = _entry_codes(rho.rows, rho.cols, n)
+    codes = _entry_codes(rho, np.arange(n - 1, -1, -1)[:, None])
     paulis, one = _PAULIS.reshape(3, 4), np.ones(1)
     rng = np.random.default_rng(seed)
     best_value, best = -np.inf, None

@@ -47,9 +47,7 @@ from .tensor import (
     PureState,
     _fix_phase,
     _integers,
-    _matricize,
     _party_matrix,
-    _schmidt_svd,
     apply_local,
     schmidt,
 )
@@ -159,7 +157,7 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     operator norm (maximal success probability).  The returned weight is
     2*lambda_1**2; the post state carries coefficients 1/sqrt(2) each.
     """
-    coeffs, left, _ = _schmidt_svd(_matricize(psi, (party,)), right=False)
+    coeffs, left, _ = schmidt(psi, (party,))
     if coeffs.size < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
     lam0, lam1 = (float(c) for c in coeffs[:2])

@@ -55,6 +55,13 @@ def ghz(n: int, alpha: float) -> PureState:
     return PureState(layout, amps)
 
 
+def flip_index(n: int, k: int) -> int:
+    """Basis index of |0..1..0> with the 1 at party k (party 1 most significant)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"party index {k} out of range 1..{n}")
+    return 1 << (n - k)
+
+
 def _ghz_corners(n: int, alpha: float):
     """(layout, rows, cols, vals) of the GHZ projector's four corner entries."""
     if n < 2:
@@ -73,6 +80,16 @@ def ghz_projector(n: int, alpha: float) -> DensityOperator:
     only the off-diagonal corners vary with alpha.
     """
     return DensityOperator(*_ghz_corners(n, alpha))
+
+
+def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
+    """Rank-1 projectors onto the single-flip state at party k and its complement."""
+    if n < 2:
+        raise ValueError("need at least two parties")
+    idx = flip_index(n, k)
+    layout = PartyLayout.qubits(n)
+    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
+    return p, pbar
 
 
 def rho_family(spec: RhoFamilySpec) -> DensityOperator:

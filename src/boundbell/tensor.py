@@ -320,20 +320,15 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
     Each left vector's first nonzero component is real positive; the right
     vectors carry the compensating phase.
     """
-    return _schmidt_svd(_matricize(psi, bipartition), right=True)
-
-
-def _schmidt_svd(m: np.ndarray, right: bool):
-    """:func:`schmidt` of the matricized state ``m``; right vectors only if ``right``, else None."""
+    m = _matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = s > SCHMIDT_CUTOFF
-    s, u, vh = s[kept], u[:, kept], vh[kept] if right else None
+    s, u, vh = s[kept], u[:, kept], vh[kept]
 
     for group in np.split(np.arange(s.size), np.flatnonzero(np.diff(s) < -_TIE_TOL) + 1):
         if group.size > 1:
             u[:, group] = _axis_aligned_basis(u[:, group])
-            if right:
-                vh[group] = (u[:, group].conj().T @ m) / s[group, None]
+            vh[group] = (u[:, group].conj().T @ m) / s[group, None]
 
     for i in range(s.size):
         col = u[:, i]
@@ -341,8 +336,7 @@ def _schmidt_svd(m: np.ndarray, right: bool):
         if idx.size:
             phase = col[idx[0]] / abs(col[idx[0]])
             u[:, i] = col * np.conj(phase)
-            if right:
-                vh[i, :] = vh[i, :] * phase
+            vh[i, :] = vh[i, :] * phase
     return s, u, vh
 
 

@@ -28,23 +28,6 @@ def raises_value_error(job) -> bool:
     return False
 
 
-def flip_index(n: int, k: int) -> int:
-    """Basis index of |0..1..0> with the 1 at party k (party 1 most significant)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"party index {k} out of range 1..{n}")
-    return 1 << (n - k)
-
-
-def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
-    """Rank-1 projectors onto the single-flip state at party k and its complement."""
-    if n < 2:
-        raise ValueError("need at least two parties")
-    idx = flip_index(n, k)
-    layout = PartyLayout.qubits(n)
-    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
-    return p, pbar
-
-
 def basis_state(layout: PartyLayout, index: int) -> PureState:
     """Computational basis state |index> in the mixed-radix encoding."""
     if not 0 <= index < layout.dim:

@@ -23,6 +23,7 @@ from boundbell import (
     RhoFamilySpec,
     bell_value,
     extract,
+    flip_projectors,
     ghz,
     optimize_settings,
     ppt_check,
@@ -34,7 +35,6 @@ from boundbell.serialize import canonical_dumps
 from helpers import (
     bell_matrix,
     closed_form_xy,
-    flip_projectors,
     make_extraction_corpus,
     planar_grid_oracle,
     separable_fixture,

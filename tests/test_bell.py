@@ -12,6 +12,7 @@ from boundbell import (
     PureState,
     RhoFamilySpec,
     bell_value,
+    flip_projectors,
     ghz,
     optimize_settings,
     pauli_along,
@@ -22,7 +23,6 @@ from helpers import (
     bell_matrix,
     bell_matrix_recursion,
     closed_form_xy,
-    flip_projectors,
     planar_grid_oracle,
     random_density,
     random_sparse_hermitian,

@@ -7,6 +7,8 @@ from boundbell import (
     PartyLayout,
     RhoFamilySpec,
     default_alpha,
+    flip_index,
+    flip_projectors,
     ghz,
     ghz_projector,
     hermitian_eigenvalues,
@@ -14,7 +16,6 @@ from boundbell import (
     rho_family,
     schmidt,
 )
-from helpers import flip_index, flip_projectors
 
 
 def test_ghz_amplitudes():

@@ -35,7 +35,7 @@ from helpers import (
     tensordot_apply_local,
     traced_peak,
 )
-from boundbell.tensor import _matricize, _party_matrix, _schmidt_svd
+from boundbell.tensor import _party_matrix
 
 
 def qubit(amp0, amp1):
@@ -399,21 +399,6 @@ def test_schmidt_reconstruction_fidelity():
             rebuilt += shaped.reshape(layout.dim)
         fidelity = abs(np.vdot(rebuilt, psi.amplitudes)) ** 2
         assert fidelity >= 1 - 1e-10
-
-
-def test_left_only_schmidt_is_schmidt_without_right_vectors():
-    # the equalize filter's left-only path: same coefficients and left basis
-    # to the bit, on tied (GHZ, basis) and untied (random) spectra
-    states = [ghz(n, 0.4 * n) for n in (2, 3, 5)]
-    states += [random_pure(PartyLayout(dims), seed) for seed, dims in
-               enumerate([(2, 3), (3, 2, 2), (4, 2, 3), (2, 2, 2, 2)])]
-    states.append(basis_state(PartyLayout((3, 3)), 4))
-    for psi in states:
-        for party in range(1, psi.layout.num_parties + 1):
-            c, left, _ = schmidt(psi, (party,))
-            c_only, left_only, right = _schmidt_svd(_matricize(psi, (party,)), right=False)
-            assert right is None
-            assert np.array_equal(c, c_only) and np.array_equal(left, left_only)
 
 
 def test_schmidt_bad_bipartition():
