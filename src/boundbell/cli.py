@@ -7,7 +7,9 @@ threshold table over a range of N).
 
 Exit codes: 0 ok, 2 usage/range errors, 3 not entangled, 4 requested pair
 unavailable, 5 numeric degeneracy.  ``BOUNDBELL_TOL`` overrides the default
-tolerance of each command.
+tolerance of each command.  ``main`` returns the code; ``entry_point`` (the
+``boundbell`` script and ``python -m boundbell.cli``) flushes the standard
+streams and ends the process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -372,7 +374,17 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """Run ``main`` and end the process with its code, skipping interpreter
+    teardown once stdout and stderr are flushed: reports are already written
+    and closed, and the package registers no exit hooks.  A flush that fails
+    (a closed pipe) leaves the ending to ``sys.exit``, as before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

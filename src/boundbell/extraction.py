@@ -10,9 +10,10 @@ probability.  The protocol:
    matrix above ``SCHMIDT_CUTOFF``, computed without singular vectors; the full
    Schmidt decomposition is taken only where its vectors or its reported
    coefficients are needed (the equalize filter and the final pair).  Each
-   round ranks parties in order and stops at the second one of rank >= 2:
-   the first is the pivot, and the second checks consistency (an entangled
-   pure state never has exactly one entangled party).
+   round ranks parties in order, skipping pivots already projected in case B
+   (their rank is exactly 1 from then on), and stops at the second one of
+   rank >= 2: the first is the pivot, and the second checks consistency (an
+   entangled pure state never has exactly one entangled party).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.
@@ -373,9 +374,15 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
 
     state = psi
     steps: list[ExtractionStep] = []
+    # A projected pivot has one nonzero row in its one-vs-rest matrix, and
+    # filters on other parties keep the other rows exactly zero: rank 1.
+    projected: set[int] = set()
     while True:
         # stop at the second entangled party: the first is the pivot, the second need only exist
-        ranked = (p for p in range(1, n + 1) if _single_party_rank(state, p) >= 2)
+        ranked = (
+            p for p in range(1, n + 1)
+            if p not in projected and _single_party_rank(state, p) >= 2
+        )
         entangled = list(islice(ranked, 2))
         if not entangled:
             if not steps:
@@ -399,6 +406,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
             fop = FilterOperator(pivot, proj, "project")
             state, weight = _apply_filter(state, fop)
             steps.append(ExtractionStep(fop, weight))
+            projected.add(pivot)
             continue
 
         for p in branch_info.distinct_parties:

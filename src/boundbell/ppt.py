@@ -100,18 +100,57 @@ def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> Ppt
     return PptReport(parties, min_eig, verdict)
 
 
+def _permutation_invariant(rho: DensityOperator) -> bool:
+    """Whether ``rho`` is invariant under every party permutation.
+
+    The N - 1 adjacent transpositions generate all permutations, so each is
+    applied to the entries (swap two digits of every row and column index by
+    their strides, re-sort) and compared with the canonical arrays exactly,
+    with no tolerance.  Layouts with unequal local dims are not invariant.
+    """
+    dims = rho.layout.dims
+    if len(set(dims)) > 1:
+        return False
+    d, dim = dims[0], rho.layout.dim
+    keys = rho.rows * dim + rho.cols
+    for k in range(len(dims) - 1):  # swap the digits of strides d**k and d**(k+1)
+        low, high = d**k, d ** (k + 1)
+        rows, cols = (
+            i + ((i // low) % d - (i // high) % d) * (high - low) for i in (rho.rows, rho.cols)
+        )
+        swapped = rows * dim + cols
+        order = np.argsort(swapped)
+        if not (np.array_equal(swapped[order], keys) and np.array_equal(rho.vals[order], rho.vals)):
+            return False
+    return True
+
+
 def scan(rho: DensityOperator, tol: float = DEFAULT_PPT_TOL) -> tuple[PptReport, ...]:
     """PPT-check every subset of size 1..floor(N/2), by size, then lexicographic.
 
     Complementary subsets share the transposed spectrum, so larger subsets
-    are redundant and skipped.  A layout of fewer than two parties has no
-    cut and raises ValueError.
+    are redundant and skipped.  When ``rho`` is invariant under party
+    permutations (tested exactly, see ``_permutation_invariant``), a
+    permutation pi relabels the basis and maps PT_S unitarily to PT_pi(S),
+    so every cut of one size has the spectrum of the first: that cut is
+    checked once and its report is repeated, under each subset, for the
+    others.  Any other operator has every cut checked.  A layout of fewer
+    than two parties has no cut and raises ValueError.
     """
     n = rho.layout.num_parties
     if n < 2:
         raise ValueError(f"a PPT scan needs at least two parties, got {n}")
-    cuts = (s for size in range(1, n // 2 + 1) for s in combinations(range(1, n + 1), size))
-    return tuple(ppt_check(rho, s, tol) for s in cuts)
+    once = _permutation_invariant(rho)
+    reports = []
+    for size in range(1, n // 2 + 1):
+        cuts = combinations(range(1, n + 1), size)
+        first = ppt_check(rho, next(cuts), tol)
+        reports.append(first)
+        reports += (
+            PptReport(s, first.min_eigenvalue, first.verdict) if once else ppt_check(rho, s, tol)
+            for s in cuts
+        )
+    return tuple(reports)
 
 
 def cut_verdicts(reports, n: int) -> Verdicts:

@@ -336,3 +336,28 @@ def reference_optimize(rho: DensityOperator, restarts: int, tol: float, seed: in
             best_value, best = value, (avecs.copy(), apvecs.copy())
     a, a_prime = (tuple(tuple(float(x) for x in v) for v in vs) for vs in best)
     return a, a_prime, float(best_value)
+
+
+def symmetric_qubit_operator(n: int, full: bool = False) -> DensityOperator:
+    """Trace-1 Hermitian n-qubit operator whose entry at (r, c) is a function of
+    the weights (|r|, |c|, |r & c|) alone, so every party permutation leaves it
+    unchanged bit for bit.  With ``full`` every entry is set.  Otherwise it is
+    an X-state like the family: diagonal entries on the basis states of weight
+    at most 2 or at least n - 2, anti-diagonal ones on those of weight at most
+    1 or at least n - 1; under 200 entries at n = 12."""
+    d = 1 << n
+    weight = np.array([bin(i).count("1") for i in range(d)])
+    if full:
+        rows, cols = np.divmod(np.arange(d * d), d)
+    else:
+        edge = np.minimum(weight, n - weight)
+        diag, anti = np.flatnonzero(edge <= 2), np.flatnonzero(edge <= 1)
+        rows = np.concatenate([diag, anti])
+        cols = np.concatenate([diag, d - 1 - anti])
+    a, b, k = weight[rows], weight[cols], weight[rows & cols]
+    # symmetric real part, antisymmetric imaginary part: Hermitian exactly;
+    # a == b == k on the diagonal alone, where the imaginary part is 0
+    vals = (1.0 + k) / (1.0 + a * b) + 0.3j * (np.sin(a + 0.5 * k) - np.sin(b + 0.5 * k))
+    vals *= np.where((a == b) & (b == k), 1.0, 0.2)
+    vals /= vals[rows == cols].real.sum()
+    return DensityOperator(PartyLayout.qubits(n), rows, cols, vals)

@@ -401,6 +401,15 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def child_env(**extra) -> dict:
+    """Environment of a CLI child that imports this checkout's boundbell, with
+    block-buffered stdout and stderr unless ``extra`` sets PYTHONUNBUFFERED."""
+    src = str(Path(boundbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": path, **extra}
+
+
 def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
     # numpy.ma costs ~20 ms of start-up in every CLI child; plain np.unique imports it
     code = (
@@ -410,14 +419,83 @@ def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
         f"main(['sweep', '--n-max', '5', '--out', {str(tmp_path / 'sweep.json')!r}])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(boundbell.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _cli_inputs(workdir: Path) -> None:
+    """The input files of the child-process cases, written alike into each run's directory."""
+    prod = PureState(PartyLayout.qubits(2), np.array([1, 0, 0, 0], dtype=complex))
+    dump_json(state_to_obj(prod), workdir / "prod.json")
+    # party 1 is a product spectator of a GHZ state and never survives
+    spectator = np.kron([1, 0], ghz(3, 0.0).amplitudes)
+    dump_json(state_to_obj(PureState(PartyLayout.qubits(4), spectator)), workdir / "spectator.json")
+    # party 1's second singular value is e, just above the 1e-10 cutoff; those of
+    # parties 2 and 3 are e/sqrt(2), below it: one entangled party, exit 5
+    e = 1.2e-10
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[0b101], amps[0b110] = np.sqrt(1 - e * e), e / np.sqrt(2), e / np.sqrt(2)
+    dump_json(state_to_obj(PureState(PartyLayout.qubits(3), amps)), workdir / "degenerate.json")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["state", "--n", "3", "--out", "rho3.json"], 0),
+        (["scan", "--n", "5", "--format", "csv"], 0),
+        (["bell", "--n", "4", "--out", "bell4.json"], 0),
+        (["sweep", "--n-max", "4"], 0),
+        (["scan", "--n", "4", "--tol", "nan"], 2),
+        (["no-such-command"], 2),
+        (["state", "--n", "1", "--out", "rho1.json"], 2),
+        (["extract", "--input", "prod.json"], 3),
+        (["extract", "--input", "spectator.json", "--pair", "1,2", "--out", "ex.json"], 4),
+        (["extract", "--input", "degenerate.json"], 5),
+    ],
+)
+def test_cli_child_matches_main(tmp_path, monkeypatch, capsys, argv, code):
+    # a real `python -m boundbell.cli` child ends through entry_point, without
+    # interpreter teardown; what it leaves must be what main leaves in-process
+    inside, child = tmp_path / "inside", tmp_path / "child"
+    for workdir in (inside, child):
+        workdir.mkdir()
+        _cli_inputs(workdir)
+    monkeypatch.chdir(inside)
+    assert exit_code(argv) == code
+    out, err = capsys.readouterr()
+    done = subprocess.run(
+        [sys.executable, "-m", "boundbell.cli", *argv],
+        cwd=child, capture_output=True, env=child_env(), timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    files = {path.name: path.read_bytes() for path in inside.iterdir()}
+    assert {path.name: path.read_bytes() for path in child.iterdir()} == files
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_cli_child_with_closed_stdout_ends_as_before(buffered):
+    # the flush before the early exit fails, so the child ends through sys.exit:
+    # unbuffered, main's own write fails and returns 2; buffered, the report
+    # waits in the buffer and the interpreter's last flush fails (exit 120)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "boundbell.cli", "bell", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env() if buffered else child_env(PYTHONUNBUFFERED="1"),
+    )
+    child.stdout.close()  # long before the child has imported numpy
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    summary = "value=0.5 bound=1.0 violation=False\n"
+    if buffered:
+        assert child.wait(timeout=120) == 120
+        assert err.startswith(summary + "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    else:
+        assert child.wait(timeout=120) == 2
+        assert err == summary + "error: [Errno 32] Broken pipe\n"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

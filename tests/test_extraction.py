@@ -332,6 +332,22 @@ def test_extract_pivot_is_first_entangled_party_of_several(extraction_corpus):
             state = replay(state, [step])
 
 
+def test_projected_pivot_keeps_rank_one(extraction_corpus):
+    # extract skips ranking a party once it is projected in case B: that is
+    # exact only if its rank stays 1 in every later state of the protocol
+    projections = 0
+    for case_id, psi in extraction_corpus:
+        state, projected = psi, []
+        for step in extract(psi).steps:
+            state = replay(state, [step])
+            if step.op.kind == "project":
+                projected.append(step.op.party)
+                projections += 1
+            for party in projected:
+                assert schmidt_profile(state)[party - 1] == (party, 1), case_id
+    assert projections >= 400  # 407 on this corpus, at least one per state
+
+
 def test_extract_case_a_orthogonal_site(extraction_corpus):
     # whenever the first classification lands in case A, some party is
     # locally orthogonal between the branches

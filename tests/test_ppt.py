@@ -16,6 +16,7 @@ from boundbell import (
     rho_family,
     scan,
 )
+from boundbell import ppt
 from boundbell.ppt import NOT_PSD, PSD, cut_verdicts
 from helpers import (
     dense_min_eigenvalue,
@@ -24,6 +25,7 @@ from helpers import (
     random_density,
     random_sparse_hermitian,
     separable_fixture,
+    symmetric_qubit_operator,
     traced_peak,
 )
 
@@ -254,3 +256,74 @@ def test_scan_family_ten_parties_exact():
 def test_ppt_check_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         ppt_check(rho_family(RhoFamilySpec(4)), (1,), tol)
+
+
+def _cuts(n):
+    return [s for size in range(1, n // 2 + 1) for s in combinations(range(1, n + 1), size)]
+
+
+def _scan_and_checked_cuts(rho):
+    """scan's reports and the cuts it handed to ppt_check."""
+    checked = []
+    check = ppt.ppt_check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppt, "ppt_check", lambda r, s, tol: checked.append(s) or check(r, s, tol))
+        reports = scan(rho)
+    return reports, checked
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_scan_checks_one_cut_per_size_of_a_symmetric_operator(n):
+    # entries that depend on (|r|, |c|, |r & c|) alone are invariant bit for bit,
+    # so scan checks cut (1..k) for each size k and repeats its report; checked
+    # on its own, every cut agrees with the repeated report
+    operators = [symmetric_qubit_operator(n)]
+    if n <= 5:
+        operators.append(symmetric_qubit_operator(n, full=True))
+    for rho in operators:
+        reports, checked = _scan_and_checked_cuts(rho)
+        assert checked == [tuple(range(1, k + 1)) for k in range(1, n // 2 + 1)]
+        assert [r.subset for r in reports] == _cuts(n)
+        for report in reports:
+            own = ppt_check(rho, report.subset)
+            assert abs(report.min_eigenvalue - own.min_eigenvalue) <= 1e-15, report
+            assert report.verdict == own.verdict, report
+    if n >= 6:  # the X-state's single cuts are PSD, its larger ones not
+        assert {r.verdict for r in reports} == {PSD, NOT_PSD}
+
+
+def _one_ulp_off(rho):
+    """``rho`` with its diagonal entry at basis state 1 (party N flipped) moved
+    by one unit in the last place; swapping party N with another moves that
+    entry, so the result is not invariant."""
+    vals = rho.vals.copy()
+    entry = np.flatnonzero((rho.rows == 1) & (rho.cols == 1))[0]
+    vals[entry] = np.nextafter(vals[entry].real, 1.0)
+    return DensityOperator(rho.layout, rho.rows, rho.cols, vals)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        random_density(PartyLayout.qubits(5), seed=3),
+        _one_ulp_off(symmetric_qubit_operator(6)),
+        _one_ulp_off(rho_family(RhoFamilySpec(6))),
+        # every value is permutation invariant, but the local dims are not equal
+        DensityOperator.from_dense(PartyLayout((2, 3, 2, 3)), np.eye(36) / 36),
+    ],
+    ids=["random", "symmetric-one-ulp-off", "family-one-ulp-off", "mixed-dims"],
+)
+def test_scan_checks_every_cut_of_other_operators(rho):
+    n = rho.layout.num_parties
+    reports, checked = _scan_and_checked_cuts(rho)
+    assert checked == _cuts(n) == [r.subset for r in reports]
+    for report in reports:
+        want = dense_min_eigenvalue(dense_partial_transpose(rho, report.subset))
+        assert abs(report.min_eigenvalue - want) <= 1e-12, report
+
+
+def test_scan_checks_one_cut_per_size_of_symmetric_qutrits():
+    rho = DensityOperator.from_dense(PartyLayout((3, 3, 3, 3)), np.eye(81) / 81)
+    reports, checked = _scan_and_checked_cuts(rho)
+    assert checked == [(1,), (1, 2)]
+    assert all(r.min_eigenvalue == 1 / 81 and r.verdict == PSD for r in reports)
