@@ -5,11 +5,18 @@ scan), ``bell`` (Bell expectation with fixed, file, or optimized settings),
 ``extract`` (run the pair-extraction protocol), ``sweep`` (bell+scan
 threshold table over a range of N).
 
-Exit codes: 0 ok, 2 usage/range errors, 3 not entangled, 4 requested pair
+Each ``cmd_*`` only computes and returns its report, its summary lines and,
+for ``scan``/``sweep``, its CSV table; ``main`` writes the summary to stderr
+and the report (JSON, or CSV under ``--format csv``) to ``--out`` or else to
+stdout.  ``state``'s ``--out`` names its operator file: its report goes to stdout.
+
+Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values
+or JSON nested too deeply included), 3 not entangled, 4 requested pair
 unavailable, 5 numeric degeneracy.  ``BOUNDBELL_TOL`` overrides the default
 tolerance of each command.  ``main`` returns the code; ``entry_point`` (the
 ``boundbell`` script and ``python -m boundbell.cli``) flushes the standard
-streams and ends the process without interpreter teardown.
+streams and ends the process without interpreter teardown, with code 2 if
+that flush fails (a reader closed stdout).
 """
 
 from __future__ import annotations
@@ -69,9 +76,11 @@ _EXIT_CODES = {
 }
 
 
-def _config(**given) -> dict:
-    """Resolved configuration echoed into every report: every key, None unless given."""
-    return {**dict.fromkeys(_CONFIG_KEYS), **given}
+def _config(args, **resolved) -> dict:
+    """Configuration echoed into every report: each key as ``resolved`` gives
+    it, else as the command's option of that name, else None."""
+    given = {**vars(args), **resolved}
+    return {key: given.get(key) for key in _CONFIG_KEYS}
 
 
 def tolerance(text) -> float:
@@ -82,46 +91,37 @@ def tolerance(text) -> float:
     return value
 
 
-def _default_tol(fallback: float) -> float:
-    env = os.environ.get(_TOL_ENV)
-    return fallback if env is None else tolerance(env)
-
-
 def _violates(value: float, tol: float) -> bool:
     """Bell verdict: |value| exceeds the local bound 1 by more than tol, so a
     value that reaches 1 only through rounding is no violation."""
     return bool(abs(value) - 1.0 > tol)
 
 
-def _resolve_alpha(text: str, n: int) -> float:
-    if text == "auto":
-        return default_alpha(n)
-    return float(text)
+def _alpha(text: str | None) -> float | None:
+    """--alpha as a number; 'auto' and no --alpha give None, resolved to pi*(N-1)/4."""
+    return None if text in (None, "auto") else float(text)
 
 
-def _family_member(alpha_text: str, n: int) -> tuple:
+def _family_member(alpha_text: str | None, n: int) -> tuple:
     """Family operator and its spec for --n/--alpha; the spec checks the range of n."""
-    spec = RhoFamilySpec(n, _resolve_alpha(alpha_text, n))
+    spec = RhoFamilySpec(n, _alpha(alpha_text))
     return rho_family(spec), spec
 
 
-def _emit(report: dict, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(canonical_dumps(report))
+def _emit(report: dict, table, out: str | None) -> None:
+    """The report as canonical JSON or, given a ``table`` (header, rows), as
+    CSV with floats written by repr, to ``out`` or else stdout."""
+    if table is not None:
+        header, rows = table
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
     else:
-        dump_json(report, out)
-
-
-def _emit_csv(header, rows, out: str | None) -> None:
-    """CSV table (csv writes floats by repr) to ``out``, or to stdout without one."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+        text = canonical_dumps(report)
     if out is None:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _load_operator_source(args) -> tuple:
@@ -135,37 +135,33 @@ def _load_operator_source(args) -> tuple:
     return rho, spec.n, spec.alpha
 
 
-def cmd_state(args) -> int:
+def cmd_state(args) -> tuple:
+    if args.n is None:
+        raise ValueError("provide --n")
     rho, spec = _family_member(args.alpha, args.n)
     psi = ghz(spec.n, spec.alpha)
 
-    out = Path(args.out)
+    out = Path(args.operator_out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
     dump_json(operator_to_obj(rho), out)
     dump_json(state_to_obj(psi), ghz_out)
 
     report = {
-        "config": _config(command="state", n=spec.n, alpha=spec.alpha, out=str(out)),
+        "config": _config(args, alpha=spec.alpha, out=str(out)),
         "operator_file": str(out),
         "ghz_file": str(ghz_out),
         "nonzero_entries": int(rho.vals.size),
     }
-    sys.stdout.write(canonical_dumps(report))
-    return EXIT_OK
+    return report, "", None
 
 
-def cmd_scan(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_PPT_TOL)
+def cmd_scan(args) -> tuple:
     rho, n, alpha = _load_operator_source(args)
-    reports = scan(rho, tol)
+    reports = scan(rho, args.tol)
     summary = cut_verdicts(reports, n)._asdict()
 
-    config = _config(
-        command="scan", n=n, alpha=alpha, tol=tol, input=args.input, out=args.out,
-        format=args.format,
-    )
     report = {
-        "config": config,
+        "config": _config(args, n=n, alpha=alpha),
         "N": n,
         "alpha": alpha,
         "reports": [
@@ -175,57 +171,40 @@ def cmd_scan(args) -> int:
         "all_ppt": all(r.verdict == PSD for r in reports),
         "summary": summary,
     }
-    sys.stderr.write(" ".join(f"{key}={value}" for key, value in summary.items()) + "\n")
-    if args.format == "csv":
-        _emit_csv(
-            ["subset", "min_eigenvalue", "verdict"],
-            ([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict] for r in reports),
-            args.out,
-        )
-    else:
-        _emit(report, args.out)
-    return EXIT_OK
+    table = (
+        ("subset", "min_eigenvalue", "verdict"),
+        ([" ".join(map(str, r.subset)), repr(r.min_eigenvalue), r.verdict] for r in reports),
+    )
+    return report, " ".join(f"{key}={value}" for key, value in summary.items()) + "\n", table
 
 
-def cmd_bell(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_OPT_TOL)
+def cmd_bell(args) -> tuple:
     rho, n, alpha = _load_operator_source(args)
-    optimized = False
-    if args.settings == "xy":
+    optimized = args.settings == "optimize"
+    if optimized:
+        settings, value = optimize_settings(
+            rho, restarts=args.restarts, tol=args.tol, seed=args.seed
+        )
+        if args.settings_out:
+            dump_json(settings_to_obj(settings), args.settings_out)
+    elif args.settings == "xy":
         settings = BellSettings.xy(rho.layout.num_parties)
         value = bell_value(rho, settings)
-    elif args.settings == "optimize":
-        optimized = True
-        settings, value = optimize_settings(
-            rho, restarts=args.restarts, tol=tol, seed=args.seed
-        )
     else:
         settings = settings_from_obj(load_json(args.settings))
         value = bell_value(rho, settings)
 
-    config = _config(
-        command="bell",
-        n=n,
-        alpha=alpha,
-        tol=tol,
-        seed=args.seed if optimized else None,
-        restarts=args.restarts if optimized else None,
-        settings=args.settings,
-        input=args.input,
-        out=args.out,
-    )
+    config = _config(args, n=n, alpha=alpha)
+    if not optimized:  # seed and restarts steer the optimizer only
+        config.update(seed=None, restarts=None)
     report = {
         "config": config,
         "value": value,
         "bound": 1.0,
-        "violation": _violates(value, tol),
+        "violation": _violates(value, args.tol),
         "settings": settings_to_obj(settings),
     }
-    sys.stderr.write(f"value={value!r} bound=1.0 violation={report['violation']}\n")
-    if optimized and args.settings_out:
-        dump_json(settings_to_obj(settings), args.settings_out)
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, f"value={value!r} bound=1.0 violation={report['violation']}\n", None
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -235,15 +214,16 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple:
     sources = [args.input is not None, args.ghz is not None, args.random is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --input, --ghz, --random")
     dims = None
     if args.input is not None:
         psi = state_from_obj(load_json(args.input))
-    elif args.ghz is not None:
-        psi = ghz(args.ghz, _resolve_alpha(args.alpha, args.ghz))
+    elif args.ghz is not None:  # the phase defaults to 0 here, not to auto
+        alpha = 0.0 if args.alpha is None else _alpha(args.alpha)
+        psi = ghz(args.ghz, default_alpha(args.ghz) if alpha is None else alpha)
     else:
         dims = tuple(int(d) for d in args.random.split(","))
         psi = random_pure(PartyLayout(dims), args.seed)
@@ -251,26 +231,18 @@ def cmd_extract(args) -> int:
     pair = _parse_pair(args.pair) if args.pair else None
     result = extract(psi, pair)
 
-    config = _config(
-        command="extract",
-        n=psi.layout.num_parties,
-        seed=args.seed if args.random is not None else None,
-        pair=pair,
-        dims=dims,
-        input=args.input,
-        out=args.out,
-    )
+    config = _config(args, n=psi.layout.num_parties, alpha=None, pair=pair, dims=dims)
+    if args.random is None:  # the seed steers --random only
+        config["seed"] = None
     report = {"config": config, **extraction_to_obj(result)}
-    sys.stderr.write(
+    summary = (
         f"pair={result.pair} probability={result.probability!r} "
         f"schmidt_coeffs={result.schmidt_coeffs!r}\n"
     )
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, summary, None
 
 
-def cmd_sweep(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(DEFAULT_PPT_TOL)
+def cmd_sweep(args) -> tuple:
     if args.n_min > args.n_max:
         raise ValueError("need --n-min <= --n-max")
     members = [_family_member(args.alpha, n) for n in range(args.n_min, args.n_max + 1)]
@@ -278,31 +250,25 @@ def cmd_sweep(args) -> int:
     for rho, spec in members:
         n, alpha = spec.n, spec.alpha
         value = bell_value(rho, BellSettings.xy(n))
-        row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": _violates(value, tol)}
+        row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": _violates(value, args.tol)}
         row.update(dict.fromkeys(Verdicts._fields))  # None outside the PPT range
         if n <= args.scan_max:
-            row.update(classify_family(n, alpha, tol)._asdict())
+            row.update(classify_family(n, alpha, args.tol)._asdict())
         rows.append(row)
-        sys.stderr.write(
-            f"n={n} bell_xy={row['bell_xy']!r} violation={row['violation']}\n"
-        )
 
-    config = _config(
-        command="sweep",
-        alpha=None if args.alpha == "auto" else float(args.alpha),
-        tol=tol,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        scan_max=args.scan_max,
-        out=args.out,
-        format=args.format,
+    config = _config(args, alpha=_alpha(args.alpha))
+    summary = "".join(
+        f"n={row['n']} bell_xy={row['bell_xy']!r} violation={row['violation']}\n" for row in rows
     )
-    report = {"config": config, "rows": rows}
-    if args.format == "csv":  # header from the first row: every row has the same keys
-        _emit_csv(rows[0], (row.values() for row in rows), args.out)
-    else:
-        _emit(report, args.out)
-    return EXIT_OK
+    # CSV header from the first row: every row has the same keys
+    return {"config": config, "rows": rows}, summary, (rows[0], (row.values() for row in rows))
+
+
+def _shared(flag: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several commands take."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,56 +276,49 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boundbell",
         description="Bound-entangled state family: PPT scans, Bell violation, pair extraction.",
     )
+    parser.set_defaults(out=None, format=None)  # for commands without --out or --format
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", help="serialize a family member and its GHZ component")
-    p_state.add_argument("--n", type=int, required=True)
-    p_state.add_argument("--alpha", default="auto")
-    p_state.add_argument("--out", required=True)
+    source = _shared("--input", default=None, help="operator JSON file (extract: pure-state)")
+    n = _shared("--n", type=int, default=None)
+    alpha = _shared("--alpha", default=None, help="GHZ phase or 'auto' (default; extract: 0)")
+    tol = _shared("--tol", type=tolerance, default=None)
+    seed = _shared("--seed", type=int, default=0)
+    fmt = _shared("--format", choices=("json", "csv"), default="json")
+    out = _shared("--out", default=None, help="report file; stdout without one")
+
+    p_state = sub.add_parser("state", parents=[n, alpha],
+                             help="serialize a family member and its GHZ component")
+    p_state.add_argument("--out", dest="operator_out", metavar="OUT", required=True,
+                         help="operator JSON file")
     p_state.add_argument("--ghz-out", dest="ghz_out", default=None)
     p_state.set_defaults(func=cmd_state)
 
-    p_scan = sub.add_parser("scan", help="PPT-check all bipartitions up to size N/2")
-    p_scan.add_argument("--input", default=None, help="operator JSON file")
-    p_scan.add_argument("--n", type=int, default=None)
-    p_scan.add_argument("--alpha", default="auto")
-    p_scan.add_argument("--tol", type=tolerance, default=None)
-    p_scan.add_argument("--format", choices=("json", "csv"), default="json")
-    p_scan.add_argument("--out", default=None)
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan = sub.add_parser("scan", parents=[source, n, alpha, tol, fmt, out],
+                            help="PPT-check all bipartitions up to size N/2")
+    p_scan.set_defaults(func=cmd_scan, default_tol=DEFAULT_PPT_TOL)
 
-    p_bell = sub.add_parser("bell", help="Bell expectation for xy/file/optimized settings")
-    p_bell.add_argument("--input", default=None)
-    p_bell.add_argument("--n", type=int, default=None)
-    p_bell.add_argument("--alpha", default="auto")
+    p_bell = sub.add_parser("bell", parents=[source, n, alpha, tol, seed, out],
+                            help="Bell expectation for xy/file/optimized settings")
     p_bell.add_argument("--settings", default="xy", help="'xy', 'optimize', or a settings JSON path")
     p_bell.add_argument("--restarts", type=int, default=16)
-    p_bell.add_argument("--tol", type=tolerance, default=None)
-    p_bell.add_argument("--seed", type=int, default=0)
-    p_bell.add_argument("--out", default=None)
     p_bell.add_argument("--settings-out", dest="settings_out", default=None)
-    p_bell.set_defaults(func=cmd_bell)
+    p_bell.set_defaults(func=cmd_bell, default_tol=DEFAULT_OPT_TOL)
 
-    p_extract = sub.add_parser("extract", help="extract a maximally entangled pair")
-    p_extract.add_argument("--input", default=None, help="pure-state JSON file")
+    p_extract = sub.add_parser("extract", parents=[source, alpha, seed, out],
+                               help="extract a maximally entangled pair")
     p_extract.add_argument("--ghz", type=int, default=None)
-    p_extract.add_argument("--alpha", default="0.0")
     p_extract.add_argument("--random", default=None, help="comma-separated local dims")
-    p_extract.add_argument("--seed", type=int, default=0)
     p_extract.add_argument("--pair", default=None)
-    p_extract.add_argument("--out", default=None)
     p_extract.set_defaults(func=cmd_extract)
 
-    p_sweep = sub.add_parser("sweep", help="bell+scan threshold table over a range of N")
+    p_sweep = sub.add_parser("sweep", parents=[alpha, tol, fmt, out],
+                             help="bell+scan threshold table over a range of N")
     p_sweep.add_argument("--n-min", dest="n_min", type=int, default=2)
     p_sweep.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p_sweep.add_argument("--alpha", default="auto")
     p_sweep.add_argument("--scan-max", dest="scan_max", type=int, default=8,
                          help="largest N to include in the PPT part")
-    p_sweep.add_argument("--tol", type=tolerance, default=None)
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, default_tol=DEFAULT_PPT_TOL)
 
     return parser
 
@@ -367,23 +326,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "default_tol" in args and args.tol is None:
+            args.tol = tolerance(os.environ.get(_TOL_ENV, args.default_tol))
+        report, summary, table = args.func(args)
+        sys.stderr.write(summary)
+        _emit(report, table if args.format == "csv" else None, args.out)
     except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return EXIT_OK
 
 
 def entry_point() -> None:
     """Run ``main`` and end the process with its code, skipping interpreter
     teardown once stdout and stderr are flushed: reports are already written
-    and closed, and the package registers no exit hooks.  A flush that fails
-    (a closed pipe) leaves the ending to ``sys.exit``, as before."""
-    code = main()
+    and closed, and the package registers no exit hooks.  A failed flush (a
+    closed pipe) is reported as a failed write in ``main`` is: exit 2."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        code = EXIT_USAGE
+        try:
+            sys.stderr.write(f"error: {exc}\n")  # line-buffered: written at once
+        except OSError:
+            pass  # stderr is gone too: the exit code is all that is left
     os._exit(code)
 
 

@@ -6,12 +6,14 @@ the nonzero entries, row/col as global basis indices.  Pure states:
 trip bit-exactly (Python's JSON emits shortest-repr floats).  An operator's
 entries are its COO arrays, row-major.  Decoding rejects, never repairs: a
 file must be a valid trace-1 operator or a normalized state, with integer
-dims and no index listed twice.
+dims, no index listed twice and JSON numbers only (no string, boolean or
+null stands in for one), nested no deeper than the parser can follow.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +35,21 @@ def operator_to_obj(op: DensityOperator) -> dict:
     return {"dims": list(op.layout.dims), "entries": _entries(op.rows, op.cols, op.vals)}
 
 
+def _check_numbers(rows, what: str) -> None:
+    """ValueError unless every item of every row is a JSON number; a
+    non-iterable row raises TypeError, which callers report as malformed."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError(f"{what} must hold numbers only")
+
+
 def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
     """Layout plus the index columns and complex values of the rows
     ``[index x width, re, im]`` under ``key``; ValueError on a missing key, a
-    malformed row, an index not an integer in range, an index listed twice
-    or a non-finite value."""
+    malformed row, a value that is no number, an index not an integer in
+    range, an index listed twice or a non-finite value."""
     try:
         layout = PartyLayout(obj["dims"])
+        _check_numbers(obj[key], f"rows of '{key}'")
         table = np.array(obj[key], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"need 'dims' and '{key}' lists ({exc!r})") from exc
@@ -96,6 +106,7 @@ def settings_to_obj(settings: BellSettings) -> dict:
 
 def settings_from_obj(obj: dict) -> BellSettings:
     try:
+        _check_numbers([*obj["a"], *obj["a_prime"]], "setting directions")
         return BellSettings(
             tuple(tuple(float(x) for x in v) for v in obj["a"]),
             tuple(tuple(float(x) for x in v) for v in obj["a_prime"]),
@@ -142,4 +153,9 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file; ValueError on malformed JSON, nesting too deep included."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

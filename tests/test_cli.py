@@ -154,8 +154,14 @@ def test_bell_optimize_and_settings_file(tmp_path):
         '{"a_prime": [[0, 1, 0], [0, 1, 0]]}',
         '[[1, 0, 0], [1, 0, 0]]',
         '{"a": [1, 0], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
+        "[" * 100000 + "]" * 100000,
+        '{"a": [["1", 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
+        '{"a": [[true, 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
     ],
-    ids=["nan", "no-a-prime", "no-a", "not-an-object", "scalar-direction"],
+    ids=[
+        "nan", "no-a-prime", "no-a", "not-an-object", "scalar-direction", "nested-too-deep",
+        "string-component", "boolean-component",
+    ],
 )
 def test_bell_malformed_settings_file_exit_code(tmp_path, text):
     settings = tmp_path / "settings.json"
@@ -187,11 +193,16 @@ def exit_code(argv):
         '{"dims": [2, 2], "entries": [[0, 0, 1.0]]}',
         '[[0, 0, 1.0, 0.0]]',
         '{"dims": [2.9, 2], "entries": [[0, 0, 1.0, 0.0]]}',
+        "[" * 100000 + "]" * 100000,
+        '{"dims": [2, 2], "entries": [[0, 0, "1.0", 0.0]]}',
+        '{"dims": [2, 2], "entries": [["0", 0, 1.0, 0.0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, true, 0]]}',
     ],
     ids=[
         "negative-index", "index-out-of-range", "fractional-index", "duplicate-entry",
         "no-dims", "no-entries", "nan-value", "trace-five", "not-hermitian",
-        "short-entry", "not-an-object", "fractional-dims",
+        "short-entry", "not-an-object", "fractional-dims", "nested-too-deep",
+        "string-value", "string-index", "boolean-value",
     ],
 )
 def test_malformed_operator_file_exit_code(tmp_path, command, text):
@@ -213,11 +224,16 @@ def test_malformed_operator_file_exit_code(tmp_path, command, text):
         '{"amps": [[0, 1.0, 0.0]]}',
         '[[0, 1.0, 0.0]]',
         '{"dims": [2.9, 2], "amps": [[0, 0.6, 0.0], [3, 0.8, 0.0]]}',
+        "[" * 100000 + "]" * 100000,
+        '{"dims": [2, 2], "amps": [[0, "1.0", 0.0]]}',
+        '{"dims": [2, 2], "amps": [["0", 1.0, 0.0]]}',
+        '{"dims": [2, 2], "amps": [[0, true, 0]]}',
     ],
     ids=[
         "negative-index", "index-out-of-range", "fractional-index",
         "duplicate-index", "nan-value", "short-row", "no-amps", "no-dims",
-        "not-an-object", "fractional-dims",
+        "not-an-object", "fractional-dims", "nested-too-deep", "string-value",
+        "string-index", "boolean-value",
     ],
 )
 def test_malformed_state_file_exit_code(tmp_path, text):
@@ -384,6 +400,52 @@ def test_every_config_block_lists_the_same_keys(tmp_path, capsys):
         assert set(load_json(out)["config"]) == keys, argv[0]
 
 
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["state", "--n", "3"], ""),
+        (["scan", "--n", "4"], "ppt_single=True npt_pairs=True bound_entangled_claim=True\n"),
+        (["scan", "--n", "4", "--format", "csv"],
+         "ppt_single=True npt_pairs=True bound_entangled_claim=True\n"),
+        (["bell", "--n", "3"], r"value=0\.5 bound=1\.0 violation=False\n"),
+        (["extract", "--ghz", "3"],
+         r"pair=\(1, 2\) probability=(1\.0|0\.9)\d* schmidt_coeffs=\(0\.7071\d+, 0\.7071\d+\)\n"),
+        (["sweep", "--n-min", "3", "--n-max", "4"],
+         r"n=3 bell_xy=0\.5 violation=False\nn=4 bell_xy=0\.5656\d+ violation=False\n"),
+        (["sweep", "--n-min", "3", "--n-max", "4", "--format", "csv"],
+         r"n=3 bell_xy=0\.5 violation=False\nn=4 bell_xy=0\.5656\d+ violation=False\n"),
+    ],
+    ids=["state", "scan", "scan-csv", "bell", "extract", "sweep", "sweep-csv"],
+)
+def test_report_goes_to_out_or_else_to_stdout(tmp_path, monkeypatch, capsys, argv, summary):
+    # stderr gets the summary alone; the report goes to --out, else to stdout
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "state":  # --out names the operator file: the report always goes to stdout
+        for extra, ghz_file in (([], "rho.ghz.json"), (["--ghz-out", "psi.json"], "psi.json")):
+            assert run([*argv, "--out", "rho.json", *extra]) == 0
+            printed, err = capsys.readouterr()
+            report = json.loads(printed)
+            assert (report["operator_file"], report["ghz_file"], err) == ("rho.json", ghz_file, "")
+            assert load_json("rho.json") == operator_to_obj(rho_family(RhoFamilySpec(3)))
+            assert load_json(ghz_file) == state_to_obj(ghz(3, np.pi / 2))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "psi.json", "rho.ghz.json", "rho.json"
+        ]
+        return
+    assert run(argv) == 0
+    printed, err = capsys.readouterr()
+    assert re.fullmatch(summary, err), err
+    assert run([*argv, "--out", "report"]) == 0
+    assert capsys.readouterr() == ("", err)
+    written = (tmp_path / "report").read_bytes().decode()
+    if "csv" in argv:
+        assert written == printed
+    else:  # the same report, but for the echo of --out in its config
+        report = json.loads(printed)
+        report["config"]["out"] = "report"
+        assert json.loads(written) == report
+
+
 def test_tolerance_env_override(tmp_path, monkeypatch):
     # an absurdly loose tolerance flips the pair verdicts to PSD
     monkeypatch.setenv("BOUNDBELL_TOL", "1.0")
@@ -476,10 +538,9 @@ def test_cli_child_matches_main(tmp_path, monkeypatch, capsys, argv, code):
 
 
 @pytest.mark.parametrize("buffered", [True, False])
-def test_cli_child_with_closed_stdout_ends_as_before(buffered):
-    # the flush before the early exit fails, so the child ends through sys.exit:
-    # unbuffered, main's own write fails and returns 2; buffered, the report
-    # waits in the buffer and the interpreter's last flush fails (exit 120)
+def test_cli_child_with_closed_stdout_exits_2(buffered):
+    # unbuffered, main's own write fails; buffered, the report waits in the
+    # buffer and entry_point's flush fails: either way the error and exit 2
     child = subprocess.Popen(
         [sys.executable, "-m", "boundbell.cli", "bell", "--n", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -488,14 +549,8 @@ def test_cli_child_with_closed_stdout_ends_as_before(buffered):
     child.stdout.close()  # long before the child has imported numpy
     err = child.stderr.read().decode()
     child.stderr.close()
-    summary = "value=0.5 bound=1.0 violation=False\n"
-    if buffered:
-        assert child.wait(timeout=120) == 120
-        assert err.startswith(summary + "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-        assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
-    else:
-        assert child.wait(timeout=120) == 2
-        assert err == summary + "error: [Errno 32] Broken pipe\n"
+    assert child.wait(timeout=120) == 2
+    assert err == "value=0.5 bound=1.0 violation=False\nerror: [Errno 32] Broken pipe\n"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
