@@ -10,7 +10,6 @@ from .bell import (
     BellSettings,
     bell_value,
     optimize_settings,
-    pauli_along,
 )
 from .extraction import (
     BranchClassification,
@@ -24,7 +23,6 @@ from .extraction import (
     extract,
     reduce_to_parties,
     replay,
-    schmidt_profile,
     target_pair_choice,
 )
 from .ppt import (
@@ -38,10 +36,7 @@ from .ppt import (
 from .states import (
     RhoFamilySpec,
     default_alpha,
-    flip_index,
-    flip_projectors,
     ghz,
-    ghz_projector,
     random_pure,
     rho_family,
 )
@@ -81,14 +76,10 @@ __all__ = [
     "default_alpha",
     "equalize_filter",
     "extract",
-    "flip_index",
-    "flip_projectors",
     "ghz",
-    "ghz_projector",
     "hermitian_eigenvalues",
     "optimize_settings",
     "partial_transpose",
-    "pauli_along",
     "ppt_check",
     "random_pure",
     "reduce_to_parties",
@@ -96,6 +87,5 @@ __all__ = [
     "rho_family",
     "scan",
     "schmidt",
-    "schmidt_profile",
     "target_pair_choice",
 ]

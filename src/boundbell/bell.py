@@ -37,10 +37,6 @@ MAX_SWEEPS = 500
 _ZERO_GRADIENT = 1e-14
 
 
-def _sigma(vec: np.ndarray) -> np.ndarray:
-    return vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
-
-
 def _unit_direction(v) -> tuple[float, float, float]:
     """Validate one measurement direction: three finite components, unit norm."""
     v = tuple(map(float, v))
@@ -52,15 +48,6 @@ def _unit_direction(v) -> tuple[float, float, float]:
     if not all(map(math.isfinite, v)):
         raise ValueError(f"direction {v} has a non-finite component")
     raise ValueError(f"direction {v} is not a unit vector")
-
-
-def pauli_along(a) -> np.ndarray:
-    """Spin observable a_x*sx + a_y*sy + a_z*sz for a unit 3-vector."""
-    v = np.asarray(a, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    _unit_direction(v)
-    return _sigma(v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bell import DEFAULT_OPT_TOL, BellSettings, bell_value, optimize_settings
+from .bell import DEFAULT_OPT_TOL, DEFAULT_RESTARTS, BellSettings, bell_value, optimize_settings
 from .extraction import (
     NotEntangledError,
     NumericDegeneracyError,
@@ -218,12 +218,13 @@ def cmd_extract(args) -> tuple:
     sources = [args.input is not None, args.ghz is not None, args.random is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --input, --ghz, --random")
-    dims = None
+    dims = alpha = None  # --alpha steers --ghz only
     if args.input is not None:
         psi = state_from_obj(load_json(args.input))
     elif args.ghz is not None:  # the phase defaults to 0 here, not to auto
         alpha = 0.0 if args.alpha is None else _alpha(args.alpha)
-        psi = ghz(args.ghz, default_alpha(args.ghz) if alpha is None else alpha)
+        alpha = default_alpha(args.ghz) if alpha is None else alpha
+        psi = ghz(args.ghz, alpha)
     else:
         dims = tuple(int(d) for d in args.random.split(","))
         psi = random_pure(PartyLayout(dims), args.seed)
@@ -231,7 +232,7 @@ def cmd_extract(args) -> tuple:
     pair = _parse_pair(args.pair) if args.pair else None
     result = extract(psi, pair)
 
-    config = _config(args, n=psi.layout.num_parties, alpha=None, pair=pair, dims=dims)
+    config = _config(args, n=psi.layout.num_parties, alpha=alpha, pair=pair, dims=dims)
     if args.random is None:  # the seed steers --random only
         config["seed"] = None
     report = {"config": config, **extraction_to_obj(result)}
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell = sub.add_parser("bell", parents=[source, n, alpha, tol, seed, out],
                             help="Bell expectation for xy/file/optimized settings")
     p_bell.add_argument("--settings", default="xy", help="'xy', 'optimize', or a settings JSON path")
-    p_bell.add_argument("--restarts", type=int, default=16)
+    p_bell.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p_bell.add_argument("--settings-out", dest="settings_out", default=None)
     p_bell.set_defaults(func=cmd_bell, default_tol=DEFAULT_OPT_TOL)
 
@@ -341,7 +342,10 @@ def entry_point() -> None:
     """Run ``main`` and end the process with its code, skipping interpreter
     teardown once stdout and stderr are flushed: reports are already written
     and closed, and the package registers no exit hooks.  A failed flush (a
-    closed pipe) is reported as a failed write in ``main`` is: exit 2."""
+    closed pipe) is reported as a failed write in ``main`` is: exit 2.  A
+    process started with stderr closed writes its summary nowhere."""
+    if sys.stderr is None:  # fd 2 was closed at start-up
+        sys.stderr = io.StringIO()
     try:
         code = main()
     except SystemExit as exc:  # argparse: usage errors and --help

@@ -139,16 +139,6 @@ def _apply_filter(
     return PureState(state.layout, vec / np.sqrt(weight)), weight
 
 
-def schmidt_profile(psi: PureState) -> list[tuple[int, int]]:
-    """One-vs-rest Schmidt rank for every party; any rank >= 2 means entangled."""
-    if psi.layout.num_parties < 2:
-        return [(1, 1)]
-    return [
-        (party, _single_party_rank(psi, party))
-        for party in range(1, psi.layout.num_parties + 1)
-    ]
-
-
 def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
     """Filter that balances the party's top two Schmidt coefficients.
 

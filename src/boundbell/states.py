@@ -55,43 +55,6 @@ def ghz(n: int, alpha: float) -> PureState:
     return PureState(layout, amps)
 
 
-def flip_index(n: int, k: int) -> int:
-    """Basis index of |0..1..0> with the 1 at party k (party 1 most significant)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"party index {k} out of range 1..{n}")
-    return 1 << (n - k)
-
-
-def _ghz_corners(n: int, alpha: float):
-    """(layout, rows, cols, vals) of the GHZ projector's four corner entries."""
-    if n < 2:
-        raise ValueError("GHZ projector needs at least two parties")
-    layout = PartyLayout.qubits(n)
-    last = layout.dim - 1
-    phase = np.exp(1j * float(alpha))
-    corners = np.array([0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5], dtype=complex)
-    return layout, [0, 0, last, last], [0, last, 0, last], corners
-
-
-def ghz_projector(n: int, alpha: float) -> DensityOperator:
-    """Rank-1 projector onto the GHZ state, written entrywise.
-
-    The two diagonal corners are exact 1/2 (independent of the phase), so
-    only the off-diagonal corners vary with alpha.
-    """
-    return DensityOperator(*_ghz_corners(n, alpha))
-
-
-def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
-    """Rank-1 projectors onto the single-flip state at party k and its complement."""
-    if n < 2:
-        raise ValueError("need at least two parties")
-    idx = flip_index(n, k)
-    layout = PartyLayout.qubits(n)
-    p, pbar = (DensityOperator(layout, [i], [i], [1.0]) for i in (idx, layout.dim - 1 - idx))
-    return p, pbar
-
-
 def rho_family(spec: RhoFamilySpec) -> DensityOperator:
     """Density operator of the GHZ-plus-flip-projector family.
 
@@ -101,22 +64,29 @@ def rho_family(spec: RhoFamilySpec) -> DensityOperator:
     GHZ corners depend on the phase.
     """
     n = spec.n
-    layout, rows, cols, corners = _ghz_corners(n, spec.alpha)
+    layout = PartyLayout.qubits(n)
+    last = layout.dim - 1
+    phase = np.exp(1j * spec.alpha)
+    corners = np.array([0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5], dtype=complex)
     flips = 1 << np.arange(n)
-    diag, count = np.unique(np.concatenate([flips, layout.dim - 1 - flips]), return_counts=True)
+    diag, count = np.unique(np.concatenate([flips, last - flips]), return_counts=True)
     vals = np.concatenate([corners, 0.5 * count])
     vals *= 1.0 / (n + 1)
-    return DensityOperator(layout, np.concatenate([rows, diag]), np.concatenate([cols, diag]), vals)
+    rows = np.concatenate([[0, 0, last, last], diag])
+    cols = np.concatenate([[0, last, 0, last], diag])
+    return DensityOperator(layout, rows, cols, vals)
 
 
 def random_pure(layout: PartyLayout, seed: int) -> PureState:
-    """Haar-like random pure state, fully determined by the seed.
+    """Haar-like random pure state, fully determined by the integer seed
+    (1.7 is rejected, not cut to 1).
 
     Amplitudes are drawn i.i.d. from the rotation-invariant complex normal
     distribution and normalized.
     """
     d = layout.dense_dim
-    rng = np.random.default_rng(int(seed))
+    (seed,) = _integers((seed,), "seed")
+    rng = np.random.default_rng(seed)
     amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)
     return PureState(layout, amps)

@@ -150,10 +150,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -161,8 +157,9 @@ class DensityOperator:
 
     Entry e is ``vals[e]`` at (``rows[e]``, ``cols[e]``), kept canonical and
     read-only: unique (row, col) pairs sorted row-major, no zero values.
-    Construction sorts and drops zeros; it raises ValueError on indices out
-    of range, duplicate pairs, non-finite values or non-Hermitian input.
+    Construction sorts and drops zeros; it raises ValueError on indices of
+    no integer dtype (an empty list passes), indices out of range, duplicate
+    pairs, non-finite values or non-Hermitian input.
     Physical states are trace 1 and PSD; partial-transpose outputs stay
     Hermitian and trace 1 but may fail positivity.
     """
@@ -174,8 +171,11 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         d = self.layout.dim
-        rows = np.array(self.rows, dtype=np.int64)
-        cols = np.array(self.cols, dtype=np.int64)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        # the dtype decides, so integer arrays are not scanned; 0.7 and True are no indices
+        if any(a.dtype.kind not in "iu" and a.size for a in (rows, cols)):
+            raise ValueError(f"entry indices must be integers, got {rows.dtype} and {cols.dtype}")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         vals = np.array(self.vals, dtype=complex)
         if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols and vals must be 1-d with one element per entry")
@@ -207,12 +207,6 @@ class DensityOperator:
             raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
         rows, cols = np.nonzero(m)
         return cls(layout, rows, cols, m[rows, cols])
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityOperator":
-        idx = np.flatnonzero(psi.amplitudes)
-        outer = np.outer(psi.amplitudes[idx], psi.amplitudes[idx].conj()).ravel()
-        return cls(psi.layout, np.repeat(idx, idx.size), np.tile(idx, idx.size), outer)
 
     @property
     def matrix(self) -> np.ndarray:

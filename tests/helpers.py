@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from boundbell import DensityOperator, PartyLayout, PureState, random_pure
+from boundbell.extraction import _single_party_rank
 
 
 def traced_peak(job):
@@ -26,6 +27,24 @@ def raises_value_error(job) -> bool:
     except ValueError:
         return True
     return False
+
+
+def pure_operator(psi: PureState) -> DensityOperator:
+    """|psi><psi| from the dense outer product of the amplitudes."""
+    return DensityOperator.from_dense(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
+    """Projectors onto the n-qubit basis state with a single 1 at party k
+    (index 2**(n-k)) and onto its bit complement."""
+    layout = PartyLayout.qubits(n)
+    i = 1 << (n - k)
+    return tuple(DensityOperator(layout, [j], [j], [1.0]) for j in (i, layout.dim - 1 - i))
+
+
+def party_ranks(psi: PureState) -> list[tuple[int, int]]:
+    """(party, one-vs-rest Schmidt rank) for every party, by the rank ``extract`` uses."""
+    return [(p, _single_party_rank(psi, p)) for p in range(1, psi.layout.num_parties + 1)]
 
 
 def basis_state(layout: PartyLayout, index: int) -> PureState:

@@ -17,13 +17,11 @@ import numpy as np
 
 from boundbell import (
     BellSettings,
-    DensityOperator,
     PartyLayout,
     PureState,
     RhoFamilySpec,
     bell_value,
     extract,
-    flip_projectors,
     ghz,
     optimize_settings,
     ppt_check,
@@ -35,8 +33,10 @@ from boundbell.serialize import canonical_dumps
 from helpers import (
     bell_matrix,
     closed_form_xy,
+    flip_projectors,
     make_extraction_corpus,
     planar_grid_oracle,
+    pure_operator,
     separable_fixture,
 )
 
@@ -123,7 +123,7 @@ def build_ghz_max_report():
     for n in range(2, 11):
         beta = np.pi * (n - 1) / 4
         xy = BellSettings.xy(n)
-        value = bell_value(DensityOperator.from_pure(ghz(n, beta)), xy)
+        value = bell_value(pure_operator(ghz(n, beta)), xy)
         flips = []
         for k in range(1, n + 1):
             flips.extend(abs(bell_value(p, xy)) for p in flip_projectors(n, k))
@@ -135,7 +135,7 @@ def build_optimizer_report():
     rho8 = rho_family(RhoFamilySpec(8))
     _, value8 = optimize_settings(rho8, restarts=16, tol=1e-10, seed=0)
     phi = PureState(PartyLayout.qubits(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    _, value2 = optimize_settings(DensityOperator.from_pure(phi), restarts=16, seed=0)
+    _, value2 = optimize_settings(pure_operator(phi), restarts=16, seed=0)
     _, value_sep = optimize_settings(separable_fixture(n=3, terms=6, seed=11), restarts=16, seed=0)
     return {"rho8": value8, "two_qubit": value2, "separable": value_sep}
 

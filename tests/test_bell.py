@@ -12,10 +12,8 @@ from boundbell import (
     PureState,
     RhoFamilySpec,
     bell_value,
-    flip_projectors,
     ghz,
     optimize_settings,
-    pauli_along,
     random_pure,
     rho_family,
 )
@@ -23,7 +21,9 @@ from helpers import (
     bell_matrix,
     bell_matrix_recursion,
     closed_form_xy,
+    flip_projectors,
     planar_grid_oracle,
+    pure_operator,
     random_density,
     random_sparse_hermitian,
     reference_bell_value,
@@ -35,33 +35,10 @@ from helpers import (
 
 def phi_plus_density():
     psi = PureState(PartyLayout.qubits(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    return DensityOperator.from_pure(psi)
+    return pure_operator(psi)
 
 
-# ---------------------------------------------------------------- observables
-
-
-def test_pauli_along_axes():
-    np.testing.assert_array_equal(pauli_along((0, 0, 1)), np.diag([1.0, -1.0]))
-    np.testing.assert_array_equal(
-        pauli_along((1, 0, 0)), np.array([[0, 1], [1, 0]], dtype=complex)
-    )
-
-
-def test_pauli_along_algebra():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        m = pauli_along(a)
-        assert abs(np.trace(m)) < 1e-14
-        assert abs(np.linalg.det(m) + 1.0) < 1e-12
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(m)), [-1, 1], atol=1e-12)
-
-
-def test_pauli_along_rejects_non_unit():
-    with pytest.raises(ValueError):
-        pauli_along((1, 1, 0))
+# ---------------------------------------------------------------- settings
 
 
 def test_settings_validation():
@@ -72,8 +49,6 @@ def test_settings_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             BellSettings(((bad, 0.0, 0.0),), ((0.0, 1.0, 0.0),))
-        with pytest.raises(ValueError):
-            pauli_along((1.0, 0.0, bad))
     xy = BellSettings.xy(3)
     assert xy.num_parties == 3
 
@@ -108,7 +83,8 @@ def test_bell_value_degenerate_settings():
     # a = a' makes the difference term vanish: B_2 = sx (x) sx
     x = (1.0, 0.0, 0.0)
     settings = BellSettings((x, x), (x, x))
-    sxsx = np.kron(pauli_along(x), pauli_along(x))
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sxsx = np.kron(sx, sx)
     np.testing.assert_allclose(bell_matrix(settings), sxsx, atol=1e-15)
     rho = random_density(PartyLayout.qubits(2), seed=5)
     expected = np.einsum("ij,ji->", sxsx, rho.matrix).real
@@ -116,7 +92,7 @@ def test_bell_value_degenerate_settings():
 
 
 def test_ghz_expectation_two_parties():
-    rho = DensityOperator.from_pure(ghz(2, np.pi / 4))
+    rho = pure_operator(ghz(2, np.pi / 4))
     value = bell_value(rho, BellSettings.xy(2))
     assert abs(value - np.sqrt(2)) < 1e-12
 
@@ -186,7 +162,7 @@ def test_bell_value_layout_mismatch():
 def test_ghz_gives_quantum_maximum():
     for n in range(2, 9):
         beta = np.pi * (n - 1) / 4
-        rho = DensityOperator.from_pure(ghz(n, beta))
+        rho = pure_operator(ghz(n, beta))
         value = bell_value(rho, BellSettings.xy(n))
         assert abs(value - 2 ** ((n - 1) / 2)) < 1e-10
 
@@ -371,7 +347,7 @@ def test_optimizer_restart_memory_on_dense_input():
     # one 3-sweep restart on a dense 9-qubit operator (262,144 entries) peaks
     # at about 66 MiB: the 8 N nnz code table (18 MiB) plus 16 (N+1) nnz of
     # suffix products (40 MiB); one more code table would pass 80 MiB
-    rho = DensityOperator.from_pure(random_pure(PartyLayout.qubits(9), 3))
+    rho = pure_operator(random_pure(PartyLayout.qubits(9), 3))
     _, peak = traced_peak(
         lambda: optimize_settings(rho, restarts=1, seed=0, tol=-math.inf, max_sweeps=3)
     )

@@ -22,7 +22,7 @@ from boundbell.serialize import (
     operator_to_obj,
     state_to_obj,
 )
-from helpers import traced_peak
+from helpers import pure_operator, traced_peak
 
 
 def run(argv):
@@ -131,7 +131,7 @@ def test_bell_rejects_a_qudit_operator(tmp_path, settings):
 def test_bell_optimize_and_settings_file(tmp_path):
     phi = PureState(PartyLayout.qubits(2), np.array([1, 0, 0, 1]) / np.sqrt(2))
     src = tmp_path / "phi.json"
-    dump_json(operator_to_obj(DensityOperator.from_pure(phi)), src)
+    dump_json(operator_to_obj(pure_operator(phi)), src)
     out = tmp_path / "opt.json"
     settings_out = tmp_path / "best.json"
     assert run(
@@ -375,11 +375,18 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def test_config_echoes_resolved_alpha(tmp_path):
-    out = tmp_path / "bell.json"
-    run(["bell", "--n", 6, "--settings", "xy", "--out", out])
-    config = load_json(out)["config"]
-    assert config["alpha"] == pytest.approx(np.pi * 5 / 4)
-    assert config["command"] == "bell"
+    out = tmp_path / "report.json"
+    for argv, alpha in [
+        (["bell", "--n", 6, "--settings", "xy"], np.pi * 5 / 4),
+        (["extract", "--ghz", 4, "--alpha", "auto"], np.pi * 3 / 4),
+        (["extract", "--ghz", 4, "--alpha", 0.3], 0.3),
+        (["extract", "--ghz", 4], 0.0),  # extract's phase defaults to 0
+        (["extract", "--random", "2,2", "--alpha", 0.3], None),  # no phase to echo
+    ]:
+        assert run([*argv, "--out", out]) == 0
+        config = load_json(out)["config"]
+        assert config["alpha"] == (None if alpha is None else pytest.approx(alpha)), argv
+        assert config["command"] == argv[0]
 
 
 def test_every_config_block_lists_the_same_keys(tmp_path, capsys):
@@ -551,6 +558,19 @@ def test_cli_child_with_closed_stdout_exits_2(buffered):
     child.stderr.close()
     assert child.wait(timeout=120) == 2
     assert err == "value=0.5 bound=1.0 violation=False\nerror: [Errno 32] Broken pipe\n"
+
+
+def test_cli_child_with_closed_stderr_writes_its_report():
+    # started with fd 2 closed, the interpreter sets sys.stderr to None; the
+    # summary goes nowhere, the report and the exit code are a normal run's
+    argv = [sys.executable, "-m", "boundbell.cli", "bell", "--n", "3"]
+    normal = subprocess.run(argv, capture_output=True, env=child_env(), timeout=120)
+    closed = subprocess.run(
+        argv, stdout=subprocess.PIPE, env=child_env(), timeout=120,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert normal.returncode == 0 and normal.stdout.startswith(b"{")
+    assert (closed.returncode, closed.stdout) == (0, normal.stdout)
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

@@ -20,10 +20,9 @@ from boundbell import (
     reduce_to_parties,
     replay,
     schmidt,
-    schmidt_profile,
     target_pair_choice,
 )
-from helpers import basis_state, brute_single_rank, tensor_product
+from helpers import basis_state, brute_single_rank, party_ranks, tensor_product
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,17 +42,17 @@ def product_state(n=3):
 
 
 def test_profile_ghz():
-    assert schmidt_profile(ghz(4, 0.0)) == [(1, 2), (2, 2), (3, 2), (4, 2)]
+    assert party_ranks(ghz(4, 0.0)) == [(1, 2), (2, 2), (3, 2), (4, 2)]
 
 
 def test_profile_product():
-    assert schmidt_profile(product_state()) == [(1, 1), (2, 1), (3, 1)]
+    assert party_ranks(product_state()) == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_profile_matches_brute_force_oracle():
     # generic ranks are min(d_party, d_rest): the middle qutrit reaches 3
     psi = random_pure(PartyLayout((2, 3, 2)), seed=404)
-    profile = schmidt_profile(psi)
+    profile = party_ranks(psi)
     for party, rank in profile:
         assert rank == brute_single_rank(psi, party)
     assert [r for _, r in profile] == [2, 3, 2]
@@ -67,7 +66,7 @@ def test_profile_ranks_match_schmidt_decomposition(extraction_corpus):
         for step in (None,) + extract(psi).steps:
             if step is not None:
                 state = replay(state, [step])
-            for party, rank in schmidt_profile(state):
+            for party, rank in party_ranks(state):
                 assert rank == schmidt(state, (party,))[0].size, (name, party)
 
 
@@ -80,7 +79,7 @@ def test_profile_ranks_beside_the_cutoff(second, rank):
         amps[0] = np.sqrt(1.0 - second**2)
         amps[-1] = second
         psi = PureState(layout, amps)
-        for party, r in schmidt_profile(psi):
+        for party, r in party_ranks(psi):
             assert r == rank == schmidt(psi, (party,))[0].size
 
 
@@ -309,12 +308,12 @@ def test_extract_case_b_strictly_shrinks_entanglement(extraction_corpus):
     for case_id, psi in extraction_corpus[:40]:
         res = extract(psi)
         state = psi
-        entangled_before = sum(1 for _, r in schmidt_profile(state) if r >= 2)
+        entangled_before = sum(1 for _, r in party_ranks(state) if r >= 2)
         for step in res.steps:
             vec, weight = apply_local(state, step.op)
             state = PureState(state.layout, vec / np.sqrt(weight))
             if step.op.kind == "project":
-                entangled_now = sum(1 for _, r in schmidt_profile(state) if r >= 2)
+                entangled_now = sum(1 for _, r in party_ranks(state) if r >= 2)
                 assert entangled_now < entangled_before, case_id
                 entangled_before = entangled_now
 
@@ -326,7 +325,7 @@ def test_extract_pivot_is_first_entangled_party_of_several(extraction_corpus):
         state = psi
         for step in extract(psi).steps:
             if step.op.kind == "equalize":
-                entangled = [p for p, r in schmidt_profile(state) if r >= 2]
+                entangled = [p for p, r in party_ranks(state) if r >= 2]
                 assert step.op.party == entangled[0], case_id
                 assert len(entangled) >= 2, case_id
             state = replay(state, [step])
@@ -344,7 +343,7 @@ def test_projected_pivot_keeps_rank_one(extraction_corpus):
                 projected.append(step.op.party)
                 projections += 1
             for party in projected:
-                assert schmidt_profile(state)[party - 1] == (party, 1), case_id
+                assert party_ranks(state)[party - 1] == (party, 1), case_id
     assert projections >= 400  # 407 on this corpus, at least one per state
 
 
@@ -353,7 +352,7 @@ def test_extract_case_a_orthogonal_site(extraction_corpus):
     # locally orthogonal between the branches
     seen_case_a = 0
     for _, psi in extraction_corpus[:60]:
-        pivot = next(p for p, r in schmidt_profile(psi) if r >= 2)
+        pivot = next(p for p, r in party_ranks(psi) if r >= 2)
         _, balanced, _ = equalize_filter(psi, pivot)
         info = classify_branch(balanced, pivot)
         if info.case == "A":

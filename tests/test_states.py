@@ -1,4 +1,4 @@
-"""State constructors: GHZ, flip projectors, the mixed family, random states."""
+"""State constructors: GHZ, the mixed family, random states."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,13 @@ from boundbell import (
     PartyLayout,
     RhoFamilySpec,
     default_alpha,
-    flip_index,
-    flip_projectors,
     ghz,
-    ghz_projector,
     hermitian_eigenvalues,
     random_pure,
     rho_family,
     schmidt,
 )
+from helpers import flip_projectors
 
 
 def test_ghz_amplitudes():
@@ -36,34 +34,6 @@ def test_ghz_schmidt_phase_independent():
 def test_ghz_requires_two_parties():
     with pytest.raises(ValueError):
         ghz(1, 0.0)
-
-
-def test_flip_projectors_entries():
-    p1, p1bar = flip_projectors(4, 1)
-    assert p1.matrix[8, 8] == 1.0
-    assert np.count_nonzero(p1.matrix) == 1
-    assert p1bar.matrix[7, 7] == 1.0
-    assert np.count_nonzero(p1bar.matrix) == 1
-    assert abs(p1.trace - 1.0) < 1e-15
-
-
-def test_flip_projectors_mutually_orthogonal():
-    n = 4
-    projs = []
-    for k in range(1, n + 1):
-        pk, pkbar = flip_projectors(n, k)
-        projs.extend([pk.matrix, pkbar.matrix])
-    for i, a in enumerate(projs):
-        for j, b in enumerate(projs):
-            overlap = np.trace(a @ b).real
-            assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-15
-
-
-def test_flip_projectors_range():
-    with pytest.raises(ValueError):
-        flip_projectors(4, 0)
-    with pytest.raises(ValueError):
-        flip_projectors(4, 5)
 
 
 def test_family_spec_defaults():
@@ -88,8 +58,8 @@ def test_family_diagonal_entries():
         assert abs(rho.matrix[0, 0].real - want) < 1e-15
         if n >= 3:  # flip indices distinct from each other only for n >= 3
             for k in range(1, n + 1):
-                idx = flip_index(n, k)
-                assert abs(rho.matrix[idx, idx].real - want) < 1e-15
+                for idx in (1 << (n - k), 2**n - 1 - (1 << (n - k))):  # and its complement
+                    assert abs(rho.matrix[idx, idx].real - want) < 1e-15
 
 
 def test_family_rank_counts_projector_pieces():
@@ -102,7 +72,10 @@ def test_family_rank_counts_projector_pieces():
 def test_family_equals_projector_sum_bit_exact():
     for n in (2, 3, 5):
         alpha = 0.4 * n
-        acc = np.array(ghz_projector(n, alpha).matrix)
+        phase = np.exp(1j * alpha)
+        acc = np.zeros((2**n, 2**n), dtype=complex)  # the GHZ projector's four corners
+        acc[0, 0] = acc[-1, -1] = 0.5
+        acc[0, -1], acc[-1, 0] = 0.5 * np.conj(phase), 0.5 * phase
         for k in range(1, n + 1):
             pk, pkbar = flip_projectors(n, k)
             acc += 0.5 * pk.matrix
@@ -113,10 +86,15 @@ def test_family_equals_projector_sum_bit_exact():
 
 
 def test_ghz_projector_matches_outer_product():
+    # the family's four corners, times N+1, are the GHZ projector: the flip
+    # entries never reach |0..0> or |1..1>, and the outer product is 0 elsewhere
     for n, alpha in [(2, 0.0), (3, 1.1), (5, -0.4)]:
         psi = ghz(n, alpha)
         outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        np.testing.assert_allclose(ghz_projector(n, alpha).matrix, outer, atol=1e-15)
+        corners = np.ix_([0, -1], [0, -1])
+        scaled = (n + 1) * rho_family(RhoFamilySpec(n, alpha)).matrix[corners]
+        np.testing.assert_allclose(scaled, outer[corners], atol=1e-15)
+        assert np.count_nonzero(outer) == 4
 
 
 def test_family_trace_one():
@@ -147,6 +125,10 @@ def test_random_pure_deterministic_and_normalized():
     b = random_pure(layout, 123)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, random_pure(layout, 124).amplitudes)
+    assert np.array_equal(a.amplitudes, random_pure(layout, np.int64(123)).amplitudes)
+    for bad in (123.7, 1.7, "123"):  # rejected, not cut to an integer
+        with pytest.raises(ValueError):
+            random_pure(layout, bad)
     for seed in range(100):
         psi = random_pure(layout, seed)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12

@@ -28,6 +28,7 @@ from helpers import (
     digits_to_index,
     index_to_digits,
     partial_trace,
+    pure_operator,
     raises_value_error,
     random_density,
     random_sparse_hermitian,
@@ -153,7 +154,7 @@ def test_partial_transpose_linearity_and_trace():
 
 
 def test_partial_transpose_max_entangled_negative():
-    rho = DensityOperator.from_pure(bell_phi_plus())
+    rho = pure_operator(bell_phi_plus())
     pt = partial_transpose(rho, (2,))
     eigs = hermitian_eigenvalues(pt.matrix)
     assert abs(eigs[0] - (-0.5)) < 1e-12
@@ -199,9 +200,12 @@ def test_density_operator_canonical_entries():
         ([-1], [-1], [1.0]),  # negative
         ([0, 1], [1, 0], [0.5, 0.4]),  # not Hermitian
         ([0], [0], [1.0, 0.0]),  # length mismatch
+        ([0.7, 1.9], [0.2, 1.0], [0.5, 0.5]),  # fractional: rejected, not cut to 0 and 1
+        ([False, True], [False, True], [0.5, 0.5]),  # booleans are no indices
     ]:
         with pytest.raises(ValueError):
             DensityOperator(layout, rows, cols, vals)
+    assert DensityOperator(layout, [], [], []).rows.size == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, float("nan"))])
@@ -257,7 +261,7 @@ def test_partial_transpose_bad_party():
 
 
 def test_partial_trace_ghz_marginal():
-    rho = DensityOperator.from_pure(ghz(3, 0.0))
+    rho = pure_operator(ghz(3, 0.0))
     red = partial_trace(rho, (2, 3))
     np.testing.assert_allclose(red.matrix, np.diag([0.5, 0.5]), atol=1e-15)
 
