@@ -14,14 +14,15 @@ Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values
 or JSON nested too deeply included), 3 not entangled, 4 requested pair
 unavailable, 5 numeric degeneracy.  ``BOUNDBELL_TOL`` overrides the default
 tolerance of each command.  ``main`` returns the code; ``entry_point`` (the
-``boundbell`` script and ``python -m boundbell.cli``) flushes the standard
-streams and ends the process without interpreter teardown, with code 2 if
-that flush fails (a reader closed stdout).
+``boundbell`` script and ``python -m boundbell.cli``) flushes stdout and ends
+the process without interpreter teardown, with code 2 if stdout is closed or
+its flush fails.  A stderr that cannot be written loses only its own lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -108,6 +109,13 @@ def _family_member(alpha_text: str | None, n: int) -> tuple:
     return rho_family(spec), spec
 
 
+def _note(text: str) -> None:
+    """``text`` to stderr and flushed; a stderr that cannot take it drops it."""
+    with contextlib.suppress(OSError):
+        sys.stderr.write(text)
+        sys.stderr.flush()
+
+
 def _emit(report: dict, table, out: str | None) -> None:
     """The report as canonical JSON or, given a ``table`` (header, rows), as
     CSV with floats written by repr, to ``out`` or else stdout."""
@@ -119,6 +127,8 @@ def _emit(report: dict, table, out: str | None) -> None:
     else:
         text = canonical_dumps(report)
     if out is None:
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
@@ -330,20 +340,20 @@ def main(argv=None) -> int:
         if "default_tol" in args and args.tol is None:
             args.tol = tolerance(os.environ.get(_TOL_ENV, args.default_tol))
         report, summary, table = args.func(args)
-        sys.stderr.write(summary)
+        _note(summary)
         _emit(report, table if args.format == "csv" else None, args.out)
     except tuple(_EXIT_CODES) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _note(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 
 def entry_point() -> None:
     """Run ``main`` and end the process with its code, skipping interpreter
-    teardown once stdout and stderr are flushed: reports are already written
-    and closed, and the package registers no exit hooks.  A failed flush (a
-    closed pipe) is reported as a failed write in ``main`` is: exit 2.  A
-    process started with stderr closed writes its summary nowhere."""
+    teardown once stdout is flushed (reports are written and closed, stderr
+    lines flushed as written, and no exit hooks registered).  A failed flush
+    is a failed write, as in ``main``: exit 2.  Started with fd 2 closed, the
+    process writes its summary nowhere; with fd 1 closed, a stdout report fails."""
     if sys.stderr is None:  # fd 2 was closed at start-up
         sys.stderr = io.StringIO()
     try:
@@ -351,14 +361,11 @@ def entry_point() -> None:
     except SystemExit as exc:  # argparse: usage errors and --help
         code = exc.code
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         code = EXIT_USAGE
-        try:
-            sys.stderr.write(f"error: {exc}\n")  # line-buffered: written at once
-        except OSError:
-            pass  # stderr is gone too: the exit code is all that is left
+        _note(f"error: {exc}\n")
     os._exit(code)
 
 

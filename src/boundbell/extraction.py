@@ -9,9 +9,9 @@ probability.  The protocol:
    A rank is the number of singular values of the party-vs-rest amplitude
    matrix above ``SCHMIDT_CUTOFF``, computed without singular vectors; the full
    Schmidt decomposition is taken only where its vectors or its reported
-   coefficients are needed (the equalize filter and the final pair).  Each
-   round ranks parties in order, skipping pivots already projected in case B
-   (their rank is exactly 1 from then on), and stops at the second one of
+   coefficients are needed (the equalize filter; the final pair's coefficients
+   come from its SVD alone).  Each round ranks parties in order, skipping
+   pivots already projected in case B, and stops at the second one of
    rank >= 2: the first is the pivot, and the second checks consistency (an
    entangled pure state never has exactly one entangled party).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
@@ -29,6 +29,9 @@ probability.  The protocol:
 
 Parties are never dropped from the step log; spent parties simply hold
 pure local factors that are split off when the final pair state is built.
+A pivot projected onto level l in case B is carried as the known factor e_l
+(later filters act elsewhere, so its other levels stay exactly zero): it is
+not ranked, product-tested or eigensolved again, and is sliced at level l.
 Every filter is a :class:`FilterOperator`, whose norm is checked once, when
 it is built; applying or replaying it does not check it again.
 """
@@ -173,23 +176,24 @@ def _local_factor(t: np.ndarray, axis: int) -> np.ndarray:
     return _fix_phase(vecs[:, -1])
 
 
-def _is_product(phi: PureState) -> bool:
-    """Product test: no single-party reduced operator has purity below
-    1 - PURITY_TOL; stops at the first party that does."""
+def _is_product(phi: PureState, known: dict[int, int]) -> bool:
+    """Product test: no single-party reduced operator but those at the axes in
+    ``known`` has purity below 1 - PURITY_TOL; stops at the first that does."""
     t = phi.amplitudes.reshape(phi.layout.dims)
-    for axis in range(phi.layout.num_parties):
+    for axis in (a for a in range(phi.layout.num_parties) if a not in known):
         red = _reduced_operator(t, axis)
         if float(np.einsum("ij,ji->", red, red).real) < 1.0 - PURITY_TOL:
             return False
     return True
 
 
-def _branch_factors(phi: PureState) -> list[np.ndarray]:
-    """Local factor of every party of a product branch."""
+def _branch_factors(phi: PureState, known: dict[int, int]) -> list[np.ndarray]:
+    """Local factor of every party of a product branch: e_l where ``known`` gives level l."""
     if phi.layout.num_parties == 1:
         return [_fix_phase(phi.amplitudes.copy())]
     t = phi.amplitudes.reshape(phi.layout.dims)
-    return [_local_factor(t, axis) for axis in range(phi.layout.num_parties)]
+    eye = np.eye(max(t.shape), dtype=complex)
+    return [eye[known[a], :d] if a in known else _local_factor(t, a) for a, d in enumerate(t.shape)]
 
 
 def classify_branch(psi: PureState, party: int) -> BranchClassification:
@@ -204,6 +208,10 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
     :class:`NumericDegeneracyError` when both branches test as products yet no
     remaining party is locally orthogonal (case A demands one).
     """
+    return _classify_branch(psi, party, {})
+
+
+def _classify_branch(psi: PureState, party: int, settled: dict[int, int]) -> BranchClassification:
     layout = psi.layout
     n = layout.num_parties
     if n < 2:
@@ -227,14 +235,15 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
     phi0 = PureState(rest, b0 / np.sqrt(w0))
     phi1 = PureState(rest, b1 / np.sqrt(w1))
 
-    prod0, prod1 = _is_product(phi0), _is_product(phi1)
+    known = {others.index(p): level for p, level in settled.items()}  # branch axis -> level
+    prod0, prod1 = _is_product(phi0, known), _is_product(phi1, known)
     if not (prod0 and prod1):
         return BranchClassification("B", (phi0, phi1), (prod0, prod1))
 
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
     same, distinct, orthogonal = [], [], []
-    for p, chi, tau in zip(others, _branch_factors(phi0), _branch_factors(phi1)):
+    for p, chi, tau in zip(others, _branch_factors(phi0, known), _branch_factors(phi1, known)):
         factors[p] = (chi, tau)
         g = abs(complex(np.vdot(chi, tau)))
         overlaps[p] = g
@@ -311,6 +320,10 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     Each discarded party must be in (numerically) a product state with the
     rest; it is contracted against its own reduced-state eigenvector.
     """
+    return _reduce_to_parties(state, keep, {})
+
+
+def _reduce_to_parties(state: PureState, keep, settled: dict[int, int]) -> PureState:
     layout = state.layout
     kept = layout.check_subset(keep, nonempty=True)
     labels = list(range(1, layout.num_parties + 1))
@@ -318,8 +331,10 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     t = state.amplitudes.reshape(layout.dims)
     for party in sorted(set(labels) - set(kept), reverse=True):
         axis = labels.index(party)
-        factor = _local_factor(t, axis)
-        t = np.tensordot(factor.conj(), t, axes=(0, axis))
+        if party in settled:
+            t = np.take(t, settled[party], axis=axis)
+        else:
+            t = np.tensordot(_local_factor(t, axis).conj(), t, axes=(0, axis))
         labels.pop(axis)
         dims.pop(axis)
     vec = t.reshape(-1)
@@ -364,14 +379,14 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
 
     state = psi
     steps: list[ExtractionStep] = []
-    # A projected pivot has one nonzero row in its one-vs-rest matrix, and
-    # filters on other parties keep the other rows exactly zero: rank 1.
-    projected: set[int] = set()
+    # projected pivot -> its level: one nonzero row in its one-vs-rest matrix,
+    # and filters on other parties keep the other rows exactly zero (rank 1)
+    settled: dict[int, int] = {}
     while True:
         # stop at the second entangled party: the first is the pivot, the second need only exist
         ranked = (
             p for p in range(1, n + 1)
-            if p not in projected and _single_party_rank(state, p) >= 2
+            if p not in settled and _single_party_rank(state, p) >= 2
         )
         entangled = list(islice(ranked, 2))
         if not entangled:
@@ -387,7 +402,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
         fop, state, weight = equalize_filter(state, pivot)
         steps.append(ExtractionStep(fop, weight))
 
-        branch_info = classify_branch(state, pivot)
+        branch_info = _classify_branch(state, pivot, settled)
         if branch_info.case == "B":
             index = 0 if not branch_info.branch_product[0] else 1
             d = layout.dim_of(pivot)
@@ -396,7 +411,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
             fop = FilterOperator(pivot, proj, "project")
             state, weight = _apply_filter(state, fop)
             steps.append(ExtractionStep(fop, weight))
-            projected.add(pivot)
+            settled[pivot] = index
             continue
 
         for p in branch_info.distinct_parties:
@@ -410,13 +425,14 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 fop, state, _ = _plus_projection(state, p)
                 steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
 
-        final = reduce_to_parties(state, chosen)
-        c = schmidt(final, (1,))[0]
+        final = _reduce_to_parties(state, chosen, settled)
+        # the SVD that schmidt(final, (1,)) makes, without its tie and phase work on the vectors
+        c = np.linalg.svd(final.amplitudes.reshape(final.layout.dims), full_matrices=False)[1]
         return ExtractionResult(
             pair=chosen,
             probability=math.prod(step.weight for step in steps),
             steps=tuple(steps),
             final_state=final,
-            schmidt_coeffs=(float(c[0]), float(c[1]) if c.size > 1 else 0.0),
+            schmidt_coeffs=(float(c[0]), float(c[1]) if c[1] > SCHMIDT_CUTOFF else 0.0),
             surviving_parties=survivors,
         )

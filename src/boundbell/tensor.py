@@ -309,20 +309,22 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
     ``psi = sum_k c[k] left[:, k] (x) right[k]``, with the sorted parties of
     ``bipartition`` before the rest.  Coefficients are sorted descending and
     truncated at ``SCHMIDT_CUTOFF`` (a normalized state always keeps one).
-    Within a run of tied coefficients the left basis is re-chosen to align
-    with computational axes, so an aligned-axis basis state maps to itself.
-    Each left vector's first nonzero component is real positive; the right
-    vectors carry the compensating phase.
+    Only if kept coefficients tie within ``_TIE_TOL`` is the left basis of each
+    tied run re-chosen to align with computational axes, so an aligned-axis
+    basis state maps to itself.  Each left vector's first nonzero component is
+    real positive; the right vectors carry the compensating phase.
     """
     m = _matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    kept = s > SCHMIDT_CUTOFF
-    s, u, vh = s[kept], u[:, kept], vh[kept]
+    k = int(np.count_nonzero(s > SCHMIDT_CUTOFF))  # s is sorted descending
+    s, u, vh = s[:k], u[:, :k], vh[:k]
 
-    for group in np.split(np.arange(s.size), np.flatnonzero(np.diff(s) < -_TIE_TOL) + 1):
-        if group.size > 1:
-            u[:, group] = _axis_aligned_basis(u[:, group])
-            vh[group] = (u[:, group].conj().T @ m) / s[group, None]
+    gaps = np.diff(s)
+    if np.any(gaps >= -_TIE_TOL):
+        for group in np.split(np.arange(k), np.flatnonzero(gaps < -_TIE_TOL) + 1):
+            if group.size > 1:
+                u[:, group] = _axis_aligned_basis(u[:, group])
+                vh[group] = (u[:, group].conj().T @ m) / s[group, None]
 
     for i in range(s.size):
         col = u[:, i]

@@ -573,6 +573,51 @@ def test_cli_child_with_closed_stderr_writes_its_report():
     assert (closed.returncode, closed.stdout) == (0, normal.stdout)
 
 
+def test_cli_child_with_closed_stdout_fails_only_a_stdout_report(tmp_path, monkeypatch):
+    # started with fd 1 closed, the interpreter sets sys.stdout to None: a report
+    # bound for stdout fails as a write there would, a report for --out is written
+    inside, workdir = tmp_path / "inside", tmp_path / "child"
+    inside.mkdir()
+    workdir.mkdir()
+    monkeypatch.chdir(inside)
+    assert run(["bell", "--n", "3", "--out", "bell3.json"]) == 0
+    argv = [sys.executable, "-m", "boundbell.cli", "bell", "--n", "3"]
+    closed = dict(
+        cwd=workdir, stderr=subprocess.PIPE, env=child_env(), timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    summary = b"value=0.5 bound=1.0 violation=False\n"
+    to_file = subprocess.run([*argv, "--out", "bell3.json"], **closed)
+    assert (to_file.returncode, to_file.stderr) == (0, summary)
+    assert (workdir / "bell3.json").read_bytes() == (inside / "bell3.json").read_bytes()
+    to_stdout = subprocess.run(argv, **closed)
+    assert (to_stdout.returncode, to_stdout.stderr) == (2, summary + b"error: stdout is closed\n")
+
+
+def _read_only_stderr() -> None:
+    """Child set-up: fd 2 open on the null device for reading only."""
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["bell", "--n", "3"], 0), (["scan", "--n", "4", "--tol", "nan"], 2), (["extract", "--input", "prod.json"], 3)],
+)
+def test_cli_child_with_unwritable_stderr_keeps_report_and_code(tmp_path, monkeypatch, capsys, argv, code):
+    # every stderr write fails (EBADF): the lines are lost, the report and exit code are not
+    _cli_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == code
+    out = capsys.readouterr().out
+    done = subprocess.run(
+        [sys.executable, "-m", "boundbell.cli", *argv], cwd=tmp_path, stdout=subprocess.PIPE,
+        env=child_env(), timeout=120, preexec_fn=_read_only_stderr,
+    )
+    assert (done.returncode, done.stdout) == (code, out.encode())
+
+
 def test_readme_examples_run(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)

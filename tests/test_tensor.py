@@ -36,7 +36,7 @@ from helpers import (
     tensordot_apply_local,
     traced_peak,
 )
-from boundbell.tensor import _party_matrix
+from boundbell.tensor import _TIE_TOL, _party_matrix
 
 
 def qubit(amp0, amp1):
@@ -365,6 +365,28 @@ def test_schmidt_left_vectors_are_fixed_axes(psi, coeffs, left):
         np.testing.assert_allclose(u, left, rtol=0, atol=1e-15)
         pivots = u[np.argmax(np.abs(u) > 1e-12, axis=0), range(c.size)]
         assert np.all(pivots.imag == 0) and np.all(pivots.real > 0)
+
+
+@pytest.mark.parametrize("gap, rebased", [(0.5 * _TIE_TOL, True), (2 * _TIE_TOL, False)])
+def test_schmidt_tie_gap_beside_the_tolerance(gap, rebased):
+    # qutrit x qutrit state with two leading coefficients `gap` apart, on a
+    # random left basis: only a tie within _TIE_TOL re-bases the pair onto axes
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    c = np.array([0.6, 0.6 - gap, 0.0])
+    c[2] = np.sqrt(1 - c[0] ** 2 - c[1] ** 2)
+    psi = PureState(PartyLayout((3, 3)), (q * c).reshape(-1))  # sum_k c_k q_k (x) |k>
+    coeffs, left, right = schmidt(psi, (1,))
+    assert coeffs.size == 3 and (abs(coeffs[0] - coeffs[1]) <= _TIE_TOL) == rebased
+    np.testing.assert_allclose((left * coeffs) @ right, psi.amplitudes.reshape(3, 3), rtol=0, atol=1e-12)
+    # re-based, the first vector is axis 0 projected onto the tied span
+    span = q[:, :2]
+    axis0 = span @ span[0].conj()
+    aligned = abs(np.vdot(axis0 / np.linalg.norm(axis0), left[:, 0]))
+    if rebased:
+        assert aligned > 1 - 1e-12
+    else:
+        assert aligned < 0.99 and abs(np.vdot(q[:, 0], left[:, 0])) > 1 - 1e-3
 
 
 def test_schmidt_product_state():
