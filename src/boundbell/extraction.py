@@ -6,14 +6,11 @@ two-party state with equal Schmidt coefficients, with nonzero success
 probability.  The protocol:
 
 1. Pick the lowest-index party whose one-vs-rest Schmidt rank is >= 2.
-   A rank is the number of singular values of the party-vs-rest amplitude
-   matrix above ``SCHMIDT_CUTOFF``, computed without singular vectors; the full
-   Schmidt decomposition is taken only where its vectors or its reported
-   coefficients are needed (the equalize filter; the final pair's coefficients
-   come from its SVD alone).  Each round ranks parties in order, skipping
-   pivots already projected in case B, and stops at the second one of
-   rank >= 2: the first is the pivot, and the second checks consistency (an
-   entangled pure state never has exactly one entangled party).
+   A rank is the number of Schmidt coefficients above ``SCHMIDT_CUTOFF``.
+   Each round decomposes parties in order and stops at the first of rank
+   >= 2, the pivot, whose decomposition builds the equalize filter; it then
+   checks, from singular values alone, that a later party also has rank >= 2
+   (an entangled pure state never has exactly one entangled party).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.
@@ -27,21 +24,22 @@ probability.  The protocol:
    with certainty.  Otherwise (case B) project the pivot onto an entangled
    branch and repeat on the strictly smaller entangled system.
 
-Parties are never dropped from the step log; spent parties simply hold
-pure local factors that are split off when the final pair state is built.
-A pivot projected onto level l in case B is carried as the known factor e_l
-(later filters act elsewhere, so its other levels stay exactly zero): it is
-not ranked, product-tested or eigensolved again, and is sliced at level l.
-Every filter is a :class:`FilterOperator`, whose norm is checked once, when
-it is built; applying or replaying it does not check it again.
+Rounds run on the live state: the parties not yet projected in case B.  A
+projected pivot is the exact factor e_l for the rest of the protocol (later
+filters act elsewhere), so it leaves the live state, which continues as the
+normalized entangled branch over the other live parties.  Parties are never
+dropped from the step log: every step names its input party, and
+:func:`replay` of the steps on the input state reproduces the run, with
+spent parties holding pure local factors that are split off when the final
+pair state is built.  Every filter is a :class:`FilterOperator`, whose norm
+is checked once, when it is built on its live party; recording it under its
+input party's label, applying or replaying it does not check it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-
 import numpy as np
 
 from .tensor import (
@@ -52,6 +50,7 @@ from .tensor import (
     _fix_phase,
     _integers,
     _party_matrix,
+    _relabel,
     apply_local,
     schmidt,
 )
@@ -128,18 +127,29 @@ def _single_party_rank(psi: PureState, party: int) -> int:
 
 
 def _apply_filter(
-    state: PureState, fop: FilterOperator, floor: float = 0.0
+    state: PureState, fop: FilterOperator, floor: float = 0.0, label: int | None = None
 ) -> tuple[PureState, float]:
     """Apply one filter and renormalize; the weight is the outcome's probability.
 
-    Raises :class:`NumericDegeneracyError` when the weight is at most ``floor``.
+    Raises :class:`NumericDegeneracyError` when the weight is at most ``floor``,
+    naming the party ``label`` (default ``fop.party``).
     """
     vec, weight = apply_local(state, fop)
     if weight <= floor:
         raise NumericDegeneracyError(
-            f"{fop.kind} filter at party {fop.party} annihilated the state"
+            f"{fop.kind} filter at party {fop.party if label is None else label} annihilated the state"
         )
     return PureState(state.layout, vec / np.sqrt(weight)), weight
+
+
+def _equalize_op(party: int, coeffs: np.ndarray, left: np.ndarray) -> FilterOperator:
+    """Equalize filter at ``party`` from its Schmidt coefficients and left vectors."""
+    lam0, lam1 = (float(c) for c in coeffs[:2])
+    d = left.shape[0]
+    op = np.zeros((d, d), dtype=complex)
+    op[0, :] = (lam1 / lam0) * left[:, 0].conj()
+    op[1, :] = left[:, 1].conj()
+    return FilterOperator(party, op, "equalize")
 
 
 def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
@@ -154,14 +164,8 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     coeffs, left, _ = schmidt(psi, (party,))
     if coeffs.size < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
-    lam0, lam1 = (float(c) for c in coeffs[:2])
-    d = psi.layout.dim_of(party)
-    op = np.zeros((d, d), dtype=complex)
-    op[0, :] = (lam1 / lam0) * left[:, 0].conj()
-    op[1, :] = left[:, 1].conj()
-    fop = FilterOperator(party, op, "equalize")
-    post, weight = _apply_filter(psi, fop)
-    return fop, post, weight
+    fop = _equalize_op(party, coeffs, left)
+    return (fop, *_apply_filter(psi, fop))
 
 
 def _reduced_operator(t: np.ndarray, axis: int) -> np.ndarray:
@@ -176,24 +180,23 @@ def _local_factor(t: np.ndarray, axis: int) -> np.ndarray:
     return _fix_phase(vecs[:, -1])
 
 
-def _is_product(phi: PureState, known: dict[int, int]) -> bool:
-    """Product test: no single-party reduced operator but those at the axes in
-    ``known`` has purity below 1 - PURITY_TOL; stops at the first that does."""
+def _is_product(phi: PureState) -> bool:
+    """Product test: no single-party reduced operator has purity below
+    1 - PURITY_TOL; stops at the first that does."""
     t = phi.amplitudes.reshape(phi.layout.dims)
-    for axis in (a for a in range(phi.layout.num_parties) if a not in known):
+    for axis in range(t.ndim):
         red = _reduced_operator(t, axis)
         if float(np.einsum("ij,ji->", red, red).real) < 1.0 - PURITY_TOL:
             return False
     return True
 
 
-def _branch_factors(phi: PureState, known: dict[int, int]) -> list[np.ndarray]:
-    """Local factor of every party of a product branch: e_l where ``known`` gives level l."""
+def _branch_factors(phi: PureState) -> list[np.ndarray]:
+    """Local factor of every party of a product branch."""
     if phi.layout.num_parties == 1:
         return [_fix_phase(phi.amplitudes.copy())]
     t = phi.amplitudes.reshape(phi.layout.dims)
-    eye = np.eye(max(t.shape), dtype=complex)
-    return [eye[known[a], :d] if a in known else _local_factor(t, a) for a, d in enumerate(t.shape)]
+    return [_local_factor(t, axis) for axis in range(t.ndim)]
 
 
 def classify_branch(psi: PureState, party: int) -> BranchClassification:
@@ -208,10 +211,6 @@ def classify_branch(psi: PureState, party: int) -> BranchClassification:
     :class:`NumericDegeneracyError` when both branches test as products yet no
     remaining party is locally orthogonal (case A demands one).
     """
-    return _classify_branch(psi, party, {})
-
-
-def _classify_branch(psi: PureState, party: int, settled: dict[int, int]) -> BranchClassification:
     layout = psi.layout
     n = layout.num_parties
     if n < 2:
@@ -235,15 +234,14 @@ def _classify_branch(psi: PureState, party: int, settled: dict[int, int]) -> Bra
     phi0 = PureState(rest, b0 / np.sqrt(w0))
     phi1 = PureState(rest, b1 / np.sqrt(w1))
 
-    known = {others.index(p): level for p, level in settled.items()}  # branch axis -> level
-    prod0, prod1 = _is_product(phi0, known), _is_product(phi1, known)
+    prod0, prod1 = _is_product(phi0), _is_product(phi1)
     if not (prod0 and prod1):
         return BranchClassification("B", (phi0, phi1), (prod0, prod1))
 
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
     same, distinct, orthogonal = [], [], []
-    for p, chi, tau in zip(others, _branch_factors(phi0, known), _branch_factors(phi1, known)):
+    for p, chi, tau in zip(others, _branch_factors(phi0), _branch_factors(phi1)):
         factors[p] = (chi, tau)
         g = abs(complex(np.vdot(chi, tau)))
         overlaps[p] = g
@@ -288,30 +286,24 @@ def target_pair_choice(surviving_parties, requested=None) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
-def _biorthogonal_filter(
-    state: PureState, party: int, chi: np.ndarray, tau: np.ndarray
-) -> tuple[FilterOperator, PureState, float]:
+def _biorthogonal_op(party: int, chi: np.ndarray, tau: np.ndarray) -> FilterOperator:
     """Filter mapping the two branch factors at ``party`` onto levels 0/1.
 
     Rows are the biorthonormal duals of (chi, tau) — each row has unit
     overlap with its own factor and kills the other — scaled to unit
     operator norm.
     """
-    d = state.layout.dim_of(party)
-    op = np.zeros((d, d), dtype=complex)
+    op = np.zeros((chi.size, chi.size), dtype=complex)
     op[:2] = np.linalg.pinv(np.stack([chi, tau], axis=1))  # rows: <chi'|, <tau'|
     op /= np.linalg.norm(op, 2)
-    fop = FilterOperator(party, op, "biorthogonal")
-    return (fop, *_apply_filter(state, fop))
+    return FilterOperator(party, op, "biorthogonal")
 
 
-def _plus_projection(state: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
-    """Projector onto |+> on the party's two computational levels."""
-    d = state.layout.dim_of(party)
+def _plus_op(party: int, d: int) -> FilterOperator:
+    """Projector onto |+> on the two computational levels of a dimension-``d`` party."""
     op = np.zeros((d, d), dtype=complex)
     op[np.ix_([0, 1], [0, 1])] = 0.5
-    fop = FilterOperator(party, op, "measure_pm")
-    return (fop, *_apply_filter(state, fop, floor=1e-15))
+    return FilterOperator(party, op, "measure_pm")
 
 
 def reduce_to_parties(state: PureState, keep) -> PureState:
@@ -320,28 +312,16 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     Each discarded party must be in (numerically) a product state with the
     rest; it is contracted against its own reduced-state eigenvector.
     """
-    return _reduce_to_parties(state, keep, {})
-
-
-def _reduce_to_parties(state: PureState, keep, settled: dict[int, int]) -> PureState:
     layout = state.layout
     kept = layout.check_subset(keep, nonempty=True)
-    labels = list(range(1, layout.num_parties + 1))
-    dims = list(layout.dims)
     t = state.amplitudes.reshape(layout.dims)
-    for party in sorted(set(labels) - set(kept), reverse=True):
-        axis = labels.index(party)
-        if party in settled:
-            t = np.take(t, settled[party], axis=axis)
-        else:
-            t = np.tensordot(_local_factor(t, axis).conj(), t, axes=(0, axis))
-        labels.pop(axis)
-        dims.pop(axis)
+    for axis in sorted(set(range(layout.num_parties)) - {p - 1 for p in kept}, reverse=True):
+        t = np.tensordot(_local_factor(t, axis).conj(), t, axes=(0, axis))
     vec = t.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm <= 1e-12:
         raise NumericDegeneracyError("discarded parties were not in product form")
-    return PureState(PartyLayout(tuple(dims)), vec / norm)
+    return PureState(PartyLayout(tuple(layout.dims[p - 1] for p in kept)), vec / norm)
 
 
 def replay(psi: PureState, steps) -> PureState:
@@ -377,55 +357,58 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
     if pair is not None and len(layout.check_subset(pair)) != 2:
         raise ValueError(f"requested pair {pair} must name two distinct parties")
 
-    state = psi
+    live = psi  # the parties not yet projected in case B
+    labels = list(range(1, n + 1))  # input party at each live axis
     steps: list[ExtractionStep] = []
-    # projected pivot -> its level: one nonzero row in its one-vs-rest matrix,
-    # and filters on other parties keep the other rows exactly zero (rank 1)
-    settled: dict[int, int] = {}
     while True:
-        # stop at the second entangled party: the first is the pivot, the second need only exist
-        ranked = (
-            p for p in range(1, n + 1)
-            if p not in settled and _single_party_rank(state, p) >= 2
-        )
-        entangled = list(islice(ranked, 2))
-        if not entangled:
+        m = live.layout.num_parties
+        for pivot in range(1, m + 1):
+            coeffs, left, _ = schmidt(live, (pivot,))
+            if coeffs.size >= 2:
+                break
+        else:
             if not steps:
                 raise NotEntangledError("state is a product state across every party")
             raise NumericDegeneracyError("entanglement vanished mid-protocol")
-        if len(entangled) == 1:
+        if not any(_single_party_rank(live, p) >= 2 for p in range(pivot + 1, m + 1)):
             raise NumericDegeneracyError(
-                f"exactly one party ({entangled[0]}) reports Schmidt rank >= 2"
+                f"exactly one party ({labels[pivot - 1]}) reports Schmidt rank >= 2"
             )
-        pivot = entangled[0]
 
-        fop, state, weight = equalize_filter(state, pivot)
-        steps.append(ExtractionStep(fop, weight))
+        fop = _equalize_op(pivot, coeffs, left)
+        live, weight = _apply_filter(live, fop, label=labels[pivot - 1])
+        steps.append(ExtractionStep(_relabel(fop, labels[pivot - 1]), weight))
 
-        branch_info = _classify_branch(state, pivot, settled)
+        branch_info = classify_branch(live, pivot)
         if branch_info.case == "B":
             index = 0 if not branch_info.branch_product[0] else 1
-            d = layout.dim_of(pivot)
+            branch = np.take(live.amplitudes.reshape(live.layout.dims), index, axis=pivot - 1)
+            weight = float(np.vdot(branch, branch).real)
+            label = labels.pop(pivot - 1)
+            if weight <= 0.0:
+                raise NumericDegeneracyError(f"project filter at party {label} annihilated the state")
+            d = live.layout.dim_of(pivot)
             proj = np.zeros((d, d), dtype=complex)
             proj[index, index] = 1.0
-            fop = FilterOperator(pivot, proj, "project")
-            state, weight = _apply_filter(state, fop)
-            steps.append(ExtractionStep(fop, weight))
-            settled[pivot] = index
+            steps.append(ExtractionStep(FilterOperator(label, proj, "project"), weight))
+            live = branch_info.branches[index]
             continue
 
         for p in branch_info.distinct_parties:
-            fop, state, weight = _biorthogonal_filter(state, p, *branch_info.factors[p])
-            steps.append(ExtractionStep(fop, weight))
+            fop = _biorthogonal_op(p, *branch_info.factors[p])
+            live, weight = _apply_filter(live, fop, label=labels[p - 1])
+            steps.append(ExtractionStep(_relabel(fop, labels[p - 1]), weight))
 
-        survivors = tuple(sorted((pivot,) + branch_info.distinct_parties))
+        kept = sorted((pivot,) + branch_info.distinct_parties)  # live axes, 1-based
+        survivors = tuple(labels[p - 1] for p in kept)
         chosen = target_pair_choice(survivors, pair)
-        for p in survivors:
-            if p not in chosen:
-                fop, state, _ = _plus_projection(state, p)
-                steps.append(ExtractionStep(fop, 1.0))  # both outcomes succeed
+        for p in kept:
+            if labels[p - 1] not in chosen:
+                fop = _plus_op(p, live.layout.dim_of(p))
+                live, _ = _apply_filter(live, fop, floor=1e-15, label=labels[p - 1])
+                steps.append(ExtractionStep(_relabel(fop, labels[p - 1]), 1.0))  # both outcomes succeed
 
-        final = _reduce_to_parties(state, chosen, settled)
+        final = reduce_to_parties(live, [labels.index(p) + 1 for p in chosen])
         # the SVD that schmidt(final, (1,)) makes, without its tie and phase work on the vectors
         c = np.linalg.svd(final.amplitudes.reshape(final.layout.dims), full_matrices=False)[1]
         return ExtractionResult(

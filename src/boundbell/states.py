@@ -48,6 +48,8 @@ def ghz(n: int, alpha: float) -> PureState:
     """GHZ state (|0...0> + e^{i alpha} |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     layout = PartyLayout.qubits(n)
     amps = np.zeros(layout.dense_dim, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)

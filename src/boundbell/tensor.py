@@ -146,7 +146,7 @@ class PureState:
             raise ValueError(f"amplitude vector must have length {d}, got {amps.shape}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+            raise ValueError(f"state norm {float(norm)} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -353,9 +353,20 @@ class FilterOperator:
             raise ValueError("filter matrix must be square")
         smax = np.linalg.svd(m, compute_uv=False)[0]
         if not smax <= 1.0 + 1e-12:
-            raise ValueError(f"filter has singular value {smax!r} > 1; not a measurement filter")
+            raise ValueError(f"filter has singular value {float(smax)} > 1; not a measurement filter")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _relabel(fop: FilterOperator, party: int) -> FilterOperator:
+    """``fop`` as the filter of party ``party``, e.g. the input party that a
+    sub-state's axis stands for; it shares the checked, read-only matrix and
+    runs no second norm check (no SVD)."""
+    if party == fop.party:
+        return fop
+    out = object.__new__(FilterOperator)
+    out.__dict__.update(fop.__dict__, party=party)
+    return out
 
 
 def apply_local(psi: PureState, fop: FilterOperator) -> tuple[np.ndarray, float]:

@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import boundbell.extraction as extraction
-from boundbell import ghz
+from boundbell import PartyLayout, ghz, random_pure
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -25,13 +25,16 @@ def test_every_binding_resolves_to_a_callable():
 
 def test_extract_calls_traced_tensor_layers():
     # extraction must look schmidt and apply_local up as module globals
-    # at call time, or their spans vanish from the benchmark's layer metrics
+    # at call time, or their spans vanish from the benchmark's layer metrics;
+    # the random 5-party state projects pivots in case B before case A
     tracing = load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        extraction.extract(ghz(3, 0.0))  # looked up after install, so traced
-    finally:
-        tracer.uninstall()
-    names = {span[0] for span in tracer.spans}
-    assert {"extraction.extract", "tensor.schmidt", "tensor.apply_local"} <= names
+    for psi, projects in ((ghz(3, 0.0), False), (random_pure(PartyLayout((2,) * 5), 3), True)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            result = extraction.extract(psi)  # looked up after install, so traced
+        finally:
+            tracer.uninstall()
+        names = {span[0] for span in tracer.spans}
+        assert {"extraction.extract", "tensor.schmidt", "tensor.apply_local"} <= names
+        assert ("project" in [step.op.kind for step in result.steps]) == projects

@@ -389,6 +389,13 @@ def test_config_echoes_resolved_alpha(tmp_path):
         assert config["command"] == argv[0]
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_extract_ghz_rejects_a_non_finite_alpha(capsys, alpha):
+    # the same message as every other command, and no numpy warning first
+    assert run(["extract", "--ghz", 4, "--alpha", alpha]) == 2
+    assert capsys.readouterr().err == "error: alpha must be finite\n"
+
+
 def test_every_config_block_lists_the_same_keys(tmp_path, capsys):
     keys = {
         "command", "n", "alpha", "tol", "seed", "restarts", "settings", "pair", "dims",

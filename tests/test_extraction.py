@@ -22,7 +22,6 @@ from boundbell import (
     schmidt,
     target_pair_choice,
 )
-from boundbell.extraction import _classify_branch
 from helpers import basis_state, brute_single_rank, party_ranks, tensor_product
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -333,8 +332,8 @@ def test_extract_pivot_is_first_entangled_party_of_several(extraction_corpus):
 
 
 def test_projected_pivot_keeps_rank_one(extraction_corpus):
-    # extract skips ranking a party once it is projected in case B: that is
-    # exact only if its rank stays 1 in every later state of the protocol
+    # extract drops a party from its live state once it is projected in case B:
+    # that is exact only if its rank stays 1 in every later state of the protocol
     projections = 0
     for case_id, psi in extraction_corpus:
         state, projected = psi, []
@@ -348,42 +347,34 @@ def test_projected_pivot_keeps_rank_one(extraction_corpus):
     assert projections >= 400  # 407 on this corpus, at least one per state
 
 
-def _settled_rounds(psi):
-    """(balanced state, pivot, projected pivots -> level) after each equalize step of extract."""
-    state, settled, rounds = psi, {}, []
-    for step in extract(psi).steps:
-        state = replay(state, [step])
-        if step.op.kind == "equalize":
-            rounds.append((state, step.op.party, dict(settled)))
-        elif step.op.kind == "project":
-            settled[step.op.party] = int(np.argmax(np.diag(step.op.matrix).real))
-    return rounds
-
-
-def test_settled_pivots_classify_as_classify_branch(extraction_corpus):
-    # extract skips the product test and the eigensolve of projected pivots,
-    # taking e_level as their factor: the public full computation must agree
-    fields = ("case", "branch_product", "same_parties", "distinct_parties", "orthogonal_parties")
-    with_settled = 0
-    for case_id, psi in extraction_corpus:
-        for state, pivot, settled in _settled_rounds(psi):
-            fast, full = _classify_branch(state, pivot, settled), classify_branch(state, pivot)
-            assert [getattr(fast, f) for f in fields] == [getattr(full, f) for f in fields], case_id
-            with_settled += bool(settled)
-    assert with_settled >= 400  # 407 rounds on this corpus, 200 of them in case A
+def _five_and_six_party_states():
+    for seed in range(20):
+        dims = tuple(int(d) for d in np.random.default_rng(seed).integers(2, 4, size=5 + seed % 2))
+        yield seed, random_pure(PartyLayout(dims), seed)
 
 
 def test_extract_final_state_matches_full_reduction():
-    # extract slices projected pivots off at their level; the public
-    # reduce_to_parties eigensolves each one: 5 and 6 parties, >= 2 projections
-    for seed in range(20):
-        dims = tuple(int(d) for d in np.random.default_rng(seed).integers(2, 4, size=5 + seed % 2))
-        psi = random_pure(PartyLayout(dims), seed)
+    # extract reduces only its live state, without the projected pivots; the
+    # public reduce_to_parties eigensolves each one: 5 and 6 parties, >= 2 projections
+    for seed, psi in _five_and_six_party_states():
         res = extract(psi)
         assert sum(step.op.kind == "project" for step in res.steps) >= 2, seed
         reduced = reduce_to_parties(replay(psi, res.steps), res.pair)
         assert reduced.layout == res.final_state.layout
         np.testing.assert_allclose(reduced.amplitudes, res.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_step_weights_match_the_replayed_state(extraction_corpus):
+    # extract computes its weights on the live state, without the projected
+    # pivots; each must be the weight of its filter on the replayed input state
+    cases = list(extraction_corpus) + list(_five_and_six_party_states())
+    for case_id, psi in cases:
+        state = psi
+        for step in extract(psi).steps:
+            vec, weight = apply_local(state, step.op)
+            if step.op.kind != "measure_pm":  # recorded as 1: both outcomes succeed
+                assert abs(step.weight - weight) <= 1e-12, case_id
+            state = PureState(state.layout, vec / np.sqrt(weight))
 
 
 def test_extract_coefficients_are_schmidts(extraction_corpus):

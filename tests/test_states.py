@@ -36,6 +36,12 @@ def test_ghz_requires_two_parties():
         ghz(1, 0.0)
 
 
+def test_ghz_rejects_a_non_finite_phase():
+    for alpha in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ghz(3, alpha)
+
+
 def test_family_spec_defaults():
     spec = RhoFamilySpec(6)
     assert abs(spec.alpha - default_alpha(6)) < 1e-15
