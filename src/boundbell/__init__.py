@@ -18,8 +18,6 @@ from .extraction import (
     NotEntangledError,
     NumericDegeneracyError,
     PairUnavailableError,
-    classify_branch,
-    equalize_filter,
     extract,
     reduce_to_parties,
     replay,
@@ -70,11 +68,9 @@ __all__ = [
     "Verdicts",
     "apply_local",
     "bell_value",
-    "classify_branch",
     "classify_family",
     "cut_verdicts",
     "default_alpha",
-    "equalize_filter",
     "extract",
     "ghz",
     "hermitian_eigenvalues",

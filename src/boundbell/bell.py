@@ -153,7 +153,8 @@ def optimize_settings(
     practice, and ``tol=-math.inf`` always does.  ValueError on a NaN ``tol``
     (it would never stop a restart early) and on +inf (it would stop every
     restart after one sweep); on non-integer counts (1.7 is not cut to 1), on
-    ``restarts`` < 1 and ``max_sweeps`` < 0 (0 scores the random starts).
+    ``restarts`` < 1, ``seed`` < 0 and ``max_sweeps`` < 0 (0 scores the
+    random starts).
     """
     layout = rho.layout
     if any(d != 2 for d in layout.dims):
@@ -162,6 +163,8 @@ def optimize_settings(
     restarts, seed, max_sweeps = _integers((restarts, seed, max_sweeps), "restarts/seed/max_sweeps")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     if not tol < math.inf:

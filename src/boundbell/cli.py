@@ -217,11 +217,17 @@ def cmd_bell(args) -> tuple:
     return report, f"value={value!r} bound=1.0 violation={report['violation']}\n", None
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"--pair expects two comma-separated indices, got {text!r}")
-    return parts[0], parts[1]
+def _int_list(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
+    """``option``'s text as comma-separated integers, ``count`` of them if given;
+    ValueError naming the option and the text otherwise."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        how_many = "" if count is None else f"{count} "
+        raise ValueError(f"{option} expects {how_many}comma-separated integers, got {text!r}")
+    return values
 
 
 def cmd_extract(args) -> tuple:
@@ -236,10 +242,10 @@ def cmd_extract(args) -> tuple:
         alpha = default_alpha(args.ghz) if alpha is None else alpha
         psi = ghz(args.ghz, alpha)
     else:
-        dims = tuple(int(d) for d in args.random.split(","))
+        dims = _int_list("--random", args.random)
         psi = random_pure(PartyLayout(dims), args.seed)
 
-    pair = _parse_pair(args.pair) if args.pair else None
+    pair = None if args.pair is None else _int_list("--pair", args.pair, 2)
     result = extract(psi, pair)
 
     config = _config(args, n=psi.layout.num_parties, alpha=alpha, pair=pair, dims=dims)

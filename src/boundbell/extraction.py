@@ -13,16 +13,22 @@ probability.  The protocol:
    (an entangled pure state never has exactly one entangled party).
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
-   annihilating the rest.
-3. Classify the two branch states.  A branch is a product when every
-   single-party reduced state is pure; the test reads purities only and
-   stops at the branch's first impure party.  If both are products (case A),
-   take their local factors (top reduced-state eigenvectors, computed only
-   here) and map the differing ones onto computational 0/1 with biorthogonal
+   annihilating the rest.  With the pivot's decomposition
+   sum_k c_k |l_k> (x) |r_k>, the filtered state is exactly
+   (|0> (x) |r_0> + |1> (x) |r_1>)/sqrt(2), of weight 2 c_1**2.
+3. Classify the two branch states, read off the decomposition as its right
+   vectors r_0 and r_1 once they pass the balance test (weights 1/2 within
+   ``BALANCE_TOL``, overlap below it); no filter is applied to find them.
+   A branch is a product when every single-party reduced state is pure; the
+   test reads purities only and stops at the branch's first impure party.
+   If both are products (case A), apply the equalize filter and take the
+   branches' local factors (top reduced-state eigenvectors, computed only
+   here); map the differing ones onto computational 0/1 with biorthogonal
    filters; the result is a GHZ state over the pivot and the differing sites,
    from which +/- measurements leave any chosen pair maximally entangled,
-   with certainty.  Otherwise (case B) project the pivot onto an entangled
-   branch and repeat on the strictly smaller entangled system.
+   with certainty.  Otherwise (case B) record the equalize filter and the
+   projection of the pivot onto an entangled branch, and repeat on that
+   branch, a strictly smaller entangled system.
 
 Rounds run on the live state: the parties not yet projected in case B.  A
 projected pivot is the exact factor e_l for the rest of the protocol (later
@@ -152,22 +158,6 @@ def _equalize_op(party: int, coeffs: np.ndarray, left: np.ndarray) -> FilterOper
     return FilterOperator(party, op, "equalize")
 
 
-def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
-    """Filter that balances the party's top two Schmidt coefficients.
-
-    The filter maps the two leading Schmidt vectors onto the party's
-    computational levels 0/1 with relative weight lambda_1/lambda_0,
-    annihilates the remaining local directions, and is scaled to unit
-    operator norm (maximal success probability).  The returned weight is
-    2*lambda_1**2; the post state carries coefficients 1/sqrt(2) each.
-    """
-    coeffs, left, _ = schmidt(psi, (party,))
-    if coeffs.size < 2:
-        raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
-    fop = _equalize_op(party, coeffs, left)
-    return (fop, *_apply_filter(psi, fop))
-
-
 def _reduced_operator(t: np.ndarray, axis: int) -> np.ndarray:
     """Reduced operator of the party at ``axis`` of the amplitude tensor ``t``."""
     m = _party_matrix(t, axis)
@@ -199,41 +189,16 @@ def _branch_factors(phi: PureState) -> list[np.ndarray]:
     return [_local_factor(t, axis) for axis in range(t.ndim)]
 
 
-def classify_branch(psi: PureState, party: int) -> BranchClassification:
-    """Split a balanced state into its two pivot branches and classify them.
+def _classify(phi0: PureState, phi1: PureState, others) -> BranchClassification:
+    """Classify the two normalized pivot branches, ``others`` naming their parties.
 
-    Requires the pivot's weight to sit on computational levels 0/1 with
-    equal (1/2) probability and orthogonal branches, as produced by
-    :func:`equalize_filter`.  Each branch is tested for product form on its
-    single-party purities alone, up to its first impure party; both branches
-    are always tested, so ``branch_product`` is complete.  Local factors and
-    overlaps are computed only in case A.  Raises
-    :class:`NumericDegeneracyError` when both branches test as products yet no
-    remaining party is locally orthogonal (case A demands one).
+    Each branch is tested for product form on its single-party purities
+    alone, up to its first impure party; both branches are always tested, so
+    ``branch_product`` is complete.  Local factors and overlaps are computed
+    only in case A.  Raises :class:`NumericDegeneracyError` when both
+    branches test as products yet no party is locally orthogonal (case A
+    demands one).
     """
-    layout = psi.layout
-    n = layout.num_parties
-    if n < 2:
-        raise ValueError("classification needs at least two parties")
-    layout.check_subset((party,), nonempty=True)
-
-    t = psi.amplitudes.reshape(layout.dims)
-    b0 = np.take(t, 0, axis=party - 1).reshape(-1)
-    b1 = np.take(t, 1, axis=party - 1).reshape(-1)
-    w0 = float(np.vdot(b0, b0).real)
-    w1 = float(np.vdot(b1, b1).real)
-    cross = abs(complex(np.vdot(b0, b1)))
-    if abs(w0 - 0.5) > BALANCE_TOL or abs(w1 - 0.5) > BALANCE_TOL or cross > BALANCE_TOL:
-        raise ValueError(
-            "state is not balanced over the pivot's computational levels "
-            f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
-        )
-
-    rest = layout.drop((party,))
-    others = tuple(p for p in range(1, n + 1) if p != party)
-    phi0 = PureState(rest, b0 / np.sqrt(w0))
-    phi1 = PureState(rest, b1 / np.sqrt(w1))
-
     prod0, prod1 = _is_product(phi0), _is_product(phi1)
     if not (prod0 and prod1):
         return BranchClassification("B", (phi0, phi1), (prod0, prod1))
@@ -291,11 +256,13 @@ def _biorthogonal_op(party: int, chi: np.ndarray, tau: np.ndarray) -> FilterOper
 
     Rows are the biorthonormal duals of (chi, tau) — each row has unit
     overlap with its own factor and kills the other — scaled to unit
-    operator norm.
+    operator norm.  With [chi tau] = U diag(s) V^H, the duals are the
+    pseudo-inverse V diag(1/s) U^H, of norm 1/s_min, so one SVD gives both.
+    Distinct factors overlap below 1 - OVERLAP_TOL: s_min >= ~1e-4.
     """
+    u, s, vh = np.linalg.svd(np.stack([chi, tau], axis=1), full_matrices=False)
     op = np.zeros((chi.size, chi.size), dtype=complex)
-    op[:2] = np.linalg.pinv(np.stack([chi, tau], axis=1))  # rows: <chi'|, <tau'|
-    op /= np.linalg.norm(op, 2)
+    op[:2] = (vh.conj().T * (s[-1] / s)) @ u.conj().T  # rows: <chi'|, <tau'|
     return FilterOperator(party, op, "biorthogonal")
 
 
@@ -363,7 +330,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
     while True:
         m = live.layout.num_parties
         for pivot in range(1, m + 1):
-            coeffs, left, _ = schmidt(live, (pivot,))
+            coeffs, left, right = schmidt(live, (pivot,))
             if coeffs.size >= 2:
                 break
         else:
@@ -375,24 +342,39 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 f"exactly one party ({labels[pivot - 1]}) reports Schmidt rank >= 2"
             )
 
+        # the equalized live state is (|0> right[0] + |1> right[1])/sqrt2, of weight
+        # 2 c[1]**2 (> 0: c[1] is above the cutoff); only case A applies the filter
+        label = labels[pivot - 1]
         fop = _equalize_op(pivot, coeffs, left)
-        live, weight = _apply_filter(live, fop, label=labels[pivot - 1])
-        steps.append(ExtractionStep(_relabel(fop, labels[pivot - 1]), weight))
-
-        branch_info = classify_branch(live, pivot)
+        w0, w1 = (0.5 * float(np.vdot(v, v).real) for v in right[:2])
+        cross = abs(complex(np.vdot(right[0], right[1])))
+        if abs(w0 - 0.5) > BALANCE_TOL or abs(w1 - 0.5) > BALANCE_TOL or cross > BALANCE_TOL:
+            raise NumericDegeneracyError(
+                f"equalized branches at party {label} are not balanced "
+                f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
+            )
+        rest = live.layout.drop((pivot,))
+        branch_info = _classify(
+            PureState(rest, right[0]),
+            PureState(rest, right[1]),
+            tuple(p for p in range(1, m + 1) if p != pivot),
+        )
         if branch_info.case == "B":
             index = 0 if not branch_info.branch_product[0] else 1
-            branch = np.take(live.amplitudes.reshape(live.layout.dims), index, axis=pivot - 1)
-            weight = float(np.vdot(branch, branch).real)
-            label = labels.pop(pivot - 1)
+            steps.append(ExtractionStep(_relabel(fop, label), 2.0 * float(coeffs[1]) ** 2))
+            weight = (w0, w1)[index]
             if weight <= 0.0:
                 raise NumericDegeneracyError(f"project filter at party {label} annihilated the state")
             d = live.layout.dim_of(pivot)
             proj = np.zeros((d, d), dtype=complex)
             proj[index, index] = 1.0
             steps.append(ExtractionStep(FilterOperator(label, proj, "project"), weight))
+            labels.pop(pivot - 1)
             live = branch_info.branches[index]
             continue
+
+        live, weight = _apply_filter(live, fop, label=label)
+        steps.append(ExtractionStep(_relabel(fop, label), weight))
 
         for p in branch_info.distinct_parties:
             fop = _biorthogonal_op(p, *branch_info.factors[p])

@@ -80,14 +80,16 @@ def rho_family(spec: RhoFamilySpec) -> DensityOperator:
 
 
 def random_pure(layout: PartyLayout, seed: int) -> PureState:
-    """Haar-like random pure state, fully determined by the integer seed
-    (1.7 is rejected, not cut to 1).
+    """Haar-like random pure state, fully determined by the non-negative
+    integer seed (1.7 is rejected, not cut to 1).
 
     Amplitudes are drawn i.i.d. from the rotation-invariant complex normal
     distribution and normalized.
     """
     d = layout.dense_dim
     (seed,) = _integers((seed,), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)

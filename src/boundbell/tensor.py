@@ -23,7 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,14 @@ def _check_hermitian(diff: np.ndarray, tol: float) -> None:
 
 @dataclass(frozen=True)
 class PartyLayout:
-    """Ordered local dimensions of the parties sharing a state."""
+    """Ordered local dimensions of the parties sharing a state.
+
+    ``dim``, their product, is computed once here; layouts compare, hash and
+    print by ``dims`` alone.
+    """
 
     dims: tuple[int, ...]
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = _integers(self.dims, "local dimensions")
@@ -77,6 +82,7 @@ class PartyLayout:
             raise ValueError("a layout needs at least one party")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
+        object.__setattr__(self, "dim", math.prod(dims))
         if self.dim**2 >= 2**63:
             raise ValueError(f"global dimension {self.dim} too large for int64 entry keys")
 
@@ -89,10 +95,6 @@ class PartyLayout:
     @property
     def num_parties(self) -> int:
         return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
 
     @property
     def dense_dim(self) -> int:
@@ -144,9 +146,9 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (d,):
             raise ValueError(f"amplitude vector must have length {d}, got {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)  # not np.linalg.norm: it runs on every state built
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {float(norm)} deviates from 1 beyond {NORM_TOL}")
+            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -326,13 +328,13 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
                 u[:, group] = _axis_aligned_basis(u[:, group])
                 vh[group] = (u[:, group].conj().T @ m) / s[group, None]
 
-    for i in range(s.size):
-        col = u[:, i]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            u[:, i] = col * np.conj(phase)
-            vh[i, :] = vh[i, :] * phase
+    # every column with a component above _PHASE_TOL, rotated by its first one
+    big = np.abs(u) > _PHASE_TOL
+    cols = np.flatnonzero(big.any(axis=0))
+    first = u[big.argmax(axis=0)[cols], cols]
+    phase = first / np.hypot(first.real, first.imag)  # the bits of the scalar abs(first[j])
+    u[:, cols] = u[:, cols] * np.conj(phase)
+    vh[cols] = vh[cols] * phase[:, None]
     return s, u, vh
 
 

@@ -6,8 +6,16 @@ import tracemalloc
 
 import numpy as np
 
-from boundbell import DensityOperator, PartyLayout, PureState, random_pure
-from boundbell.extraction import _single_party_rank
+from boundbell import DensityOperator, FilterOperator, PartyLayout, PureState, random_pure, schmidt
+from boundbell.extraction import (
+    BALANCE_TOL,
+    BranchClassification,
+    _apply_filter,
+    _classify,
+    _equalize_op,
+    _single_party_rank,
+)
+from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis, _matricize
 
 
 def traced_peak(job):
@@ -380,3 +388,74 @@ def symmetric_qubit_operator(n: int, full: bool = False) -> DensityOperator:
     vals *= np.where((a == b) & (b == k), 1.0, 0.2)
     vals /= vals[rows == cols].real.sum()
     return DensityOperator(PartyLayout.qubits(n), rows, cols, vals)
+
+
+def reference_schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tensor.schmidt`` with its phase fix as a per-column loop: each left
+    vector is rotated so its first component above _PHASE_TOL is real positive,
+    and its right vector takes the compensating phase."""
+    m = _matricize(psi, bipartition)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    k = int(np.count_nonzero(s > SCHMIDT_CUTOFF))
+    s, u, vh = s[:k], u[:, :k], vh[:k]
+    gaps = np.diff(s)
+    if np.any(gaps >= -_TIE_TOL):
+        for group in np.split(np.arange(k), np.flatnonzero(gaps < -_TIE_TOL) + 1):
+            if group.size > 1:
+                u[:, group] = _axis_aligned_basis(u[:, group])
+                vh[group] = (u[:, group].conj().T @ m) / s[group, None]
+    for i in range(s.size):
+        col = u[:, i]
+        idx = np.flatnonzero(np.abs(col) > _PHASE_TOL)
+        if idx.size:
+            phase = col[idx[0]] / abs(col[idx[0]])
+            u[:, i] = col * np.conj(phase)
+            vh[i, :] = vh[i, :] * phase
+    return s, u, vh
+
+
+def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureState, float]:
+    """Equalize filter at ``party``, with the post state and weight it gives
+    by application: the oracle for the branches ``extract`` reads off the
+    pivot's Schmidt decomposition.
+
+    The filter maps the two leading Schmidt vectors onto the party's
+    computational levels 0/1 with relative weight lambda_1/lambda_0 and
+    annihilates the remaining local directions; the weight is 2*lambda_1**2
+    and the post state carries coefficients 1/sqrt(2) each.
+    """
+    coeffs, left, _ = schmidt(psi, (party,))
+    if coeffs.size < 2:
+        raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
+    fop = _equalize_op(party, coeffs, left)
+    return (fop, *_apply_filter(psi, fop))
+
+
+def classify_branch(psi: PureState, party: int) -> BranchClassification:
+    """Split a balanced state into its two pivot branches and classify them.
+
+    Requires the pivot's weight to sit on computational levels 0/1 with
+    equal (1/2) probability and orthogonal branches, as :func:`equalize_filter`
+    leaves it (ValueError otherwise); the normalized branches go to the
+    classifier that ``extract`` runs on the rows of the pivot's decomposition.
+    """
+    layout = psi.layout
+    n = layout.num_parties
+    if n < 2:
+        raise ValueError("classification needs at least two parties")
+    layout.check_subset((party,), nonempty=True)
+
+    t = psi.amplitudes.reshape(layout.dims)
+    b0 = np.take(t, 0, axis=party - 1).reshape(-1)
+    b1 = np.take(t, 1, axis=party - 1).reshape(-1)
+    w0 = float(np.vdot(b0, b0).real)
+    w1 = float(np.vdot(b1, b1).real)
+    cross = abs(complex(np.vdot(b0, b1)))
+    if abs(w0 - 0.5) > BALANCE_TOL or abs(w1 - 0.5) > BALANCE_TOL or cross > BALANCE_TOL:
+        raise ValueError(
+            "state is not balanced over the pivot's computational levels "
+            f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
+        )
+    rest = layout.drop((party,))
+    others = tuple(p for p in range(1, n + 1) if p != party)
+    return _classify(PureState(rest, b0 / np.sqrt(w0)), PureState(rest, b1 / np.sqrt(w1)), others)

@@ -283,9 +283,10 @@ def test_optimizer_rejects_large_or_qutrit_layouts():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"seed": 1.7}, {"restarts": 1.5}, {"max_sweeps": 2.5}, {"max_sweeps": -1}, {"seed": "3"}],
+    [{"seed": 1.7}, {"restarts": 1.5}, {"max_sweeps": 2.5}, {"max_sweeps": -1}, {"seed": "3"},
+     {"seed": -1}],
     ids=["fractional_seed", "fractional_restarts", "fractional_sweeps", "negative_sweeps",
-         "str_seed"],
+         "str_seed", "negative_seed"],
 )
 def test_optimizer_rejects_non_integer_or_negative_counts(kwargs):
     with pytest.raises(ValueError):

@@ -26,15 +26,24 @@ def test_every_binding_resolves_to_a_callable():
 def test_extract_calls_traced_tensor_layers():
     # extraction must look schmidt and apply_local up as module globals
     # at call time, or their spans vanish from the benchmark's layer metrics;
-    # the random 5-party state projects pivots in case B before case A
+    # the random 5-party and qutrit states project pivots in case B before
+    # case A.  A case-B round reads its branches off the pivot's Schmidt
+    # decomposition: its equalize and project steps apply no filter.
     tracing = load_tracing()
-    for psi, projects in ((ghz(3, 0.0), False), (random_pure(PartyLayout((2,) * 5), 3), True)):
+    inputs = (
+        (ghz(3, 0.0), False),
+        (random_pure(PartyLayout((2,) * 5), 3), True),
+        (random_pure(PartyLayout((3, 2, 3)), 71), True),
+    )
+    for psi, projects in inputs:
         tracer = tracing.Tracer()
         tracer.install()
         try:
             result = extraction.extract(psi)  # looked up after install, so traced
         finally:
             tracer.uninstall()
-        names = {span[0] for span in tracer.spans}
-        assert {"extraction.extract", "tensor.schmidt", "tensor.apply_local"} <= names
-        assert ("project" in [step.op.kind for step in result.steps]) == projects
+        names = [span[0] for span in tracer.spans]
+        assert {"extraction.extract", "tensor.schmidt", "tensor.apply_local"} <= set(names)
+        kinds = [step.op.kind for step in result.steps]
+        assert ("project" in kinds) == projects
+        assert names.count("tensor.apply_local") == len(kinds) - 2 * kinds.count("project")

@@ -317,6 +317,28 @@ def test_extract_source_validation(tmp_path):
     assert run(["extract", "--ghz", 3, "--random", "2,2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extract", "--random", "2,,2"], "--random expects comma-separated integers, got '2,,2'"),
+        (["extract", "--random", "2.5,2"], "--random expects comma-separated integers, got '2.5,2'"),
+        (["extract", "--ghz", 3, "--pair", "1,"], "--pair expects 2 comma-separated integers, got '1,'"),
+        (["extract", "--ghz", 3, "--pair", "a,b"], "--pair expects 2 comma-separated integers, got 'a,b'"),
+        (["extract", "--ghz", 3, "--pair", "1,2,3"],
+         "--pair expects 2 comma-separated integers, got '1,2,3'"),
+        (["extract", "--ghz", 3, "--pair", ""], "--pair expects 2 comma-separated integers, got ''"),
+        (["extract", "--random", "2,2,2", "--seed", -5], "seed must be a non-negative integer, got -5"),
+        (["bell", "--n", 4, "--settings", "optimize", "--seed", -1],
+         "seed must be a non-negative integer, got -1"),
+    ],
+    ids=["random-empty-item", "random-fraction", "pair-empty-item", "pair-letters", "pair-three",
+         "pair-empty", "extract-negative-seed", "optimize-negative-seed"],
+)
+def test_malformed_integer_options_are_named(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_json_and_csv(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(

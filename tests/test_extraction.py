@@ -6,14 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boundbell.extraction as extraction
 from boundbell import (
     NotEntangledError,
     PairUnavailableError,
     PartyLayout,
     PureState,
     apply_local,
-    classify_branch,
-    equalize_filter,
     extract,
     ghz,
     random_pure,
@@ -22,7 +21,15 @@ from boundbell import (
     schmidt,
     target_pair_choice,
 )
-from helpers import basis_state, brute_single_rank, party_ranks, tensor_product
+from boundbell.extraction import _biorthogonal_op
+from helpers import (
+    basis_state,
+    brute_single_rank,
+    classify_branch,
+    equalize_filter,
+    party_ranks,
+    tensor_product,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -375,6 +382,49 @@ def test_step_weights_match_the_replayed_state(extraction_corpus):
             if step.op.kind != "measure_pm":  # recorded as 1: both outcomes succeed
                 assert abs(step.weight - weight) <= 1e-12, case_id
             state = PureState(state.layout, vec / np.sqrt(weight))
+
+
+def test_case_b_rounds_continue_on_the_equalized_branches(extraction_corpus, monkeypatch):
+    # extract reads a case-B round's branch off the rows of the pivot's Schmidt
+    # decomposition; the oracle applies the equalize filter to the same live
+    # state and splits and normalizes the result
+    calls = []
+    real = extraction.schmidt
+    monkeypatch.setattr(extraction, "schmidt", lambda psi, cut: calls.append((psi, cut)) or real(psi, cut))
+    rounds = 0
+    for case_id, psi in list(extraction_corpus) + list(_five_and_six_party_states()):
+        calls.clear()
+        projects = [step.op for step in extract(psi).steps if step.op.kind == "project"]
+        pivots = {id(live): (live, cut[0]) for live, cut in calls}  # the last cut of a round is its pivot
+        lives = list(pivots.values())
+        assert len(lives) == len(projects) + 1, case_id
+        for (live, pivot), (after, _), project in zip(lives, lives[1:], projects):
+            info = classify_branch(equalize_filter(live, pivot)[1], pivot)
+            index = 0 if not info.branch_product[0] else 1
+            assert info.case == "B" and project.matrix[index, index] == 1.0, case_id
+            np.testing.assert_allclose(after.amplitudes, info.branches[index].amplitudes, rtol=0, atol=1e-12)
+            rounds += 1
+        live, pivot = lives[-1]
+        assert classify_branch(equalize_filter(live, pivot)[1], pivot).case == "A", case_id
+    assert rounds == 477  # 407 on the corpus, 70 on the five- and six-party states
+
+
+def test_biorthogonal_op_matches_the_pinv_formulation():
+    # one SVD of [chi tau] gives the duals and their norm; the reference takes
+    # the pseudo-inverse and then its 2-norm, two SVDs
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        for overlap in (1.01e-8, 1e-6, 1e-3, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1.01e-8):
+            for _ in range(5):
+                q, _ = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))
+                chi, perp = q[:, 0], q[:, 1]
+                tau = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (overlap * chi + np.sqrt(1 - overlap**2) * perp)
+                ref = np.zeros((d, d), dtype=complex)
+                ref[:2] = np.linalg.pinv(np.stack([chi, tau], axis=1))
+                ref /= np.linalg.norm(ref, 2)
+                op = _biorthogonal_op(1, chi, tau).matrix
+                np.testing.assert_allclose(op, ref, rtol=0, atol=1e-12)
+                assert abs(np.linalg.norm(op, 2) - 1.0) <= 1e-12, (d, overlap)
 
 
 def test_extract_coefficients_are_schmidts(extraction_corpus):

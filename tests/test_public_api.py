@@ -14,8 +14,8 @@ PUBLIC = {
     "BellSettings", "bell_value", "optimize_settings",
     # extraction
     "BranchClassification", "ExtractionResult", "ExtractionStep", "NotEntangledError",
-    "NumericDegeneracyError", "PairUnavailableError", "classify_branch", "equalize_filter",
-    "extract", "reduce_to_parties", "replay", "target_pair_choice",
+    "NumericDegeneracyError", "PairUnavailableError", "extract", "reduce_to_parties", "replay",
+    "target_pair_choice",
 }
 
 

@@ -135,6 +135,8 @@ def test_random_pure_deterministic_and_normalized():
     for bad in (123.7, 1.7, "123"):  # rejected, not cut to an integer
         with pytest.raises(ValueError):
             random_pure(layout, bad)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        random_pure(layout, -1)
     for seed in range(100):
         psi = random_pure(layout, seed)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12

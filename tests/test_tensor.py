@@ -1,5 +1,8 @@
 """Tensor-core tests: encoding, partial ops, eigensolves, Schmidt, filters."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,7 @@ from helpers import (
     raises_value_error,
     random_density,
     random_sparse_hermitian,
+    reference_schmidt,
     tensor_product,
     tensordot_apply_local,
     traced_peak,
@@ -67,6 +71,17 @@ def test_layout_validation():
     assert PartyLayout.qubits(12).dense_dim == 4096
     assert layout.num_parties == 3
     assert layout.dim_of(2) == 3
+
+
+def test_layout_compares_hashes_and_prints_by_dims_alone():
+    # dim is computed once, at construction, and kept out of eq, hash and repr
+    a, b = PartyLayout((2, 3)), PartyLayout((np.int64(2), 3))
+    assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+    assert repr(a) == "PartyLayout(dims=(2, 3))"
+    assert a != PartyLayout((3, 2)) and a.dim == PartyLayout((3, 2)).dim == 6
+    assert dataclasses.replace(a, dims=(2, 2, 2)).dim == 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.dim = 7
 
 
 def test_layout_rejects_non_integral_dims():
@@ -387,6 +402,37 @@ def test_schmidt_tie_gap_beside_the_tolerance(gap, rebased):
         assert aligned > 1 - 1e-12
     else:
         assert aligned < 0.99 and abs(np.vdot(q[:, 0], left[:, 0])) > 1 - 1e-3
+
+
+def _schmidt_bit_cases():
+    rng = np.random.default_rng(61)
+    for seed in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 5, size=int(rng.integers(2, 5))))
+        yield f"random-{seed}", random_pure(PartyLayout(dims), seed)
+    for n in (2, 3, 5):
+        for alpha in (0.0, 0.7, np.pi):  # alpha = pi: a negative amplitude
+            yield f"ghz-{n}-{alpha}", ghz(n, alpha)
+    for n in (3, 4, 5):
+        yield f"w-{n}", _uniform_superposition((2,) * n, [1 << k for k in range(n)])
+    # tied: maximally entangled pairs, on axes with imaginary and negative
+    # amplitudes (signed zeros on the way) and under a random local unitary
+    for d in (2, 3, 4):
+        yield f"tied-axes-{d}", PureState(PartyLayout((d, d)), (-1j * np.eye(d)[::-1] / np.sqrt(d)).reshape(-1))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        yield f"tied-rotated-{d}", PureState(PartyLayout((d, d)), (q / np.sqrt(d)).reshape(-1))
+    yield "tied-qutrit-levels-1-2", _uniform_superposition((3, 3, 3), [13, 26])
+
+
+def test_schmidt_phase_fix_is_bit_identical_to_a_per_column_loop():
+    # schmidt fixes the phases of all kept columns in one step; the bits, signed
+    # zeros included, must be those of the per-column loop, on every bipartition
+    for name, psi in _schmidt_bit_cases():
+        n = psi.layout.num_parties
+        for size in range(1, n):
+            for cut in itertools.combinations(range(1, n + 1), size):
+                got, want = schmidt(psi, cut), reference_schmidt(psi, cut)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, cut)
 
 
 def test_schmidt_product_state():
