@@ -12,7 +12,6 @@ from .bell import (
     optimize_settings,
 )
 from .extraction import (
-    BranchClassification,
     ExtractionResult,
     ExtractionStep,
     NotEntangledError,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellSettings",
-    "BranchClassification",
     "DensityOperator",
     "ExtractionResult",
     "ExtractionStep",

@@ -41,6 +41,7 @@ from .ppt import DEFAULT_PPT_TOL, PSD, Verdicts, classify_family, cut_verdicts, 
 # ppt_check stays importable from here: bench/tracing.py rebinds it.
 from .ppt import ppt_check  # noqa: F401
 from .serialize import (
+    amplitudes_to_obj,
     canonical_dumps,
     dump_json,
     extraction_to_obj,
@@ -50,9 +51,10 @@ from .serialize import (
     settings_from_obj,
     settings_to_obj,
     state_from_obj,
-    state_to_obj,
 )
-from .states import RhoFamilySpec, default_alpha, ghz, random_pure, rho_family
+# state_to_obj stays importable from here: bench/tracing.py rebinds it.
+from .serialize import state_to_obj  # noqa: F401
+from .states import RhoFamilySpec, _ghz_terms, default_alpha, ghz, random_pure, rho_family
 from .tensor import PartyLayout
 
 EXIT_OK = 0
@@ -149,12 +151,11 @@ def cmd_state(args) -> tuple:
     if args.n is None:
         raise ValueError("provide --n")
     rho, spec = _family_member(args.alpha, args.n)
-    psi = ghz(spec.n, spec.alpha)
 
     out = Path(args.operator_out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
     dump_json(operator_to_obj(rho), out)
-    dump_json(state_to_obj(psi), ghz_out)
+    dump_json(amplitudes_to_obj(*_ghz_terms(spec.n, spec.alpha)), ghz_out)  # no dense vector
 
     report = {
         "config": _config(args, alpha=spec.alpha, out=str(out)),

@@ -9,8 +9,12 @@ probability.  The protocol:
    A rank is the number of Schmidt coefficients above ``SCHMIDT_CUTOFF``.
    Each round decomposes parties in order and stops at the first of rank
    >= 2, the pivot, whose decomposition builds the equalize filter; it then
-   checks, from singular values alone, that a later party also has rank >= 2
-   (an entangled pure state never has exactly one entangled party).
+   checks that a later party also has rank >= 2 (an entangled pure state
+   never has exactly one entangled party).  A later party's purity below
+   1 - ``PURITY_TOL`` certifies that rank, since rank 1 at the cutoff forces
+   a purity above 1 - 5e-12 for a state normalized within ``NORM_TOL``; only
+   a party that the purity does not certify has its singular values
+   computed.
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.  With the pivot's decomposition
@@ -85,7 +89,7 @@ class ExtractionStep:
 
 
 @dataclass(frozen=True, eq=False)
-class BranchClassification:
+class _BranchClassification:
     """Case split of a balanced state at a pivot party.
 
     Branches are labeled by the pivot's computational levels 0/1 (the output
@@ -170,15 +174,17 @@ def _local_factor(t: np.ndarray, axis: int) -> np.ndarray:
     return _fix_phase(vecs[:, -1])
 
 
+def _purity(t: np.ndarray, axis: int) -> float:
+    """Purity tr(rho**2) of the reduced operator at ``axis`` of the amplitude tensor ``t``."""
+    red = _reduced_operator(t, axis)
+    return float(np.einsum("ij,ji->", red, red).real)
+
+
 def _is_product(phi: PureState) -> bool:
     """Product test: no single-party reduced operator has purity below
     1 - PURITY_TOL; stops at the first that does."""
     t = phi.amplitudes.reshape(phi.layout.dims)
-    for axis in range(t.ndim):
-        red = _reduced_operator(t, axis)
-        if float(np.einsum("ij,ji->", red, red).real) < 1.0 - PURITY_TOL:
-            return False
-    return True
+    return not any(_purity(t, axis) < 1.0 - PURITY_TOL for axis in range(t.ndim))
 
 
 def _branch_factors(phi: PureState) -> list[np.ndarray]:
@@ -189,7 +195,7 @@ def _branch_factors(phi: PureState) -> list[np.ndarray]:
     return [_local_factor(t, axis) for axis in range(t.ndim)]
 
 
-def _classify(phi0: PureState, phi1: PureState, others) -> BranchClassification:
+def _classify(phi0: PureState, phi1: PureState, others) -> _BranchClassification:
     """Classify the two normalized pivot branches, ``others`` naming their parties.
 
     Each branch is tested for product form on its single-party purities
@@ -201,7 +207,7 @@ def _classify(phi0: PureState, phi1: PureState, others) -> BranchClassification:
     """
     prod0, prod1 = _is_product(phi0), _is_product(phi1)
     if not (prod0 and prod1):
-        return BranchClassification("B", (phi0, phi1), (prod0, prod1))
+        return _BranchClassification("B", (phi0, phi1), (prod0, prod1))
 
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
@@ -221,7 +227,7 @@ def _classify(phi0: PureState, phi1: PureState, others) -> BranchClassification:
             "product branches without a locally orthogonal site; overlaps "
             f"{sorted(overlaps.items())}"
         )
-    return BranchClassification(
+    return _BranchClassification(
         "A",
         (phi0, phi1),
         (prod0, prod1),
@@ -328,7 +334,8 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
     labels = list(range(1, n + 1))  # input party at each live axis
     steps: list[ExtractionStep] = []
     while True:
-        m = live.layout.num_parties
+        dims = live.layout.dims
+        m = len(dims)
         for pivot in range(1, m + 1):
             coeffs, left, right = schmidt(live, (pivot,))
             if coeffs.size >= 2:
@@ -337,7 +344,11 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
             if not steps:
                 raise NotEntangledError("state is a product state across every party")
             raise NumericDegeneracyError("entanglement vanished mid-protocol")
-        if not any(_single_party_rank(live, p) >= 2 for p in range(pivot + 1, m + 1)):
+        t = live.amplitudes.reshape(dims)  # a purity certifies rank >= 2 without an SVD (step 1)
+        if not any(
+            _purity(t, p - 1) < 1.0 - PURITY_TOL or _single_party_rank(live, p) >= 2
+            for p in range(pivot + 1, m + 1)
+        ):
             raise NumericDegeneracyError(
                 f"exactly one party ({labels[pivot - 1]}) reports Schmidt rank >= 2"
             )
@@ -353,7 +364,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 f"equalized branches at party {label} are not balanced "
                 f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
             )
-        rest = live.layout.drop((pivot,))
+        rest = PartyLayout(dims[: pivot - 1] + dims[pivot:])
         branch_info = _classify(
             PureState(rest, right[0]),
             PureState(rest, right[1]),

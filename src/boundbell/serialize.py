@@ -79,13 +79,15 @@ def operator_from_obj(obj: dict) -> DensityOperator:
     return rho
 
 
+def amplitudes_to_obj(layout: PartyLayout, index, vals) -> dict:
+    """State file listing the amplitudes ``vals`` at the basis indices ``index``."""
+    amps = [[int(i), float(v.real), float(v.imag)] for i, v in zip(index, vals)]
+    return {"dims": list(layout.dims), "amps": amps}
+
+
 def state_to_obj(psi: PureState) -> dict:
     idx = np.nonzero(psi.amplitudes)[0]
-    amps = [
-        [int(i), float(psi.amplitudes[i].real), float(psi.amplitudes[i].imag)]
-        for i in idx
-    ]
-    return {"dims": list(psi.layout.dims), "amps": amps}
+    return amplitudes_to_obj(psi.layout, idx, psi.amplitudes[idx])
 
 
 def state_from_obj(obj: dict) -> PureState:

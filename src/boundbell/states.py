@@ -44,16 +44,23 @@ class RhoFamilySpec:
         object.__setattr__(self, "alpha", alpha)
 
 
-def ghz(n: int, alpha: float) -> PureState:
-    """GHZ state (|0...0> + e^{i alpha} |1...1>)/sqrt(2) on n qubits."""
+def _ghz_terms(n: int, alpha: float) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
+    """Layout, basis indices and values of the two nonzero GHZ amplitudes;
+    nothing dense is built, so any qubit layout (n <= 31) is allowed."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     layout = PartyLayout.qubits(n)
+    index = np.array([0, layout.dim - 1])
+    return layout, index, np.array([1.0 / math.sqrt(2.0), np.exp(1j * alpha) / math.sqrt(2.0)])
+
+
+def ghz(n: int, alpha: float) -> PureState:
+    """GHZ state (|0...0> + e^{i alpha} |1...1>)/sqrt(2) on n qubits."""
+    layout, index, vals = _ghz_terms(n, alpha)
     amps = np.zeros(layout.dense_dim, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(2.0)
-    amps[-1] = np.exp(1j * alpha) / math.sqrt(2.0)
+    amps[index] = vals
     return PureState(layout, amps)
 
 

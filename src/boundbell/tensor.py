@@ -14,8 +14,10 @@ Conventions used throughout the package:
   allocates a dense array asks :attr:`PartyLayout.dense_dim` (or
   :func:`dense_size`) first, which refuses sizes above MAX_GLOBAL_DIM.
 * A local filter's norm is checked once, when its :class:`FilterOperator` is
-  built.  A Schmidt decomposition is three plain arrays; its rank counts
-  the coefficients above the constant SCHMIDT_CUTOFF.
+  built: a Gram-matrix row-sum bound certifies most filters, and only a
+  filter that the bound does not certify takes an SVD.  A Schmidt
+  decomposition is three plain arrays; its rank counts the coefficients
+  above the constant SCHMIDT_CUTOFF.
 * Arrays are treated as immutable after construction; every operation
   here is a pure function and safe to call concurrently.
 """
@@ -36,6 +38,8 @@ FILTER_KINDS = ("equalize", "biorthogonal", "project", "measure_pm")
 
 _PHASE_TOL = 1e-12
 _TIE_TOL = 1e-12
+_FILTER_NORM = 1.0 + 1e-12
+_SMALL_ENTRY = np.finfo(float).eps ** 2  # relative to max|A|; see hermitian_eigenvalues
 
 
 def dense_size(size: int) -> int:
@@ -255,11 +259,23 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     A stack of matrices (shape (k, s, s)) gives one row per matrix.  Raises
     ValueError on input that is not Hermitian within 1e-10 (pass a
     :class:`DensityOperator` as its ``.matrix``).
+
+    Entries below eps**2 * max|A| of their matrix are set to zero first:
+    LAPACK's values-only solver returns wrong eigenvalues on some matrices
+    that mix O(1) entries with ones near 1e-160 (off by 5e-3 at
+    [[0, 3e-162, 0], [3e-162, 0, 0.45], [0, 0.45, 0]]).  By Weyl's inequality
+    this moves each eigenvalue by at most size * eps**2 * max|A|, far inside
+    the solver's own backward error; a matrix without such entries is
+    passed on unchanged.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
     _check_hermitian(m - np.swapaxes(m, -1, -2).conj(), 1e-10)
+    mod = np.abs(m)
+    small = mod < _SMALL_ENTRY * np.max(mod, axis=(-2, -1), keepdims=True, initial=0.0)
+    if np.any(small & (mod != 0)):
+        m = np.where(small, 0, m)
     return np.linalg.eigvalsh(m)
 
 
@@ -299,10 +315,12 @@ def _matricize(psi: PureState, bipartition) -> np.ndarray:
     ``bipartition`` (a nonempty proper subset, sorted), columns the rest."""
     layout = psi.layout
     left = layout.check_subset(bipartition, nonempty=True, proper=True)
+    t = psi.amplitudes.reshape(layout.dims)
+    if len(left) == 1:
+        return _party_matrix(t, left[0] - 1)
     right = tuple(p for p in range(1, layout.num_parties + 1) if p not in left)
     dl = math.prod(layout.dims[p - 1] for p in left)
-    perm = [p - 1 for p in left + right]
-    return psi.amplitudes.reshape(layout.dims).transpose(perm).reshape(dl, -1)
+    return t.transpose([p - 1 for p in left + right]).reshape(dl, -1)
 
 
 def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -321,27 +339,35 @@ def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.nda
     k = int(np.count_nonzero(s > SCHMIDT_CUTOFF))  # s is sorted descending
     s, u, vh = s[:k], u[:, :k], vh[:k]
 
-    gaps = np.diff(s)
-    if np.any(gaps >= -_TIE_TOL):
-        for group in np.split(np.arange(k), np.flatnonzero(gaps < -_TIE_TOL) + 1):
-            if group.size > 1:
-                u[:, group] = _axis_aligned_basis(u[:, group])
-                vh[group] = (u[:, group].conj().T @ m) / s[group, None]
+    c = s.tolist()
+    start = 0
+    for j in range(1, k + 1):  # runs of coefficients tied within _TIE_TOL
+        if j == k or c[j - 1] - c[j] > _TIE_TOL:
+            if j - start > 1:
+                u[:, start:j] = _axis_aligned_basis(u[:, start:j])
+                vh[start:j] = (u[:, start:j].conj().T @ m) / s[start:j, None]
+            start = j
 
-    # every column with a component above _PHASE_TOL, rotated by its first one
-    big = np.abs(u) > _PHASE_TOL
-    cols = np.flatnonzero(big.any(axis=0))
-    first = u[big.argmax(axis=0)[cols], cols]
+    # a kept left column is a unit vector, so it has a component above
+    # _PHASE_TOL; rotate each by its first one
+    first = u[(np.abs(u) > _PHASE_TOL).argmax(axis=0), np.arange(k)]
     phase = first / np.hypot(first.real, first.imag)  # the bits of the scalar abs(first[j])
-    u[:, cols] = u[:, cols] * np.conj(phase)
-    vh[cols] = vh[cols] * phase[:, None]
+    u *= np.conj(phase)
+    vh *= phase[:, None]
     return s, u, vh
 
 
 @dataclass(frozen=True, eq=False)
 class FilterOperator:
     """One local measurement element: a square matrix for ``party``, of
-    largest singular value at most 1 (within 1e-12), checked here once."""
+    largest singular value at most 1 (within 1e-12), checked here once.
+
+    ``||M||_2**2`` is the largest eigenvalue of ``M M^H``, which is at most
+    that matrix's largest absolute row sum; a bound within (1 + 1e-12)**2
+    accepts the filter without an SVD.  Orthonormal rows scaled by at most 1
+    (equalize, project, +/- measurement) pass on it.  Otherwise, NaN and inf
+    entries included, the largest singular value decides.
+    """
 
     party: int
     matrix: np.ndarray
@@ -351,11 +377,14 @@ class FilterOperator:
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("filter matrix must be square")
-        smax = np.linalg.svd(m, compute_uv=False)[0]
-        if not smax <= 1.0 + 1e-12:
-            raise ValueError(f"filter has singular value {float(smax)} > 1; not a measurement filter")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("filter matrix must be square and nonempty")
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf: the SVD reports them
+            bound = np.abs(m @ m.conj().T).sum(axis=1).max()
+        if not bound <= _FILTER_NORM**2:
+            smax = np.linalg.svd(m, compute_uv=False)[0]
+            if not smax <= _FILTER_NORM:
+                raise ValueError(f"filter has singular value {float(smax)} > 1; not a measurement filter")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -9,13 +9,13 @@ import numpy as np
 from boundbell import DensityOperator, FilterOperator, PartyLayout, PureState, random_pure, schmidt
 from boundbell.extraction import (
     BALANCE_TOL,
-    BranchClassification,
+    _BranchClassification,
     _apply_filter,
     _classify,
     _equalize_op,
     _single_party_rank,
 )
-from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis, _matricize
+from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis
 
 
 def traced_peak(job):
@@ -169,8 +169,12 @@ def dense_partial_transpose(rho: DensityOperator, parties) -> np.ndarray:
 
 
 def dense_min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a dense Hermitian matrix, one full eigensolve (oracle path)."""
-    return float(np.linalg.eigvalsh(m)[0])
+    """Smallest eigenvalue of a dense Hermitian matrix, one full eigensolve (oracle path).
+
+    The eigenvalues come from ``eigh``, not the values-only ``eigvalsh`` that
+    ``hermitian_eigenvalues`` runs, which is wrong on some matrices mixing
+    O(1) entries with ones near 1e-160."""
+    return float(np.linalg.eigh(m)[0][0])
 
 
 def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
@@ -390,11 +394,22 @@ def symmetric_qubit_operator(n: int, full: bool = False) -> DensityOperator:
     return DensityOperator(PartyLayout.qubits(n), rows, cols, vals)
 
 
+def transpose_matricize(psi: PureState, bipartition) -> np.ndarray:
+    """Amplitudes as a matrix, rows the sorted parties of ``bipartition``, by one
+    generic transpose and reshape for every cut (reference path)."""
+    dims = psi.layout.dims
+    left = sorted(bipartition)
+    perm = [p - 1 for p in left] + [p for p in range(len(dims)) if p + 1 not in left]
+    return psi.amplitudes.reshape(dims).transpose(perm).reshape(int(np.prod([dims[p - 1] for p in left])), -1)
+
+
 def reference_schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tensor.schmidt`` with its phase fix as a per-column loop: each left
-    vector is rotated so its first component above _PHASE_TOL is real positive,
-    and its right vector takes the compensating phase."""
-    m = _matricize(psi, bipartition)
+    """``tensor.schmidt`` by its earlier route: the matrix of
+    :func:`transpose_matricize` for every cut, tied runs found by ``np.diff``,
+    and the phase fix as a per-column loop (each left vector rotated so its
+    first component above _PHASE_TOL is real positive, its right vector taking
+    the compensating phase)."""
+    m = transpose_matricize(psi, bipartition)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     k = int(np.count_nonzero(s > SCHMIDT_CUTOFF))
     s, u, vh = s[:k], u[:, :k], vh[:k]
@@ -431,7 +446,7 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     return (fop, *_apply_filter(psi, fop))
 
 
-def classify_branch(psi: PureState, party: int) -> BranchClassification:
+def classify_branch(psi: PureState, party: int) -> _BranchClassification:
     """Split a balanced state into its two pivot branches and classify them.
 
     Requires the pivot's weight to sit on computational levels 0/1 with

@@ -43,7 +43,33 @@ def test_state_round_trip(tmp_path):
 
 def test_state_range_error(tmp_path):
     assert run(["state", "--n", 1, "--out", tmp_path / "x.json"]) == 2
-    assert run(["state", "--n", 13, "--out", tmp_path / "x.json"]) == 2
+    assert run(["state", "--n", 32, "--out", tmp_path / "x.json"]) == 2
+
+
+def test_state_writes_the_ghz_file_above_the_dense_cap(tmp_path):
+    # the GHZ file lists its two amplitudes; only reading it back densely is capped
+    out = tmp_path / "big.json"
+    assert run(["state", "--n", 20, "--alpha", "0.7", "--out", out]) == 0
+    obj = load_json(tmp_path / "big.ghz.json")
+    assert obj["dims"] == [2] * 20
+    assert [row[0] for row in obj["amps"]] == [0, 2**20 - 1]
+    np.testing.assert_allclose(
+        [row[1:] for row in obj["amps"]], [[2**-0.5, 0.0], [np.cos(0.7) * 2**-0.5, np.sin(0.7) * 2**-0.5]],
+        rtol=0, atol=1e-15,
+    )
+    assert len(operator_from_obj(load_json(out)).vals) == 44
+    assert run(["extract", "--input", tmp_path / "big.ghz.json", "--out", tmp_path / "e.json"]) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_state_ghz_file_is_the_dense_states_encoding(tmp_path, n):
+    for alpha in ("0", "0.7", "-1.3", "auto"):
+        out = tmp_path / f"rho{n}.json"
+        assert run(["state", "--n", n, "--alpha", alpha, "--out", out]) == 0
+        spec = RhoFamilySpec(n, None if alpha == "auto" else float(alpha))
+        dump_json(state_to_obj(ghz(n, spec.alpha)), tmp_path / "dense.json")
+        got = (tmp_path / f"rho{n}.ghz.json").read_bytes()
+        assert got == (tmp_path / "dense.json").read_bytes(), alpha
 
 
 def test_scan_family(tmp_path):

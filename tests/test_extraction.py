@@ -1,6 +1,7 @@
 """Pair-extraction protocol: filters, case analysis, full runs, replay."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import boundbell.extraction as extraction
 from boundbell import (
+    FilterOperator,
     NotEntangledError,
     PairUnavailableError,
     PartyLayout,
@@ -22,6 +24,7 @@ from boundbell import (
     target_pair_choice,
 )
 from boundbell.extraction import _biorthogonal_op
+from boundbell.tensor import FILTER_KINDS
 from helpers import (
     basis_state,
     brute_single_rank,
@@ -407,6 +410,89 @@ def test_case_b_rounds_continue_on_the_equalized_branches(extraction_corpus, mon
         live, pivot = lives[-1]
         assert classify_branch(equalize_filter(live, pivot)[1], pivot).case == "A", case_id
     assert rounds == 477  # 407 on the corpus, 70 on the five- and six-party states
+
+
+def test_a_case_b_round_runs_one_svd_per_decomposition(monkeypatch):
+    # the rank check, the equalize and the project filter take certificates, so
+    # a case-B round's only SVDs are its decompositions, one for a first-party pivot
+    svds, starts = [], []  # starts: (live state, SVDs so far) at each decomposition
+    real_svd, real_schmidt = np.linalg.svd, extraction.schmidt
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+    monkeypatch.setattr(
+        extraction, "schmidt", lambda psi, cut: starts.append((psi, len(svds))) or real_schmidt(psi, cut)
+    )
+    for seed, psi in _five_and_six_party_states():
+        starts.clear()
+        extract(psi)
+        firsts = [i for i, (live, _) in enumerate(starts) if i == 0 or live is not starts[i - 1][0]]
+        assert len(firsts) >= 3, seed  # at least two case-B rounds
+        for a, b in zip(firsts, firsts[1:]):
+            assert starts[b][1] - starts[a][1] == b - a, seed
+        assert firsts[1] == 1 and starts[1][1] - starts[0][1] == 1, seed
+
+
+def test_extract_builds_its_filters_without_an_svd(extraction_corpus, monkeypatch):
+    # every filter kind passes the norm certificate.  A biorthogonal filter's
+    # Gram matrix has eigenvalues s_min**2 / s_k**2 on eigenvectors of equal
+    # moduli (its factors are unit vectors), so its largest row sum is exactly
+    # 1, for non-orthogonal factors too
+    building, built, svds = [], Counter(), Counter()
+    real_svd, real_check = np.linalg.svd, FilterOperator.__post_init__
+
+    def svd(*args, **kwargs):
+        svds[building[-1] if building else None] += 1
+        return real_svd(*args, **kwargs)
+
+    def check(self):
+        building.append(self.kind)
+        built[self.kind] += 1
+        try:
+            real_check(self)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(FilterOperator, "__post_init__", check)
+    for psi in [psi for _, psi in extraction_corpus] + [ghz(n, 0.7) for n in (3, 4, 5)]:
+        extract(psi)
+    # (|000> + |1>|b>|1>)/sqrt2 with <0|b> = 0.6: party 2's duals are not orthogonal
+    amps = np.concatenate([np.eye(1, 4)[0], np.kron([0.6, 0.8], [0.0, 1.0])]) / np.sqrt(2)
+    res = extract(PureState(PartyLayout.qubits(3), amps))
+    assert [step.op.kind for step in res.steps].count("biorthogonal") == 2
+    assert res.steps[1].op.party == 2 and abs(np.vdot(*res.steps[1].op.matrix[:2])) > 0.1
+    assert all(built[kind] for kind in FILTER_KINDS), built
+    assert sum(svds[kind] for kind in FILTER_KINDS) == 0, svds
+
+
+def _pair_with_a_product_rest(c1, theta, rest):
+    """c0 |0>|0...0> + c1 |1>|b...b> over 1 + ``rest`` qubits, |b> = cos(theta)|0> + sin(theta)|1>."""
+    b = np.array([np.cos(theta), np.sin(theta)])
+    tail = np.ones(1)
+    for _ in range(rest):
+        tail = np.kron(tail, b)
+    amps = np.concatenate([np.sqrt(1 - c1**2) * np.eye(1, 1 << rest)[0], c1 * tail])
+    return PureState(PartyLayout.qubits(1 + rest), amps)
+
+
+def test_rank_check_falls_back_to_the_svd_where_the_purity_cannot_certify(monkeypatch):
+    ranks = []
+    real = extraction._single_party_rank
+    monkeypatch.setattr(extraction, "_single_party_rank", lambda psi, p: ranks.append(p) or real(psi, p))
+    extract(random_pure(PartyLayout((2, 3, 2, 2)), 4))
+    assert ranks == []  # every round certified by a purity
+    # parties 1 and 2 share the coefficients (~1, 1e-6): party 2's purity,
+    # 1 - 2e-12, is above the certificate's threshold; the SVD finds rank 2
+    res = extract(_pair_with_a_product_rest(1e-6, np.pi / 2, 2))
+    assert ranks == [2] and res.pair == (1, 2)
+    assert res.probability == pytest.approx(2e-12, rel=1e-9)
+    # party 1 at s2 = 1.3e-10 against five parties at 6e-11 each: every later
+    # party takes the SVD and reports rank 1
+    ranks.clear()
+    psi = _pair_with_a_product_rest(1e-5, 6e-6, 5)
+    assert [brute_single_rank(psi, p) for p in range(1, 7)] == [2, 1, 1, 1, 1, 1]
+    with pytest.raises(extraction.NumericDegeneracyError, match=r"exactly one party \(1\)"):
+        extract(psi)
+    assert ranks == [2, 3, 4, 5, 6]
 
 
 def test_biorthogonal_op_matches_the_pinv_formulation():

@@ -13,7 +13,7 @@ PUBLIC = {
     # bell
     "BellSettings", "bell_value", "optimize_settings",
     # extraction
-    "BranchClassification", "ExtractionResult", "ExtractionStep", "NotEntangledError",
+    "ExtractionResult", "ExtractionStep", "NotEntangledError",
     "NumericDegeneracyError", "PairUnavailableError", "extract", "reduce_to_parties", "replay",
     "target_pair_choice",
 }

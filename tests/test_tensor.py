@@ -19,6 +19,7 @@ from boundbell import (
     hermitian_eigenvalues,
     optimize_settings,
     partial_transpose,
+    ppt_check,
     random_pure,
     rho_family,
     RhoFamilySpec,
@@ -39,8 +40,9 @@ from helpers import (
     tensor_product,
     tensordot_apply_local,
     traced_peak,
+    transpose_matricize,
 )
-from boundbell.tensor import _TIE_TOL, _party_matrix
+from boundbell.tensor import _TIE_TOL, _matricize, _party_matrix
 
 
 def qubit(amp0, amp1):
@@ -340,6 +342,60 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigenvalues_with_a_tiny_entry_pair():
+    # LAPACK's values-only solver gives -0.4472135954999579 here; the spectrum is 0, +-0.45
+    m = np.array([[0, 3e-162, 0], [3e-162, 0, 0.45], [0, 0.45, 0]])
+    np.testing.assert_allclose(hermitian_eigenvalues(m), [-0.45, 0.0, 0.45], rtol=0, atol=1e-15)
+
+
+def test_hermitian_eigenvalues_of_a_dense_partial_transpose_with_a_tiny_entry():
+    # a (2, 3, 3) operator whose cut-(1, 2) transpose mixes a pair of modulus
+    # 3.5e-160 with O(1) entries; the values-only solver misses by 5.7e-6
+    entries = {(0, 0): 1.0, (4, 7): 3.5e-160, (6, 14): -0.68 + 0.46j, (6, 16): 0.9 - 0.17j}
+    for (r, c), v in list(entries.items()):
+        entries[c, r] = np.conj(v)
+    rows, cols = zip(*entries)
+    rho = DensityOperator(PartyLayout((2, 3, 3)), rows, cols, list(entries.values()))
+    dense = dense_partial_transpose(rho, (1, 2))
+    want = np.linalg.eigh(dense)[0]
+    np.testing.assert_allclose(hermitian_eigenvalues(dense), want, rtol=0, atol=1e-12)
+    assert abs(ppt_check(rho, (1, 2)).min_eigenvalue - want[0]) <= 1e-12
+
+
+def _blocks_with_one_tiny_pair(rng, d, count):
+    """``count`` connected d x d Hermitian blocks: a random path through the
+    basis plus each other pair with probability 0.3, O(1) complex entries, one
+    path entry pair replaced by one of modulus 1e-300..1e-10, and a zero or
+    random real diagonal."""
+    perm = rng.permuted(np.tile(np.arange(d), (count, 1)), axis=1)
+    lo, hi = np.minimum(perm[:, :-1], perm[:, 1:]), np.maximum(perm[:, :-1], perm[:, 1:])
+    k = np.arange(count)[:, None]
+    upper = np.triu(rng.random((count, d, d)) < 0.3, 1)
+    upper[k, lo, hi] = True
+    m = np.where(upper, rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d)), 0)
+    i, pick = np.arange(count), rng.integers(d - 1, size=count)
+    m[i, lo[i, pick], hi[i, pick]] = 10.0 ** rng.uniform(-300, -10, count) * np.exp(2j * np.pi * rng.random(count))
+    m = m + np.swapaxes(m, -1, -2).conj()
+    diag = rng.standard_normal((count, d)) * (rng.random((count, 1)) < 0.5)
+    m[:, np.arange(d), np.arange(d)] = diag
+    return m
+
+
+def test_hermitian_eigenvalues_agree_with_eigh_on_blocks_with_a_tiny_entry():
+    # 60,000 seeded blocks; the values-only solver alone fails on a few of them
+    rng = np.random.default_rng(2)
+    for d in (3, 4, 5, 6):
+        stack = _blocks_with_one_tiny_pair(rng, d, 15_000)
+        scale = np.max(np.abs(stack), axis=(1, 2))
+        err = np.max(np.abs(hermitian_eigenvalues(stack) - np.linalg.eigh(stack)[0]), axis=1)
+        assert np.all(err <= 1e-12 * scale), (d, int(np.sum(err > 1e-12 * scale)))
+
+
+def test_hermitian_eigenvalues_pass_matrices_without_tiny_entries_unchanged():
+    for m in (rho_family(RhoFamilySpec(8)).matrix, random_density(PartyLayout((2, 3, 2)), 4).matrix):
+        assert hermitian_eigenvalues(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+
 # ---------------------------------------------------------------- Schmidt
 
 
@@ -424,8 +480,10 @@ def _schmidt_bit_cases():
 
 
 def test_schmidt_phase_fix_is_bit_identical_to_a_per_column_loop():
-    # schmidt fixes the phases of all kept columns in one step; the bits, signed
-    # zeros included, must be those of the per-column loop, on every bipartition
+    # schmidt fixes the phases of all kept columns in one step, finds tied runs
+    # in a Python loop and matricizes a one-party cut by _party_matrix; the bits,
+    # signed zeros included, must be those of the per-column loop over np.diff's
+    # runs and a generic transpose, on every bipartition
     for name, psi in _schmidt_bit_cases():
         n = psi.layout.num_parties
         for size in range(1, n):
@@ -433,6 +491,13 @@ def test_schmidt_phase_fix_is_bit_identical_to_a_per_column_loop():
                 got, want = schmidt(psi, cut), reference_schmidt(psi, cut)
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, cut)
+
+
+def test_one_party_matricize_is_bit_identical_to_the_transpose_route():
+    for name, psi in _schmidt_bit_cases():
+        for party in range(1, psi.layout.num_parties + 1):
+            got, want = _matricize(psi, (party,)), transpose_matricize(psi, (party,))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, party)
 
 
 def test_schmidt_product_state():
@@ -546,6 +611,48 @@ def test_filter_norm_is_the_largest_singular_value():
     FilterOperator(1, m, "project")  # exactly at the bound: accepted
     with pytest.raises(ValueError, match="singular value"):
         FilterOperator(1, m * (1 + 1e-9), "project")
+
+
+def _svd_filter_check(m):
+    """The filter norm check by the SVD alone: None if accepted, else the error."""
+    try:
+        smax = np.linalg.svd(m, compute_uv=False)[0]
+    except ValueError as exc:  # LinAlgError, on NaN entries
+        return type(exc), str(exc)
+    if not smax <= 1.0 + 1e-12:
+        return ValueError, f"filter has singular value {float(smax)} > 1; not a measurement filter"
+    return None
+
+
+def test_filter_norm_certificate_decides_as_the_svd():
+    rng = np.random.default_rng(12)
+    cases = 0
+    for d in range(2, 7):
+        for shape in ("full", "two-row", "rank-1"):
+            for norm in (1 - 1e-9, 1.0, 1 + 5e-13, 1 + 2e-12, 1.5):
+                for _ in range(4):
+                    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    if shape == "two-row":
+                        g[2:] = 0
+                    elif shape == "rank-1":
+                        g = np.outer(g[:, 0], g[0])
+                    m = g * (norm / np.linalg.svd(g, compute_uv=False)[0])
+                    bad = m.copy()
+                    bad[rng.integers(d), rng.integers(d)] = (np.nan, np.inf, -np.inf)[cases % 3]
+                    for case in (m, bad):
+                        try:
+                            FilterOperator(1, case, "project")
+                            got = None
+                        except ValueError as exc:
+                            got = type(exc), str(exc)
+                        assert got == _svd_filter_check(case), (d, shape, norm)
+                        cases += 1
+    assert cases == 600
+
+
+def test_filter_operator_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="square and nonempty"):
+        FilterOperator(1, np.zeros((0, 0)), "project")
 
 
 def test_apply_local_annihilation_returns_zero_weight():
