@@ -10,13 +10,14 @@ for ``scan``/``sweep``, its CSV table; ``main`` writes the summary to stderr
 and the report (JSON, or CSV under ``--format csv``) to ``--out`` or else to
 stdout.  ``state``'s ``--out`` names its operator file: its report goes to stdout.
 
-Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values
-or JSON nested too deeply included), 3 not entangled, 4 requested pair
-unavailable, 5 numeric degeneracy.  ``BOUNDBELL_TOL`` overrides the default
-tolerance of each command.  ``main`` returns the code; ``entry_point`` (the
-``boundbell`` script and ``python -m boundbell.cli``) flushes stdout and ends
-the process without interpreter teardown, with code 2 if stdout is closed or
-its flush fails.  A stderr that cannot be written loses only its own lines.
+Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values,
+JSON nested too deeply and two outputs naming one file included), 3 not
+entangled, 4 requested pair unavailable, 5 numeric degeneracy.
+``BOUNDBELL_TOL`` overrides the default tolerance of each command.  ``main``
+returns the code; ``entry_point`` (the ``boundbell`` script and ``python -m
+boundbell.cli``) flushes stdout and ends the process without interpreter
+teardown, with code 2 if stdout is closed or its flush fails.  A stderr that
+cannot be written loses only its own lines.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ def _emit(report: dict, table, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _separate_outputs(option: str, path, other: str, other_path) -> None:
+    """ValueError when two output options resolve to the same file."""
+    if path and other_path and Path(path).resolve() == Path(other_path).resolve():
+        raise ValueError(f"{option} and {other} both name the file {str(path)!r}")
+
+
 def _load_operator_source(args) -> tuple:
     """Operator plus (n, alpha) metadata from --input or --n/--alpha."""
     if args.input is not None:
@@ -154,6 +161,7 @@ def cmd_state(args) -> tuple:
 
     out = Path(args.operator_out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
+    _separate_outputs("--out", out, "--ghz-out", ghz_out)
     dump_json(operator_to_obj(rho), out)
     dump_json(amplitudes_to_obj(*_ghz_terms(spec.n, spec.alpha)), ghz_out)  # no dense vector
 
@@ -190,6 +198,7 @@ def cmd_scan(args) -> tuple:
 
 
 def cmd_bell(args) -> tuple:
+    _separate_outputs("--settings-out", args.settings_out, "--out", args.out)
     rho, n, alpha = _load_operator_source(args)
     optimized = args.settings == "optimize"
     if optimized:

@@ -25,14 +25,15 @@ probability.  The protocol:
    ``BALANCE_TOL``, overlap below it); no filter is applied to find them.
    A branch is a product when every single-party reduced state is pure; the
    test reads purities only and stops at the branch's first impure party.
-   If both are products (case A), apply the equalize filter and take the
-   branches' local factors (top reduced-state eigenvectors, computed only
-   here); map the differing ones onto computational 0/1 with biorthogonal
-   filters; the result is a GHZ state over the pivot and the differing sites,
-   from which +/- measurements leave any chosen pair maximally entangled,
-   with certainty.  Otherwise (case B) record the equalize filter and the
-   projection of the pivot onto an entangled branch, and repeat on that
-   branch, a strictly smaller entangled system.
+   The second branch is tested only when the first is a product.  If both
+   are products (case A), apply the equalize filter and take the branches'
+   local factors (top reduced-state eigenvectors, computed only here); map
+   the differing ones onto computational 0/1 with biorthogonal filters; the
+   result is a GHZ state over the pivot and the differing sites, from which
+   +/- measurements leave any chosen pair maximally entangled, with
+   certainty.  Otherwise (case B) record the equalize filter and the
+   projection of the pivot onto the first entangled branch, and repeat on
+   that branch, a strictly smaller entangled system.
 
 Rounds run on the live state: the parties not yet projected in case B.  A
 projected pivot is the exact factor e_l for the rest of the protocol (later
@@ -86,26 +87,6 @@ class NumericDegeneracyError(RuntimeError):
 class ExtractionStep:
     op: FilterOperator
     weight: float
-
-
-@dataclass(frozen=True, eq=False)
-class _BranchClassification:
-    """Case split of a balanced state at a pivot party.
-
-    Branches are labeled by the pivot's computational levels 0/1 (the output
-    labels of the equalize filter).  For case A, per-party local factors of
-    the two branches are reported with their overlap moduli: overlap >= 1-tol
-    counts as the same factor, <= tol as locally orthogonal.
-    """
-
-    case: str
-    branches: tuple[PureState, PureState]
-    branch_product: tuple[bool, bool]
-    factors: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-    overlaps: dict[int, float] | None = None
-    same_parties: tuple[int, ...] | None = None
-    distinct_parties: tuple[int, ...] | None = None
-    orthogonal_parties: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,48 +176,26 @@ def _branch_factors(phi: PureState) -> list[np.ndarray]:
     return [_local_factor(t, axis) for axis in range(t.ndim)]
 
 
-def _classify(phi0: PureState, phi1: PureState, others) -> _BranchClassification:
-    """Classify the two normalized pivot branches, ``others`` naming their parties.
+def _distinct_factors(phi0: PureState, phi1: PureState, others) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Local factors (chi, tau) of two product branches, ``others`` naming their
+    parties, at each party where they differ: overlap below 1 - OVERLAP_TOL,
+    in ascending party order.
 
-    Each branch is tested for product form on its single-party purities
-    alone, up to its first impure party; both branches are always tested, so
-    ``branch_product`` is complete.  Local factors and overlaps are computed
-    only in case A.  Raises :class:`NumericDegeneracyError` when both
-    branches test as products yet no party is locally orthogonal (case A
-    demands one).
+    Raises :class:`NumericDegeneracyError` when no party is locally
+    orthogonal (overlap at most OVERLAP_TOL), which case A demands.
     """
-    prod0, prod1 = _is_product(phi0), _is_product(phi1)
-    if not (prod0 and prod1):
-        return _BranchClassification("B", (phi0, phi1), (prod0, prod1))
-
-    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     overlaps: dict[int, float] = {}
-    same, distinct, orthogonal = [], [], []
+    distinct: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for p, chi, tau in zip(others, _branch_factors(phi0), _branch_factors(phi1)):
-        factors[p] = (chi, tau)
-        g = abs(complex(np.vdot(chi, tau)))
-        overlaps[p] = g
-        if g >= 1.0 - OVERLAP_TOL:
-            same.append(p)
-        else:
-            distinct.append(p)
-            if g <= OVERLAP_TOL:
-                orthogonal.append(p)
-    if not orthogonal:
+        overlaps[p] = abs(complex(np.vdot(chi, tau)))
+        if overlaps[p] < 1.0 - OVERLAP_TOL:
+            distinct[p] = (chi, tau)
+    if min(overlaps.values()) > OVERLAP_TOL:
         raise NumericDegeneracyError(
             "product branches without a locally orthogonal site; overlaps "
             f"{sorted(overlaps.items())}"
         )
-    return _BranchClassification(
-        "A",
-        (phi0, phi1),
-        (prod0, prod1),
-        factors=factors,
-        overlaps=overlaps,
-        same_parties=tuple(same),
-        distinct_parties=tuple(distinct),
-        orthogonal_parties=tuple(orthogonal),
-    )
+    return distinct
 
 
 def target_pair_choice(surviving_parties, requested=None) -> tuple[int, int]:
@@ -365,34 +324,28 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
             )
         rest = PartyLayout(dims[: pivot - 1] + dims[pivot:])
-        branch_info = _classify(
-            PureState(rest, right[0]),
-            PureState(rest, right[1]),
-            tuple(p for p in range(1, m + 1) if p != pivot),
-        )
-        if branch_info.case == "B":
-            index = 0 if not branch_info.branch_product[0] else 1
+        branches = (PureState(rest, right[0]), PureState(rest, right[1]))
+        index = next((i for i, phi in enumerate(branches) if not _is_product(phi)), None)
+        if index is not None:  # case B: project onto the first entangled branch
             steps.append(ExtractionStep(_relabel(fop, label), 2.0 * float(coeffs[1]) ** 2))
-            weight = (w0, w1)[index]
-            if weight <= 0.0:
-                raise NumericDegeneracyError(f"project filter at party {label} annihilated the state")
-            d = live.layout.dim_of(pivot)
+            d = dims[pivot - 1]
             proj = np.zeros((d, d), dtype=complex)
-            proj[index, index] = 1.0
-            steps.append(ExtractionStep(FilterOperator(label, proj, "project"), weight))
+            proj[index, index] = 1.0  # its weight is positive: the balance test passed
+            steps.append(ExtractionStep(FilterOperator(label, proj, "project"), (w0, w1)[index]))
             labels.pop(pivot - 1)
-            live = branch_info.branches[index]
+            live = branches[index]
             continue
 
+        distinct = _distinct_factors(*branches, tuple(p for p in range(1, m + 1) if p != pivot))
         live, weight = _apply_filter(live, fop, label=label)
         steps.append(ExtractionStep(_relabel(fop, label), weight))
 
-        for p in branch_info.distinct_parties:
-            fop = _biorthogonal_op(p, *branch_info.factors[p])
+        for p, (chi, tau) in distinct.items():
+            fop = _biorthogonal_op(p, chi, tau)
             live, weight = _apply_filter(live, fop, label=labels[p - 1])
             steps.append(ExtractionStep(_relabel(fop, labels[p - 1]), weight))
 
-        kept = sorted((pivot,) + branch_info.distinct_parties)  # live axes, 1-based
+        kept = sorted((pivot, *distinct))  # live axes, 1-based
         survivors = tuple(labels[p - 1] for p in kept)
         chosen = target_pair_choice(survivors, pair)
         for p in kept:

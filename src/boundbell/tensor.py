@@ -129,14 +129,6 @@ class PartyLayout:
             raise ValueError("subset must be a proper subset of the parties")
         return subset
 
-    def drop(self, parties) -> "PartyLayout":
-        """Layout with the given parties removed."""
-        subset = self.check_subset(parties, proper=True)
-        gone = set(subset)
-        return PartyLayout(
-            tuple(d for p, d in enumerate(self.dims, start=1) if p not in gone)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:

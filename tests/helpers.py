@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
 from boundbell import DensityOperator, FilterOperator, PartyLayout, PureState, random_pure, schmidt
 from boundbell.extraction import (
     BALANCE_TOL,
-    _BranchClassification,
     _apply_filter,
-    _classify,
+    _distinct_factors,
     _equalize_op,
+    _is_product,
     _single_party_rank,
 )
 from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis
@@ -194,7 +195,7 @@ def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
         subs[n + p - 1] = subs[p - 1]
     out_subs = [p - 1 for p in keep] + [subs[n + p - 1] for p in keep]
     reduced = np.einsum(t, subs, out_subs)
-    new_layout = layout.drop(traced)
+    new_layout = PartyLayout(tuple(layout.dims[p - 1] for p in keep))
     m = reduced.reshape(new_layout.dim, new_layout.dim)
     m = 0.5 * (m + m.conj().T)  # fp drift from summing near-Hermitian entries
     return DensityOperator.from_dense(new_layout, m)
@@ -446,13 +447,27 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     return (fop, *_apply_filter(psi, fop))
 
 
-def classify_branch(psi: PureState, party: int) -> _BranchClassification:
+class BranchSplit(NamedTuple):
+    """The two normalized pivot branches, each one's product flag, and, in
+    case A (both products), ``_distinct_factors``' map of the parties where
+    they differ; None in case B."""
+
+    branches: tuple[PureState, PureState]
+    branch_product: tuple[bool, bool]
+    distinct: dict[int, tuple[np.ndarray, np.ndarray]] | None
+
+    @property
+    def case(self) -> str:
+        return "B" if self.distinct is None else "A"
+
+
+def classify_branch(psi: PureState, party: int) -> BranchSplit:
     """Split a balanced state into its two pivot branches and classify them.
 
     Requires the pivot's weight to sit on computational levels 0/1 with
     equal (1/2) probability and orthogonal branches, as :func:`equalize_filter`
-    leaves it (ValueError otherwise); the normalized branches go to the
-    classifier that ``extract`` runs on the rows of the pivot's decomposition.
+    leaves it (ValueError otherwise).  Both branches are tested for product
+    form, which ``extract`` skips for the second when the first is entangled.
     """
     layout = psi.layout
     n = layout.num_parties
@@ -471,6 +486,9 @@ def classify_branch(psi: PureState, party: int) -> _BranchClassification:
             "state is not balanced over the pivot's computational levels "
             f"(weights {w0:.6f}/{w1:.6f}, overlap {cross:.2e})"
         )
-    rest = layout.drop((party,))
+    rest = PartyLayout(layout.dims[: party - 1] + layout.dims[party:])
     others = tuple(p for p in range(1, n + 1) if p != party)
-    return _classify(PureState(rest, b0 / np.sqrt(w0)), PureState(rest, b1 / np.sqrt(w1)), others)
+    branches = (PureState(rest, b0 / np.sqrt(w0)), PureState(rest, b1 / np.sqrt(w1)))
+    product = (_is_product(branches[0]), _is_product(branches[1]))
+    distinct = _distinct_factors(*branches, others) if all(product) else None
+    return BranchSplit(branches, product, distinct)

@@ -46,6 +46,13 @@ def test_state_range_error(tmp_path):
     assert run(["state", "--n", 32, "--out", tmp_path / "x.json"]) == 2
 
 
+def test_state_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["state", "--n", 4, "--out", "x.json", "--ghz-out", tmp_path / "x.json"]) == 2
+    assert "error: --out and --ghz-out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_state_writes_the_ghz_file_above_the_dense_cap(tmp_path):
     # the GHZ file lists its two amplitudes; only reading it back densely is capped
     out = tmp_path / "big.json"
@@ -152,6 +159,14 @@ def test_bell_rejects_a_qudit_operator(tmp_path, settings):
         settings = tmp_path / "xy.json"
         dump_json({"a": [[1, 0, 0]] * 2, "a_prime": [[0, 1, 0]] * 2}, settings)
     assert run(["bell", "--input", src, "--settings", settings]) == 2
+
+
+def test_bell_refuses_one_file_for_settings_and_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bell", "--n", 4, "--settings", "optimize", "--restarts", 1, "--settings-out", "b.json"]
+    assert run(argv + ["--out", "./b.json"]) == 2
+    assert "error: --settings-out and --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bell_optimize_and_settings_file(tmp_path):

@@ -23,7 +23,7 @@ from boundbell import (
     schmidt,
     target_pair_choice,
 )
-from boundbell.extraction import _biorthogonal_op
+from boundbell.extraction import OVERLAP_TOL, _biorthogonal_op, _distinct_factors
 from boundbell.tensor import FILTER_KINDS
 from helpers import (
     basis_state,
@@ -145,9 +145,9 @@ def test_classify_ghz_case_a():
     info = classify_branch(ghz(3, 0.0), 1)
     assert info.case == "A"
     assert info.branch_product == (True, True)
-    assert info.same_parties == ()
-    assert info.distinct_parties == (2, 3)
-    assert info.orthogonal_parties == (2, 3)
+    assert list(info.distinct) == [2, 3]  # no party keeps its factor
+    for chi, tau in info.distinct.values():  # and each is locally orthogonal
+        assert abs(np.vdot(chi, tau)) <= OVERLAP_TOL
 
 
 def test_classify_entangled_branch_case_b():
@@ -170,10 +170,24 @@ def test_classify_shared_local_factor_counts_as_same():
     psi = PureState(PartyLayout.qubits(3), amps)
     info = classify_branch(psi, 1)
     assert info.case == "A"
-    assert info.same_parties == (2,)
-    assert info.distinct_parties == (3,)
-    assert info.overlaps[2] > 1 - 1e-10
-    assert info.overlaps[3] < 1e-10
+    assert list(info.distinct) == [3]  # the distinct parties; party 2, the rest, is the same
+    chi, tau = info.distinct[3]
+    assert abs(np.vdot(chi, tau)) < 1e-10
+
+
+def qubit_product(*vectors) -> PureState:
+    return tensor_product([PureState(PartyLayout((2,)), np.asarray(v, dtype=complex)) for v in vectors])
+
+
+def test_distinct_factors_keeps_party_order_and_needs_an_orthogonal_site():
+    tilted = [0.6, 0.8]  # overlap 0.6 with |0>: distinct, not orthogonal
+    phi0 = qubit_product([1, 0], [1, 0], [1, 0])
+    distinct = _distinct_factors(phi0, qubit_product([1, 0], tilted, [0, 1]), (2, 3, 4))
+    assert list(distinct) == [3, 4]
+    np.testing.assert_allclose(distinct[3][1], tilted, atol=1e-12)
+    no_site = r"without a locally orthogonal site; overlaps \[\(2, .*\), \(3, .*\), \(4, .*\)\]$"
+    with pytest.raises(extraction.NumericDegeneracyError, match=no_site):
+        _distinct_factors(phi0, qubit_product([1, 0], tilted, tilted), (2, 3, 4))
 
 
 def one_product_branch(product_first: bool) -> PureState:
@@ -192,7 +206,7 @@ def test_classify_one_product_branch_reports_both(product_first):
     info = classify_branch(one_product_branch(product_first), 1)
     assert info.case == "B"
     assert info.branch_product == (product_first, not product_first)
-    assert info.factors is None
+    assert info.distinct is None
 
 
 @pytest.mark.parametrize("product_first", [True, False])
@@ -412,6 +426,22 @@ def test_case_b_rounds_continue_on_the_equalized_branches(extraction_corpus, mon
     assert rounds == 477  # 407 on the corpus, 70 on the five- and six-party states
 
 
+def test_a_round_tests_its_second_branch_only_after_a_product_first(extraction_corpus, monkeypatch):
+    # a case-B round whose branch 0 is entangled runs one product test; a round
+    # that projects onto branch 1, or lands in case A, runs two
+    verdicts = []
+    real = extraction._is_product
+    monkeypatch.setattr(extraction, "_is_product", lambda phi: verdicts.append(real(phi)) or verdicts[-1])
+    first_entangled = 0
+    for case_id, psi in extraction_corpus:
+        verdicts.clear()
+        projected = [int(step.op.matrix[1, 1].real) for step in extract(psi).steps if step.op.kind == "project"]
+        expected = [v for index in projected for v in ([False] if index == 0 else [True, False])]
+        assert verdicts == expected + [True, True], case_id
+        first_entangled += projected.count(0)
+    assert first_entangled > 0
+
+
 def test_a_case_b_round_runs_one_svd_per_decomposition(monkeypatch):
     # the rank check, the equalize and the project filter take certificates, so
     # a case-B round's only SVDs are its decompositions, one for a first-party pivot
@@ -523,18 +553,18 @@ def test_extract_coefficients_are_schmidts(extraction_corpus):
 
 
 def test_extract_case_a_orthogonal_site(extraction_corpus):
-    # whenever the first classification lands in case A, some party is
-    # locally orthogonal between the branches
-    seen_case_a = 0
-    for _, psi in extraction_corpus[:60]:
-        pivot = next(p for p, r in party_ranks(psi) if r >= 2)
-        _, balanced, _ = equalize_filter(psi, pivot)
-        info = classify_branch(balanced, pivot)
-        if info.case == "A":
-            seen_case_a += 1
-            assert info.orthogonal_parties
+    # a run's last round lands in case A: some party is locally orthogonal
+    # between the branches, and the distinct parties get the biorthogonal filters
+    for case_id, psi in extraction_corpus[:60]:
+        steps = extract(psi).steps
+        last = max(i for i, step in enumerate(steps) if step.op.kind == "equalize")
+        pivot = steps[last].op.party  # spent parties are pure factors, the same in both branches
+        info = classify_branch(equalize_filter(replay(psi, steps[:last]), pivot)[1], pivot)
+        assert info.case == "A", case_id
+        assert min(abs(np.vdot(chi, tau)) for chi, tau in info.distinct.values()) <= OVERLAP_TOL
+        assert list(info.distinct) == [step.op.party for step in steps if step.op.kind == "biorthogonal"]
     info = classify_branch(equalize_filter(ghz(4, 0.0), 1)[1], 1)
-    assert info.case == "A" and info.orthogonal_parties
+    assert info.case == "A" and list(info.distinct) == [2, 3, 4]
 
 
 def test_extract_qutrit_layouts():
