@@ -18,65 +18,19 @@ and |1...1> contribute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOperator, _integers
+from .family import DEFAULT_OPT_TOL, DEFAULT_RESTARTS, BellSettings, _integers, _prefactor
+from .tensor import DensityOperator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-UNIT_TOL = 1e-12
-
-DEFAULT_RESTARTS = 16
-DEFAULT_OPT_TOL = 1e-10
 MAX_SWEEPS = 500
 _ZERO_GRADIENT = 1e-14
-
-
-def _unit_direction(v) -> tuple[float, float, float]:
-    """Validate one measurement direction: three finite components, unit norm."""
-    v = tuple(map(float, v))
-    if len(v) != 3:
-        raise ValueError("directions must be 3-vectors")
-    x, y, z = v
-    if abs(math.sqrt(x**2 + y**2 + z**2) - 1.0) <= UNIT_TOL:
-        return v  # a unit norm implies finite components
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"direction {v} has a non-finite component")
-    raise ValueError(f"direction {v} is not a unit vector")
-
-
-@dataclass(frozen=True, eq=False)
-class BellSettings:
-    """Two measurement directions (unit 3-vectors) per party."""
-
-    a: tuple[tuple[float, float, float], ...]
-    a_prime: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        a = tuple(map(_unit_direction, self.a))
-        ap = tuple(map(_unit_direction, self.a_prime))
-        if len(a) != len(ap) or len(a) < 1:
-            raise ValueError("need one (a, a') pair of directions per party")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_prime", ap)
-
-    @classmethod
-    def xy(cls, n: int) -> "BellSettings":
-        """Every party measures along x and y (the closed-form configuration)."""
-        return cls(((1.0, 0.0, 0.0),) * n, ((0.0, 1.0, 0.0),) * n)
-
-    @property
-    def num_parties(self) -> int:
-        return len(self.a)
-
-
-def _prefactor(n: int) -> complex:
-    return ((1.0 - 1.0j) / 2.0) ** (n - 1)
 
 
 def _factor(a, ap) -> np.ndarray:

@@ -13,7 +13,13 @@ stdout.  ``state``'s ``--out`` names its operator file: its report goes to stdou
 Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values,
 JSON nested too deeply and two outputs naming one file included), 3 not
 entangled, 4 requested pair unavailable, 5 numeric degeneracy.
-``BOUNDBELL_TOL`` overrides the default tolerance of each command.  ``main``
+``BOUNDBELL_TOL`` overrides the default tolerance of each command.
+
+The family commands (``state``, ``scan --n``, ``sweep`` and ``bell --n`` with
+x/y settings) answer from the closed forms of :mod:`boundbell.family` and
+never import numpy; their verdicts are exact, so no tolerance moves them.
+The numpy-backed names the other paths call are looked up in this module's
+globals at call time, bound there when first needed (see ``_numeric``).  ``main``
 returns the code; ``entry_point`` (the ``boundbell`` script and ``python -m
 boundbell.cli``) flushes stdout and ends the process without interpreter
 teardown, with code 2 if stdout is closed or its flush fails.  A stderr that
@@ -25,38 +31,52 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import math
 import os
 import sys
 from pathlib import Path
 
-from .bell import DEFAULT_OPT_TOL, DEFAULT_RESTARTS, BellSettings, bell_value, optimize_settings
-from .extraction import (
-    NotEntangledError,
-    NumericDegeneracyError,
-    PairUnavailableError,
-    extract,
+from .family import (
+    DEFAULT_OPT_TOL,
+    DEFAULT_PPT_TOL,
+    DEFAULT_RESTARTS,
+    PSD,
+    BellSettings,
+    RhoFamilySpec,
+    Verdicts,
+    classify_family,
+    default_alpha,
+    ghz_obj,
+    operator_obj,
+    scan_reports,
+    xy_value,
 )
-from .ppt import DEFAULT_PPT_TOL, PSD, Verdicts, classify_family, cut_verdicts, scan
-# ppt_check stays importable from here: bench/tracing.py rebinds it.
-from .ppt import ppt_check  # noqa: F401
 from .serialize import (
-    amplitudes_to_obj,
     canonical_dumps,
     dump_json,
     extraction_to_obj,
     load_json,
     operator_from_obj,
-    operator_to_obj,
     settings_from_obj,
     settings_to_obj,
     state_from_obj,
 )
-# state_to_obj stays importable from here: bench/tracing.py rebinds it.
-from .serialize import state_to_obj  # noqa: F401
-from .states import RhoFamilySpec, _ghz_terms, default_alpha, ghz, random_pure, rho_family
-from .tensor import PartyLayout
+# operator_to_obj and state_to_obj stay importable from here: bench/tracing.py rebinds them.
+from .serialize import operator_to_obj, state_to_obj  # noqa: F401
+
+# The numpy-backed names that the numeric paths call, by defining module.
+# ``_numeric`` binds them into this module's globals when a command first
+# needs them, and keeps a binding made before: bench/tracing.py rebinds
+# several here (ppt_check is listed for it alone).
+_NUMERIC = {
+    "bell": ("bell_value", "optimize_settings"),
+    "extraction": ("NotEntangledError", "NumericDegeneracyError", "PairUnavailableError", "extract"),
+    "ppt": ("cut_verdicts", "ppt_check", "scan"),
+    "states": ("ghz", "random_pure", "rho_family"),
+    "tensor": ("PartyLayout",),
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,14 +90,30 @@ _CONFIG_KEYS = (
     "input", "out", "format", "n_min", "n_max", "scan_max",
 )
 
-# exception type -> exit code, first match wins: subclasses before ValueError
-_EXIT_CODES = {
-    NotEntangledError: EXIT_NOT_ENTANGLED,
-    PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
-    NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
-    ValueError: EXIT_USAGE,
-    OSError: EXIT_USAGE,
-}
+# exception type -> exit code; an error takes the code of its most specific
+# type listed.  ``_numeric`` adds extraction's errors: none is raised before.
+_EXIT_CODES = {ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
+
+
+def _numeric() -> None:
+    """Bind the names of ``_NUMERIC`` into this module, keeping any bound before."""
+    for module, names in _NUMERIC.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+    _EXIT_CODES.update({
+        NotEntangledError: EXIT_NOT_ENTANGLED,
+        PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
+        NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
+    })
+
+
+def __getattr__(name: str):
+    """A name of ``_NUMERIC`` asked for from outside, before a command bound it (PEP 562)."""
+    if not any(name in names for names in _NUMERIC.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numeric()
+    return globals()[name]
 
 
 def _config(args, **resolved) -> dict:
@@ -97,7 +133,10 @@ def tolerance(text) -> float:
 
 def _violates(value: float, tol: float) -> bool:
     """Bell verdict: |value| exceeds the local bound 1 by more than tol, so a
-    value that reaches 1 only through rounding is no violation."""
+    value that reaches 1 only through rounding is no violation.  The family's
+    x/y value takes tol = 0, so no tolerance moves its verdict: at the default
+    phase the value is exactly 1.0 at N = 7 and at least 0.19 away from 1 at
+    every other N."""
     return bool(abs(value) - 1.0 > tol)
 
 
@@ -106,10 +145,9 @@ def _alpha(text: str | None) -> float | None:
     return None if text in (None, "auto") else float(text)
 
 
-def _family_member(alpha_text: str | None, n: int) -> tuple:
-    """Family operator and its spec for --n/--alpha; the spec checks the range of n."""
-    spec = RhoFamilySpec(n, _alpha(alpha_text))
-    return rho_family(spec), spec
+def _spec(n: int, alpha_text: str | None) -> RhoFamilySpec:
+    """The family member of --n/--alpha; the spec checks the range of n."""
+    return RhoFamilySpec(n, _alpha(alpha_text))
 
 
 def _note(text: str) -> None:
@@ -143,41 +181,54 @@ def _separate_outputs(option: str, path, other: str, other_path) -> None:
         raise ValueError(f"{option} and {other} both name the file {str(path)!r}")
 
 
-def _load_operator_source(args) -> tuple:
-    """Operator plus (n, alpha) metadata from --input or --n/--alpha."""
+def _family_source(args) -> RhoFamilySpec | None:
+    """The family member of --n/--alpha, or None when --input names an operator file."""
     if args.input is not None:
-        rho = operator_from_obj(load_json(args.input))
-        return rho, rho.layout.num_parties, None
+        return None
     if args.n is None:
         raise ValueError("provide either --input or --n")
-    rho, spec = _family_member(args.alpha, args.n)
-    return rho, spec.n, spec.alpha
+    return _spec(args.n, args.alpha)
+
+
+def _operator(args, spec: RhoFamilySpec | None) -> tuple:
+    """The operator of ``spec``, else of the --input file, plus (n, alpha) metadata."""
+    _numeric()
+    if spec is not None:
+        return rho_family(spec), spec.n, spec.alpha
+    rho = operator_from_obj(load_json(args.input))
+    return rho, rho.layout.num_parties, None
 
 
 def cmd_state(args) -> tuple:
     if args.n is None:
         raise ValueError("provide --n")
-    rho, spec = _family_member(args.alpha, args.n)
+    spec = _spec(args.n, args.alpha)
 
     out = Path(args.operator_out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
     _separate_outputs("--out", out, "--ghz-out", ghz_out)
-    dump_json(operator_to_obj(rho), out)
-    dump_json(amplitudes_to_obj(*_ghz_terms(spec.n, spec.alpha)), ghz_out)  # no dense vector
+    operator = operator_obj(spec)
+    dump_json(operator, out)
+    dump_json(ghz_obj(spec), ghz_out)
 
     report = {
         "config": _config(args, alpha=spec.alpha, out=str(out)),
         "operator_file": str(out),
         "ghz_file": str(ghz_out),
-        "nonzero_entries": int(rho.vals.size),
+        "nonzero_entries": len(operator["entries"]),
     }
     return report, "", None
 
 
 def cmd_scan(args) -> tuple:
-    rho, n, alpha = _load_operator_source(args)
-    reports = scan(rho, args.tol)
-    summary = cut_verdicts(reports, n)._asdict()
+    spec = _family_source(args)
+    if spec is None:
+        rho, n, alpha = _operator(args, spec)
+        reports = scan(rho, args.tol)
+        summary = cut_verdicts(reports, n)._asdict()
+    else:  # exact minima and verdicts, whatever the tolerance
+        n, alpha = spec.n, spec.alpha
+        reports, summary = scan_reports(n), classify_family(n)._asdict()
 
     report = {
         "config": _config(args, n=n, alpha=alpha),
@@ -199,20 +250,27 @@ def cmd_scan(args) -> tuple:
 
 def cmd_bell(args) -> tuple:
     _separate_outputs("--settings-out", args.settings_out, "--out", args.out)
-    rho, n, alpha = _load_operator_source(args)
+    spec = _family_source(args)
     optimized = args.settings == "optimize"
-    if optimized:
-        settings, value = optimize_settings(
-            rho, restarts=args.restarts, tol=args.tol, seed=args.seed
-        )
-        if args.settings_out:
-            dump_json(settings_to_obj(settings), args.settings_out)
-    elif args.settings == "xy":
-        settings = BellSettings.xy(rho.layout.num_parties)
-        value = bell_value(rho, settings)
+    if spec is not None and args.settings == "xy":  # the closed form
+        n, alpha = spec.n, spec.alpha
+        settings, value = BellSettings.xy(n), xy_value(spec)
+        violation = _violates(value, 0.0)
     else:
-        settings = settings_from_obj(load_json(args.settings))
-        value = bell_value(rho, settings)
+        rho, n, alpha = _operator(args, spec)
+        if optimized:
+            settings, value = optimize_settings(
+                rho, restarts=args.restarts, tol=args.tol, seed=args.seed
+            )
+        else:
+            settings = (
+                BellSettings.xy(n) if args.settings == "xy"
+                else settings_from_obj(load_json(args.settings))
+            )
+            value = bell_value(rho, settings)
+        violation = _violates(value, args.tol)
+    if args.settings_out:
+        dump_json(settings_to_obj(settings), args.settings_out)
 
     config = _config(args, n=n, alpha=alpha)
     if not optimized:  # seed and restarts steer the optimizer only
@@ -221,10 +279,10 @@ def cmd_bell(args) -> tuple:
         "config": config,
         "value": value,
         "bound": 1.0,
-        "violation": _violates(value, args.tol),
+        "violation": violation,
         "settings": settings_to_obj(settings),
     }
-    return report, f"value={value!r} bound=1.0 violation={report['violation']}\n", None
+    return report, f"value={value!r} bound=1.0 violation={violation}\n", None
 
 
 def _int_list(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
@@ -241,6 +299,7 @@ def _int_list(option: str, text: str, count: int | None = None) -> tuple[int, ..
 
 
 def cmd_extract(args) -> tuple:
+    _numeric()
     sources = [args.input is not None, args.ghz is not None, args.random is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --input, --ghz, --random")
@@ -272,15 +331,14 @@ def cmd_extract(args) -> tuple:
 def cmd_sweep(args) -> tuple:
     if args.n_min > args.n_max:
         raise ValueError("need --n-min <= --n-max")
-    members = [_family_member(args.alpha, n) for n in range(args.n_min, args.n_max + 1)]
+    specs = [_spec(n, args.alpha) for n in range(args.n_min, args.n_max + 1)]
     rows = []
-    for rho, spec in members:
-        n, alpha = spec.n, spec.alpha
-        value = bell_value(rho, BellSettings.xy(n))
-        row = {"n": n, "alpha": alpha, "bell_xy": value, "violation": _violates(value, args.tol)}
+    for spec in specs:  # closed forms: exact verdicts, whatever the tolerance
+        n, value = spec.n, xy_value(spec)
+        row = {"n": n, "alpha": spec.alpha, "bell_xy": value, "violation": _violates(value, 0.0)}
         row.update(dict.fromkeys(Verdicts._fields))  # None outside the PPT range
         if n <= args.scan_max:
-            row.update(classify_family(n, alpha, args.tol)._asdict())
+            row.update(classify_family(n)._asdict())
         rows.append(row)
 
     config = _config(args, alpha=_alpha(args.alpha))
@@ -360,7 +418,7 @@ def main(argv=None) -> int:
         _emit(report, table if args.format == "csv" else None, args.out)
     except tuple(_EXIT_CODES) as exc:
         _note(f"error: {exc}\n")
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        return next(_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES)
     return EXIT_OK
 
 

@@ -53,13 +53,13 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from .family import _integers
 from .tensor import (
     SCHMIDT_CUTOFF,
     FilterOperator,
     PartyLayout,
     PureState,
     _fix_phase,
-    _integers,
     _party_matrix,
     _relabel,
     apply_local,

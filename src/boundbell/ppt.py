@@ -9,40 +9,16 @@ here and never re-proved numerically or reported as a verdict.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
-from .states import RhoFamilySpec, rho_family
+from .family import DEFAULT_PPT_TOL, NOT_PSD, PSD, PptReport, Verdicts, _check_tolerance
+# rho_family stays importable from here: bench/tracing.py rebinds it.
+from .states import rho_family  # noqa: F401
 from .tensor import (
     MAX_GLOBAL_DIM, DensityOperator, dense_size, hermitian_eigenvalues, partial_transpose,
 )
-
-PSD = "PSD"
-NOT_PSD = "NOT_PSD"
-
-DEFAULT_PPT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PptReport:
-    """Positivity verdict for one partial transpose."""
-
-    subset: tuple[int, ...]
-    min_eigenvalue: float
-    verdict: str
-
-
-class Verdicts(NamedTuple):
-    """Single-cut PPT, pair-cut NPT (None when no pair cut exists, N = 2),
-    and the bound-entanglement claim, their conjunction."""
-
-    ppt_single: bool
-    npt_pairs: bool | None
-    bound_entangled_claim: bool
 
 
 def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
@@ -91,8 +67,7 @@ def _min_eigenvalue(op: DensityOperator) -> float:
 
 def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> PptReport:
     """Check positivity of the partial transpose on ``subset`` (tol finite, >= 0)."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+    _check_tolerance(tol)
     parties = rho.layout.check_subset(subset, nonempty=True, proper=True)
     min_eig = _min_eigenvalue(partial_transpose(rho, parties))
     threshold = -tol * max(1.0, rho.trace)
@@ -164,19 +139,3 @@ def cut_verdicts(reports, n: int) -> Verdicts:
     pairs = verdicts(2)
     npt_pairs = all(v == NOT_PSD for v in pairs) if pairs else None
     return Verdicts(ppt_single, npt_pairs, bool(ppt_single and npt_pairs))
-
-
-def classify_family(n: int, alpha: float | None = None, tol: float = DEFAULT_PPT_TOL) -> Verdicts:
-    """Classify one family member: PPT across single cuts, NPT across pairs.
-
-    Checks cut (1,) and, for N >= 3, cut (1, 2); at N = 2 a pair would be the
-    whole system.  That is exact for every cut of both sizes: the family is
-    invariant under party permutations, and a permutation pi relabels the
-    basis, mapping PT_S unitarily to PT_pi(S), so the spectrum depends on
-    |S| only.  The bound-entanglement claim is the conjunction of both
-    facts; it holds exactly for N >= 4.
-    """
-    spec = RhoFamilySpec(n, alpha)
-    rho = rho_family(spec)
-    cuts = [(1,), (1, 2)] if spec.n >= 3 else [(1,)]
-    return cut_verdicts([ppt_check(rho, s, tol) for s in cuts], spec.n)

@@ -8,6 +8,10 @@ entries are its COO arrays, row-major.  Decoding rejects, never repairs: a
 file must be a valid trace-1 operator or a normalized state, with integer
 dims, no index listed twice and JSON numbers only (no string, boolean or
 null stands in for one), nested no deeper than the parser can follow.
+
+Importing this module loads no numpy, so the family commands can use its
+JSON helpers and encoders; only the decoders, which build arrays, import
+numpy and the numpy-backed modules, when called.
 """
 
 from __future__ import annotations
@@ -15,12 +19,15 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .family import BellSettings
 
-from .bell import BellSettings
-from .extraction import ExtractionResult
-from .tensor import DensityOperator, PartyLayout, PureState
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .extraction import ExtractionResult
+    from .tensor import DensityOperator, PartyLayout, PureState
 
 TRACE_TOL = 1e-10
 
@@ -47,6 +54,10 @@ def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndar
     ``[index x width, re, im]`` under ``key``; ValueError on a missing key, a
     malformed row, a value that is no number, an index not an integer in
     range, an index listed twice or a non-finite value."""
+    import numpy as np
+
+    from .tensor import PartyLayout
+
     try:
         layout = PartyLayout(obj["dims"])
         _check_numbers(obj[key], f"rows of '{key}'")
@@ -72,6 +83,8 @@ def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndar
 def operator_from_obj(obj: dict) -> DensityOperator:
     """Decode an operator; ValueError on any defect :func:`_decode_table` names,
     a non-Hermitian value, or a trace other than 1."""
+    from .tensor import DensityOperator
+
     layout, index, vals = _decode_table(obj, "entries", 2)
     rho = DensityOperator(layout, index[:, 0], index[:, 1], vals)
     if not abs(rho.trace - 1.0) <= TRACE_TOL:
@@ -79,20 +92,20 @@ def operator_from_obj(obj: dict) -> DensityOperator:
     return rho
 
 
-def amplitudes_to_obj(layout: PartyLayout, index, vals) -> dict:
-    """State file listing the amplitudes ``vals`` at the basis indices ``index``."""
-    amps = [[int(i), float(v.real), float(v.imag)] for i, v in zip(index, vals)]
-    return {"dims": list(layout.dims), "amps": amps}
-
-
 def state_to_obj(psi: PureState) -> dict:
-    idx = np.nonzero(psi.amplitudes)[0]
-    return amplitudes_to_obj(psi.layout, idx, psi.amplitudes[idx])
+    """State file listing the nonzero amplitudes."""
+    (idx,) = psi.amplitudes.nonzero()
+    amps = [[int(i), float(v.real), float(v.imag)] for i, v in zip(idx, psi.amplitudes[idx])]
+    return {"dims": list(psi.layout.dims), "amps": amps}
 
 
 def state_from_obj(obj: dict) -> PureState:
     """Decode a pure state; ValueError on any defect :func:`_decode_table` names
     or a norm other than 1."""
+    import numpy as np
+
+    from .tensor import PureState
+
     layout, index, vals = _decode_table(obj, "amps", 1)
     amps = np.zeros(layout.dense_dim, dtype=complex)
     amps[index[:, 0]] = vals
@@ -118,7 +131,7 @@ def settings_from_obj(obj: dict) -> BellSettings:
 
 
 def _matrix_entries(m: np.ndarray) -> list[list]:
-    rows, cols = np.nonzero(m)
+    rows, cols = m.nonzero()
     return _entries(rows, cols, m[rows, cols])
 
 

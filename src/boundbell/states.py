@@ -8,59 +8,22 @@ their bit complements, uniformly weighted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DensityOperator, PartyLayout, PureState, _integers
+from .family import RhoFamilySpec, _integers
+from .tensor import DensityOperator, PartyLayout, PureState
 
 
-def default_alpha(n: int) -> float:
-    """GHZ phase pi*(N-1)/4 that maximizes the Bell expectation for N parties."""
-    return math.pi * (n - 1) / 4.0
-
-
-@dataclass(frozen=True)
-class RhoFamilySpec:
-    """Parameters (party count, GHZ phase) selecting one family member.
-
-    ``alpha=None`` resolves to :func:`default_alpha`.  The party count must
-    be an integer (4.7 is rejected, not cut to 4) in 2..31, the qubit
-    layouts whose int64 entry keys cannot wrap; the family itself is sparse
-    (2N+4 entries), so nothing dense bounds it.
-    """
-
-    n: int
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        (n,) = _integers((self.n,), "party count")
-        object.__setattr__(self, "n", n)
-        if not 2 <= n <= 31:
-            raise ValueError(f"party count {n} outside supported range 2..31")
-        alpha = default_alpha(n) if self.alpha is None else float(self.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError("alpha must be finite")
-        object.__setattr__(self, "alpha", alpha)
-
-
-def _ghz_terms(n: int, alpha: float) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
-    """Layout, basis indices and values of the two nonzero GHZ amplitudes;
-    nothing dense is built, so any qubit layout (n <= 31) is allowed."""
+def ghz(n: int, alpha: float) -> PureState:
+    """GHZ state (|0...0> + e^{i alpha} |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError("GHZ state needs at least two parties")
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     layout = PartyLayout.qubits(n)
-    index = np.array([0, layout.dim - 1])
-    return layout, index, np.array([1.0 / math.sqrt(2.0), np.exp(1j * alpha) / math.sqrt(2.0)])
-
-
-def ghz(n: int, alpha: float) -> PureState:
-    """GHZ state (|0...0> + e^{i alpha} |1...1>)/sqrt(2) on n qubits."""
-    layout, index, vals = _ghz_terms(n, alpha)
     amps = np.zeros(layout.dense_dim, dtype=complex)
-    amps[index] = vals
+    amps[[0, -1]] = [1.0 / math.sqrt(2.0), np.exp(1j * alpha) / math.sqrt(2.0)]
     return PureState(layout, amps)
 
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .family import _integers
+
 MAX_GLOBAL_DIM = 4096  # largest side of any dense array: 256 MiB as a complex matrix
 
 NORM_TOL = 1e-12
@@ -47,18 +49,6 @@ def dense_size(size: int) -> int:
     if size > MAX_GLOBAL_DIM:
         raise ValueError(f"dense dimension {size} exceeds the cap {MAX_GLOBAL_DIM}")
     return size
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as ints; ValueError unless each already is one (2.9 is not cut to 2)."""
-    raw = tuple(values)
-    try:
-        ints = tuple(int(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != raw:
-        raise ValueError(f"{what} must be integers, got {values!r}")
-    return ints
 
 
 def _check_hermitian(diff: np.ndarray, tol: float) -> None:

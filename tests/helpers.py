@@ -7,7 +7,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from boundbell import DensityOperator, FilterOperator, PartyLayout, PureState, random_pure, schmidt
+from boundbell import (
+    DensityOperator,
+    FilterOperator,
+    PartyLayout,
+    PureState,
+    RhoFamilySpec,
+    Verdicts,
+    cut_verdicts,
+    ppt_check,
+    random_pure,
+    rho_family,
+    schmidt,
+)
 from boundbell.extraction import (
     BALANCE_TOL,
     _apply_filter,
@@ -49,6 +61,15 @@ def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
     layout = PartyLayout.qubits(n)
     i = 1 << (n - k)
     return tuple(DensityOperator(layout, [j], [j], [1.0]) for j in (i, layout.dim - 1 - i))
+
+
+def sparse_classify_family(n: int, alpha: float | None = None, tol: float = 1e-9) -> Verdicts:
+    """The family's verdicts from the sparse operator, by float eigenvalues:
+    cut (1,) and, from N = 3, cut (1, 2) stand for every cut of their size,
+    since the family is invariant under party permutations."""
+    rho = rho_family(RhoFamilySpec(n, alpha))
+    cuts = [(1,), (1, 2)] if n >= 3 else [(1,)]
+    return cut_verdicts([ppt_check(rho, s, tol) for s in cuts], n)
 
 
 def party_ranks(psi: PureState) -> list[tuple[int, int]]:

@@ -524,14 +524,82 @@ def test_report_goes_to_out_or_else_to_stdout(tmp_path, monkeypatch, capsys, arg
 
 
 def test_tolerance_env_override(tmp_path, monkeypatch):
-    # an absurdly loose tolerance flips the pair verdicts to PSD
+    # an absurdly loose tolerance flips the pair verdicts of an operator file to PSD
+    # (the family's own verdicts are exact and take no tolerance)
+    assert run(["state", "--n", 4, "--out", tmp_path / "rho4.json"]) == 0
     monkeypatch.setenv("BOUNDBELL_TOL", "1.0")
     out = tmp_path / "scan.json"
-    assert run(["scan", "--n", 4, "--out", out]) == 0
+    assert run(["scan", "--input", tmp_path / "rho4.json", "--out", out]) == 0
     assert load_json(out)["summary"]["npt_pairs"] is False
+    assert load_json(out)["config"]["tol"] == 1.0
     monkeypatch.delenv("BOUNDBELL_TOL")
-    assert run(["scan", "--n", 4, "--out", out]) == 0
+    assert run(["scan", "--input", tmp_path / "rho4.json", "--out", out]) == 0
     assert load_json(out)["summary"]["npt_pairs"] is True
+
+
+VERDICTS = ("ppt_single", "npt_pairs", "bound_entangled_claim")
+PAPER_VERDICTS = {2: [True, None, False], 3: [True, False, False]}  # N >= 4: all True
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_scan_gives_the_papers_verdicts_at_tolerance_zero(tmp_path, n):
+    # the minima are exact: 0 on single cuts, -1/(2(N+1)) on larger ones, 1/6 at N = 2
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--n", n, "--tol", 0, "--out", out]) == 0
+    report = load_json(out)
+    assert [report["summary"][key] for key in VERDICTS] == PAPER_VERDICTS.get(n, [True] * 3)
+    for row in report["reports"]:
+        size = len(row["subset"])
+        want = 1 / 6 if n == 2 else 0.0 if size in (1, n - 1) else -1 / (2 * (n + 1))
+        assert (row["min_eig"], row["verdict"]) == (want, "PSD" if want >= 0 else "NOT_PSD")
+
+
+def test_sweep_gives_the_papers_verdicts_at_tolerance_zero(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--n-min", 2, "--n-max", 31, "--scan-max", 31, "--tol", 0,
+                "--out", out]) == 0
+    for row in load_json(out)["rows"]:
+        n = row["n"]
+        assert [row[key] for key in VERDICTS] == PAPER_VERDICTS.get(n, [True] * 3), n
+        assert row["violation"] is (n >= 8), n
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", 8],
+        ["sweep", "--n-min", 2, "--n-max", 31, "--scan-max", 31],
+        ["bell", "--n", 7],
+        ["bell", "--n", 8],
+    ],
+    ids=["scan", "sweep", "bell7", "bell8"],
+)
+def test_family_reports_do_not_depend_on_the_tolerance(tmp_path, argv):
+    # no family verdict sits within rounding of its boundary, so --tol moves nothing but its echo
+    reports = []
+    for tol in (0, 1e-9, 0.5):
+        assert run([*argv, "--tol", tol, "--out", tmp_path / "r.json"]) == 0
+        report = load_json(tmp_path / "r.json")
+        assert report["config"].pop("tol") == tol
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("mode", ["xy", "file", "optimize"])
+def test_bell_writes_the_settings_it_used(tmp_path, mode):
+    settings = {"a": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                "a_prime": [[0.0, 1.0, 0.0]] * 3}
+    dump_json(settings, tmp_path / "given.json")
+    option = {"xy": "xy", "file": tmp_path / "given.json", "optimize": "optimize"}[mode]
+    used = tmp_path / "used.json"
+    assert run(["bell", "--n", 3, "--settings", option, "--restarts", 1,
+                "--settings-out", used, "--out", tmp_path / "bell.json"]) == 0
+    report = load_json(tmp_path / "bell.json")
+    assert load_json(used) == report["settings"]
+    if mode == "xy":
+        assert report["settings"] == {"a": [[1.0, 0.0, 0.0]] * 3, "a_prime": [[0.0, 1.0, 0.0]] * 3}
+    elif mode == "file":
+        assert report["settings"] == settings
 
 
 def test_usage_error_exit_code():
@@ -550,19 +618,51 @@ def child_env(**extra) -> dict:
 
 
 def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs ~20 ms of start-up in every CLI child; plain np.unique imports it
+    # numpy.ma costs ~20 ms of start-up in every CLI child that loads numpy;
+    # plain np.unique imports it.  The family commands load no numpy at all,
+    # so an operator file takes scan and bell down the numpy path.
+    assert run(["state", "--n", 7, "--out", tmp_path / "rho7.json"]) == 0
     code = (
         "import sys\n"
         "from boundbell.cli import main\n"
-        f"main(['scan', '--n', '7', '--out', {str(tmp_path / 'scan.json')!r}])\n"
+        f"main(['scan', '--input', {str(tmp_path / 'rho7.json')!r}, '--out', {str(tmp_path / 'scan.json')!r}])\n"
+        f"main(['bell', '--input', {str(tmp_path / 'rho7.json')!r}, '--out', {str(tmp_path / 'bell.json')!r}])\n"
         f"main(['sweep', '--n-max', '5', '--out', {str(tmp_path / 'sweep.json')!r}])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "True False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["state", "--n", "11", "--out", "rho11.json"], False),
+        (["scan", "--n", "7", "--out", "scan7.json"], False),
+        (["sweep", "--n-min", "2", "--n-max", "31", "--scan-max", "31", "--out", "sweep.json"], False),
+        (["bell", "--n", "8", "--settings-out", "xy.json", "--out", "bell8.json"], False),
+        (["bell", "--input", "rho11.json", "--out", "bell11.json"], True),  # an operator file
+    ],
+    ids=["state", "scan", "sweep", "bell-xy", "bell-input"],
+)
+def test_family_commands_do_not_import_numpy(tmp_path, argv, loads_numpy):
+    # the closed forms serve the family commands; an operator file needs numpy
+    assert run(["state", "--n", 11, "--out", tmp_path / "rho11.json"]) == 0
+    code = (
+        "import sys\n"
+        "from boundbell.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+        cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)  # state prints its report first
 
 
 def _cli_inputs(workdir: Path) -> None:
