@@ -18,13 +18,13 @@ _SOURCES = {
         "PairUnavailableError", "extract", "reduce_to_parties", "replay", "target_pair_choice",
     ),
     "family": (
-        "BellSettings", "PptReport", "RhoFamilySpec", "Verdicts", "classify_family",
+        "BellSettings", "PartyLayout", "PptReport", "RhoFamilySpec", "Verdicts", "classify_family",
         "default_alpha",
     ),
     "ppt": ("cut_verdicts", "ppt_check", "scan"),
     "states": ("ghz", "random_pure", "rho_family"),
     "tensor": (
-        "DensityOperator", "FilterOperator", "PartyLayout", "PureState", "apply_local",
+        "DensityOperator", "FilterOperator", "PureState", "apply_local",
         "hermitian_eigenvalues", "partial_transpose", "schmidt",
     ),
 }

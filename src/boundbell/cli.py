@@ -18,6 +18,12 @@ entangled, 4 requested pair unavailable, 5 numeric degeneracy.
 The family commands (``state``, ``scan --n``, ``sweep`` and ``bell --n`` with
 x/y settings) answer from the closed forms of :mod:`boundbell.family` and
 never import numpy; their verdicts are exact, so no tolerance moves them.
+``bell --input`` with x/y or file settings on a file of at most
+PLAIN_MAX_ENTRIES (4,096) entries imports none either: below that size
+starting numpy costs more than checking the file and summing its entries in
+plain Python (see ``cmd_bell``).  Larger files, ``bell --settings
+optimize``, ``bell --n`` with a settings file, ``scan --input`` and
+``extract`` load numpy.
 The numpy-backed names the other paths call are looked up in this module's
 globals at call time, bound there when first needed (see ``_numeric``).  ``main``
 returns the code; ``entry_point`` (the ``boundbell`` script and ``python -m
@@ -44,10 +50,12 @@ from .family import (
     DEFAULT_RESTARTS,
     PSD,
     BellSettings,
+    PartyLayout,
     RhoFamilySpec,
     Verdicts,
     classify_family,
     default_alpha,
+    entries_bell_value,
     ghz_obj,
     operator_obj,
     scan_reports,
@@ -58,6 +66,7 @@ from .serialize import (
     dump_json,
     extraction_to_obj,
     load_json,
+    operator_entries_from_obj,
     operator_from_obj,
     settings_from_obj,
     settings_to_obj,
@@ -75,7 +84,6 @@ _NUMERIC = {
     "extraction": ("NotEntangledError", "NumericDegeneracyError", "PairUnavailableError", "extract"),
     "ppt": ("cut_verdicts", "ppt_check", "scan"),
     "states": ("ghz", "random_pure", "rho_family"),
-    "tensor": ("PartyLayout",),
 }
 
 EXIT_OK = 0
@@ -83,6 +91,10 @@ EXIT_USAGE = 2
 EXIT_NOT_ENTANGLED = 3
 EXIT_PAIR_UNAVAILABLE = 4
 EXIT_NUMERIC_DEGENERACY = 5
+
+# ``bell --input`` decodes and sums files of at most this many entries in
+# plain Python, without importing numpy (see ``cmd_bell``)
+PLAIN_MAX_ENTRIES = 4096
 
 _TOL_ENV = "BOUNDBELL_TOL"
 _CONFIG_KEYS = (
@@ -190,13 +202,11 @@ def _family_source(args) -> RhoFamilySpec | None:
     return _spec(args.n, args.alpha)
 
 
-def _operator(args, spec: RhoFamilySpec | None) -> tuple:
-    """The operator of ``spec``, else of the --input file, plus (n, alpha) metadata."""
-    _numeric()
-    if spec is not None:
-        return rho_family(spec), spec.n, spec.alpha
-    rho = operator_from_obj(load_json(args.input))
-    return rho, rho.layout.num_parties, None
+def _entry_count(obj) -> int:
+    """How many rows an operator file lists under 'entries'; 0 where it has no
+    such list, for the plain decoder to name the defect."""
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    return len(entries) if isinstance(entries, list) else 0
 
 
 def cmd_state(args) -> tuple:
@@ -223,7 +233,9 @@ def cmd_state(args) -> tuple:
 def cmd_scan(args) -> tuple:
     spec = _family_source(args)
     if spec is None:
-        rho, n, alpha = _operator(args, spec)
+        _numeric()
+        rho = operator_from_obj(load_json(args.input))
+        n, alpha = rho.layout.num_parties, None
         reports = scan(rho, args.tol)
         summary = cut_verdicts(reports, n)._asdict()
     else:  # exact minima and verdicts, whatever the tolerance
@@ -249,6 +261,20 @@ def cmd_scan(args) -> tuple:
 
 
 def cmd_bell(args) -> tuple:
+    """Bell value of the family member or operator file for x/y, file or optimized settings.
+
+    Family members with x/y settings take the closed form.  An operator file
+    of at most PLAIN_MAX_ENTRIES entries, with x/y or file settings, is
+    decoded and summed in plain Python (:func:`serialize.operator_entries_from_obj`,
+    :func:`family.entries_bell_value`), which never imports numpy.  Median
+    wall times of a CLI child on random 10-qubit files (Python 3.11, numpy
+    2.4, one Xeon core), numpy path against plain path: 138 against 85 ms at
+    4,096 entries, 150 against 106 ms at 8,192, 307 against 368 ms at 32,768
+    and 395 against 611 ms at 65,536.  The paths cross between 16,384 and
+    32,768 entries; the cap keeps a wide margin below.  Larger files, family
+    members with file settings and the optimizer (it draws its starts from
+    numpy's generator) take the numpy path.
+    """
     _separate_outputs("--settings-out", args.settings_out, "--out", args.out)
     spec = _family_source(args)
     optimized = args.settings == "optimize"
@@ -257,7 +283,15 @@ def cmd_bell(args) -> tuple:
         settings, value = BellSettings.xy(n), xy_value(spec)
         violation = _violates(value, 0.0)
     else:
-        rho, n, alpha = _operator(args, spec)
+        obj = None if spec is not None else load_json(args.input)
+        if obj is not None and not optimized and _entry_count(obj) <= PLAIN_MAX_ENTRIES:
+            rho, evaluate = operator_entries_from_obj(obj), entries_bell_value
+        else:
+            _numeric()
+            rho = rho_family(spec) if obj is None else operator_from_obj(obj)
+            evaluate = bell_value
+        n = rho.layout.num_parties
+        alpha = None if spec is None else spec.alpha
         if optimized:
             settings, value = optimize_settings(
                 rho, restarts=args.restarts, tol=args.tol, seed=args.seed
@@ -267,7 +301,7 @@ def cmd_bell(args) -> tuple:
                 BellSettings.xy(n) if args.settings == "xy"
                 else settings_from_obj(load_json(args.settings))
             )
-            value = bell_value(rho, settings)
+            value = evaluate(rho, settings)
         violation = _violates(value, args.tol)
     if args.settings_out:
         dump_json(settings_to_obj(settings), args.settings_out)

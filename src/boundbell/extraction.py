@@ -95,7 +95,9 @@ class ExtractionResult:
 
     ``probability`` is the product of the recorded branch weights along the
     executed path (the +/- measurement steps count weight 1 since either
-    outcome yields a maximally entangled pair).
+    outcome yields a maximally entangled pair), clamped to at most 1: a
+    certain path's weights can round to a product just above 1 (by 1.3e-15
+    for a GHZ state at N = 8).
     """
 
     pair: tuple[int, int]
@@ -359,7 +361,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
         c = np.linalg.svd(final.amplitudes.reshape(final.layout.dims), full_matrices=False)[1]
         return ExtractionResult(
             pair=chosen,
-            probability=math.prod(step.weight for step in steps),
+            probability=min(1.0, math.prod(step.weight for step in steps)),
             steps=tuple(steps),
             final_state=final,
             schmidt_coeffs=(float(c[0]), float(c[1]) if c[1] > SCHMIDT_CUTOFF else 0.0),

@@ -14,8 +14,10 @@ smallest eigenvalue of each cut's partial transpose (decided in
 This module imports the standard library only, so those commands never load
 numpy.  For the same reason it holds the plain records, checks and defaults
 that they share with the numpy-backed modules, which import them from here:
-the family's spec, the PPT report and verdict records, and the Bell settings
-record with the optimizer's defaults.
+the party layout, the family's spec, the PPT report and verdict records, the
+Bell settings record with the optimizer's defaults, and Mermin's product form
+summed over an operator's listed entries (:func:`entries_bell_value`, the
+plain path of ``bell --input`` for small files).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -35,6 +37,9 @@ DEFAULT_PPT_TOL = 1e-9
 UNIT_TOL = 1e-12
 DEFAULT_RESTARTS = 16
 DEFAULT_OPT_TOL = 1e-10
+
+MAX_GLOBAL_DIM = 4096  # largest side of any dense array: 256 MiB as a complex matrix
+HERMITIAN_TOL = 1e-12
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -53,6 +58,75 @@ def _check_tolerance(tol: float) -> None:
     """ValueError unless ``tol`` is a finite, non-negative number."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+
+
+def dense_size(size: int) -> int:
+    """``size`` if a dense array of that side may be allocated; ValueError above MAX_GLOBAL_DIM."""
+    if size > MAX_GLOBAL_DIM:
+        raise ValueError(f"dense dimension {size} exceeds the cap {MAX_GLOBAL_DIM}")
+    return size
+
+
+@dataclass(frozen=True)
+class PartyLayout:
+    """Ordered local dimensions of the parties sharing a state.
+
+    ``dim``, their product, is computed once here; layouts compare, hash and
+    print by ``dims`` alone.
+    """
+
+    dims: tuple[int, ...]
+    dim: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        dims = _integers(self.dims, "local dimensions")
+        object.__setattr__(self, "dims", dims)
+        if len(dims) < 1:
+            raise ValueError("a layout needs at least one party")
+        if any(d < 2 for d in dims):
+            raise ValueError(f"every local dimension must be >= 2, got {dims}")
+        object.__setattr__(self, "dim", math.prod(dims))
+        if self.dim**2 >= 2**63:
+            raise ValueError(f"global dimension {self.dim} too large for int64 entry keys")
+
+    @classmethod
+    def qubits(cls, n: int) -> "PartyLayout":
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        return cls((2,) * n)
+
+    @property
+    def num_parties(self) -> int:
+        return len(self.dims)
+
+    @property
+    def dense_dim(self) -> int:
+        """``dim``, for code about to allocate a dense array over the layout;
+        ValueError above MAX_GLOBAL_DIM."""
+        return dense_size(self.dim)
+
+    def dim_of(self, party: int) -> int:
+        self._check_party(party)
+        return self.dims[party - 1]
+
+    def _check_party(self, party: int) -> None:
+        if not 1 <= party <= self.num_parties:
+            raise ValueError(
+                f"party index {party} out of range 1..{self.num_parties}"
+            )
+
+    def check_subset(
+        self, parties, *, nonempty: bool = False, proper: bool = False
+    ) -> tuple[int, ...]:
+        """Validate a collection of party indices, returning them sorted."""
+        subset = tuple(sorted(set(_integers(parties, "party indices"))))
+        for p in subset:
+            self._check_party(p)
+        if nonempty and not subset:
+            raise ValueError("subset of parties must not be empty")
+        if proper and len(subset) == self.num_parties:
+            raise ValueError("subset must be a proper subset of the parties")
+        return subset
 
 
 def default_alpha(n: int) -> float:
@@ -140,8 +214,63 @@ class BellSettings:
         return len(self.a)
 
 
+class OperatorEntries(NamedTuple):
+    """A checked operator in plain Python: its layout and its nonzero entries
+    as (row, col, value), the plain counterpart of :class:`tensor.DensityOperator`."""
+
+    layout: PartyLayout
+    entries: tuple[tuple[int, int, complex], ...]
+
+
 def _prefactor(n: int) -> complex:
     return ((1.0 - 1.0j) / 2.0) ** (n - 1)
+
+
+def mermin_factor(a, ap) -> tuple[complex, complex, complex, complex]:
+    """M = sigma.a + i sigma.a' as its elements (M00, M01, M10, M11)."""
+    ax, ay, az = a
+    bx, by, bz = ap
+    return complex(az, bz), complex(ax + by, bx - ay), complex(ax - by, ay + bx), complex(-az, -bz)
+
+
+def bell_parties(layout: PartyLayout, settings: BellSettings) -> int:
+    """The party count of an all-qubit ``layout`` that ``settings`` cover; ValueError otherwise."""
+    if any(d != 2 for d in layout.dims):
+        raise ValueError("Bell evaluation requires an all-qubit layout")
+    n = layout.num_parties
+    if settings.num_parties != n:
+        raise ValueError(f"settings cover {settings.num_parties} parties, state has {n}")
+    return n
+
+
+def _exact_sum(terms: list[float]) -> float:
+    """The correctly rounded sum; an infinite or overflowing one as the float sum gives it."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # inf - inf, or finite terms past the double range
+        return sum(terms)
+
+
+def entries_bell_value(op: OperatorEntries, settings: BellSettings) -> float:
+    """tr(B rho) from the listed entries, as :func:`bell.bell_value` computes it.
+
+    Each entry rho[r, c] contributes rho[r, c] prod_j M_j[c_j, r_j], the
+    factors multiplied in party order as there; the terms' real and
+    imaginary parts are summed exactly (:func:`math.fsum`).  So the value
+    agrees with bell_value's to rounding, and bit for bit where the terms and
+    their sum are exact, as for the family's x/y terms: zeros and the one
+    term rho[1...1, 0...0] 2^N.
+    """
+    n = bell_parties(op.layout, settings)
+    factors = list(map(mermin_factor, settings.a, settings.a_prime))
+    shifts = range(n - 1, -1, -1)  # party j sits at bit N - j
+    re, im = [], []
+    for r, c, v in op.entries:
+        for m, shift in zip(factors, shifts):
+            v = v * m[(c >> shift & 1) << 1 | r >> shift & 1]
+        re.append(v.real)
+        im.append(v.imag)
+    return (_prefactor(n) * complex(_exact_sum(re), _exact_sum(im))).real
 
 
 # The closed forms below repeat, operation for operation, the complex128

@@ -13,12 +13,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .family import DEFAULT_PPT_TOL, NOT_PSD, PSD, PptReport, Verdicts, _check_tolerance
+from .family import (
+    DEFAULT_PPT_TOL, MAX_GLOBAL_DIM, NOT_PSD, PSD, PptReport, Verdicts, _check_tolerance, dense_size,
+)
 # rho_family stays importable from here: bench/tracing.py rebinds it.
 from .states import rho_family  # noqa: F401
-from .tensor import (
-    MAX_GLOBAL_DIM, DensityOperator, dense_size, hermitian_eigenvalues, partial_transpose,
-)
+from .tensor import DensityOperator, hermitian_eigenvalues, partial_transpose
 
 
 def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:

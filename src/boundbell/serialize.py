@@ -10,24 +10,28 @@ dims, no index listed twice and JSON numbers only (no string, boolean or
 null stands in for one), nested no deeper than the parser can follow.
 
 Importing this module loads no numpy, so the family commands can use its
-JSON helpers and encoders; only the decoders, which build arrays, import
-numpy and the numpy-backed modules, when called.
+JSON helpers and encoders.  :func:`operator_entries_from_obj` decodes an
+operator into plain Python, making every check of :func:`operator_from_obj`
+in the same order and words; the other decoders, which build arrays, import
+numpy and the numpy-backed modules when called.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .family import BellSettings
+from .family import HERMITIAN_TOL, BellSettings, OperatorEntries, PartyLayout
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .extraction import ExtractionResult
-    from .tensor import DensityOperator, PartyLayout, PureState
+    from .tensor import DensityOperator, PureState
 
 TRACE_TOL = 1e-10
 
@@ -49,21 +53,39 @@ def _check_numbers(rows, what: str) -> None:
         raise ValueError(f"{what} must hold numbers only")
 
 
-def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
-    """Layout plus the index columns and complex values of the rows
-    ``[index x width, re, im]`` under ``key``; ValueError on a missing key, a
-    malformed row, a value that is no number, an index not an integer in
-    range, an index listed twice or a non-finite value."""
-    import numpy as np
-
-    from .tensor import PartyLayout
-
+def _layout_table(obj: dict, key: str, to_table) -> tuple:
+    """Layout plus ``to_table`` of the rows under ``key``; ValueError on a
+    missing key, a malformed row, a value that is no number or one past the
+    range of a double."""
     try:
         layout = PartyLayout(obj["dims"])
         _check_numbers(obj[key], f"rows of '{key}'")
-        table = np.array(obj[key], dtype=float)
+        return layout, to_table(obj[key])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"need 'dims' and '{key}' lists ({exc!r})") from exc
+    except OverflowError as exc:
+        raise ValueError(f"numbers in '{key}' must fit a double ({exc})") from exc
+
+
+def _float_table(rows) -> np.ndarray:
+    """The rows as a float array; rows of unequal length give an empty 1-d
+    one, which fails every width check."""
+    import numpy as np
+
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:  # an inhomogeneous shape
+        return np.zeros(0)
+
+
+def _decode_table(obj: dict, key: str, width: int) -> tuple[PartyLayout, np.ndarray, np.ndarray]:
+    """Layout plus the index columns and complex values of the rows
+    ``[index x width, re, im]`` under ``key``; ValueError on any defect
+    :func:`_layout_table` names, an index not an integer in range, an index
+    listed twice or a non-finite value."""
+    import numpy as np
+
+    layout, table = _layout_table(obj, key, _float_table)
     if table.ndim != 2 or table.shape[1] != width + 2:
         raise ValueError(f"every row of '{key}' must hold {width} indices, re and im")
     index = table[:, :width]
@@ -90,6 +112,32 @@ def operator_from_obj(obj: dict) -> DensityOperator:
     if not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError(f"operator trace {rho.trace!r} deviates from 1 beyond {TRACE_TOL}")
     return rho
+
+
+def operator_entries_from_obj(obj: dict) -> OperatorEntries:
+    """Decode an operator without numpy: the checks of :func:`operator_from_obj`
+    (:func:`_decode_table`'s, then :class:`tensor.DensityOperator`'s and the
+    trace's), in its order and words.  Zero values are dropped before the
+    Hermiticity check, as there; the entries keep the file's order."""
+    layout, table = _layout_table(obj, "entries", lambda rows: [list(map(float, row)) for row in rows])
+    if any(len(row) != 4 for row in table):
+        raise ValueError("every row of 'entries' must hold 2 indices, re and im")
+    d = layout.dim
+    if not all(0 <= x < d and x.is_integer() for row in table for x in row[:2]):
+        raise ValueError(f"indices must be integers in 0..{d - 1}")
+    entries = {(int(r), int(c)): complex(re, im) for r, c, re, im in table}
+    if len(entries) < len(table):
+        raise ValueError("an index is listed twice in 'entries'")
+    if not all(map(cmath.isfinite, entries.values())):
+        raise ValueError("values in 'entries' must be finite")
+    entries = {key: v for key, v in entries.items() if v}
+    dev = max((abs(v - entries.get((c, r), 0j).conjugate()) for (r, c), v in entries.items()), default=0.0)
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e} (> {HERMITIAN_TOL})")
+    trace = math.fsum(v.real for (r, c), v in entries.items() if r == c)
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise ValueError(f"operator trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
+    return OperatorEntries(layout, tuple((r, c, v) for (r, c), v in entries.items()))
 
 
 def state_to_obj(psi: PureState) -> dict:
@@ -128,6 +176,8 @@ def settings_from_obj(obj: dict) -> BellSettings:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"settings need 'a' and 'a_prime' direction lists ({exc!r})") from exc
+    except OverflowError as exc:
+        raise ValueError(f"setting directions must fit a double ({exc})") from exc
 
 
 def _matrix_entries(m: np.ndarray) -> list[list]:

@@ -13,6 +13,8 @@ Conventions used throughout the package:
   int64 keys ``row * dim + col`` cannot wrap (at most 31 qubits).  Code that
   allocates a dense array asks :attr:`PartyLayout.dense_dim` (or
   :func:`dense_size`) first, which refuses sizes above MAX_GLOBAL_DIM.
+  The layout and that cap use no numpy: :mod:`boundbell.family` defines
+  them, for the plain paths too, and this module re-exports them.
 * A local filter's norm is checked once, when its :class:`FilterOperator` is
   built: a Gram-matrix row-sum bound certifies most filters, and only a
   filter that the bound does not certify takes an SVD.  A Schmidt
@@ -25,16 +27,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .family import _integers
-
-MAX_GLOBAL_DIM = 4096  # largest side of any dense array: 256 MiB as a complex matrix
+# the layout and its dense cap are stdlib-only, so the plain paths share them
+from .family import HERMITIAN_TOL, MAX_GLOBAL_DIM, PartyLayout, dense_size  # noqa: F401
 
 NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
 SCHMIDT_CUTOFF = 1e-10
 FILTER_KINDS = ("equalize", "biorthogonal", "project", "measure_pm")
 
@@ -44,80 +44,11 @@ _FILTER_NORM = 1.0 + 1e-12
 _SMALL_ENTRY = np.finfo(float).eps ** 2  # relative to max|A|; see hermitian_eigenvalues
 
 
-def dense_size(size: int) -> int:
-    """``size`` if a dense array of that side may be allocated; ValueError above MAX_GLOBAL_DIM."""
-    if size > MAX_GLOBAL_DIM:
-        raise ValueError(f"dense dimension {size} exceeds the cap {MAX_GLOBAL_DIM}")
-    return size
-
-
 def _check_hermitian(diff: np.ndarray, tol: float) -> None:
     """Raise ValueError where A - A^H, given as ``diff``, exceeds tol in modulus (or is NaN)."""
     dev = float(np.max(np.abs(diff), initial=0.0))
     if not dev <= tol:
         raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e} (> {tol})")
-
-
-@dataclass(frozen=True)
-class PartyLayout:
-    """Ordered local dimensions of the parties sharing a state.
-
-    ``dim``, their product, is computed once here; layouts compare, hash and
-    print by ``dims`` alone.
-    """
-
-    dims: tuple[int, ...]
-    dim: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        dims = _integers(self.dims, "local dimensions")
-        object.__setattr__(self, "dims", dims)
-        if len(dims) < 1:
-            raise ValueError("a layout needs at least one party")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        object.__setattr__(self, "dim", math.prod(dims))
-        if self.dim**2 >= 2**63:
-            raise ValueError(f"global dimension {self.dim} too large for int64 entry keys")
-
-    @classmethod
-    def qubits(cls, n: int) -> "PartyLayout":
-        if n < 1:
-            raise ValueError("need at least one qubit")
-        return cls((2,) * n)
-
-    @property
-    def num_parties(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dense_dim(self) -> int:
-        """``dim``, for code about to allocate a dense array over the layout;
-        ValueError above MAX_GLOBAL_DIM."""
-        return dense_size(self.dim)
-
-    def dim_of(self, party: int) -> int:
-        self._check_party(party)
-        return self.dims[party - 1]
-
-    def _check_party(self, party: int) -> None:
-        if not 1 <= party <= self.num_parties:
-            raise ValueError(
-                f"party index {party} out of range 1..{self.num_parties}"
-            )
-
-    def check_subset(
-        self, parties, *, nonempty: bool = False, proper: bool = False
-    ) -> tuple[int, ...]:
-        """Validate a collection of party indices, returning them sorted."""
-        subset = tuple(sorted(set(_integers(parties, "party indices"))))
-        for p in subset:
-            self._check_party(p)
-        if nonempty and not subset:
-            raise ValueError("subset of parties must not be empty")
-        if proper and len(subset) == self.num_parties:
-            raise ValueError("subset must be a proper subset of the parties")
-        return subset
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,8 @@ from boundbell import (
     random_pure,
     rho_family,
 )
+from boundbell.family import entries_bell_value
+from boundbell.serialize import operator_entries_from_obj, operator_from_obj
 from helpers import (
     bell_matrix,
     bell_matrix_recursion,
@@ -353,3 +355,46 @@ def test_optimizer_restart_memory_on_dense_input():
         lambda: optimize_settings(rho, restarts=1, seed=0, tol=-math.inf, max_sweeps=3)
     )
     assert peak < 80 * 2**20, peak
+
+
+def _random_operator_file(n: int, rng) -> dict:
+    """A Hermitian trace-1 operator file over n qubits with up to 1,000 random
+    entries (unit total modulus, so values stay O(1)), usually not PSD."""
+    dim = 2**n
+    entries = {}
+    for r, c in rng.integers(0, dim, size=(int(rng.integers(1, 500)), 2)).tolist():
+        v = complex(*rng.standard_normal(2)) / 500
+        entries[r, c] = complex(v.real) if r == c else v
+        entries[c, r] = entries[r, c].conjugate()
+    entries[0, 0] = entries.get((0, 0), 0j) + 1.0 - sum(v.real for (r, c), v in entries.items() if r == c)
+    return {"dims": [2] * n, "entries": [[r, c, v.real, v.imag] for (r, c), v in entries.items()]}
+
+
+def _random_unit(rng) -> tuple[float, float, float]:
+    v = rng.standard_normal(3)
+    return tuple((v / np.linalg.norm(v)).tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_plain_bell_value_matches_bell_value(n):
+    # the plain path of ``bell --input`` against the numpy path, to rounding
+    rng = np.random.default_rng(2100 + n)
+    for _ in range(8):
+        obj = _random_operator_file(n, rng)
+        settings = BellSettings(
+            tuple(_random_unit(rng) for _ in range(n)), tuple(_random_unit(rng) for _ in range(n))
+        )
+        rho, plain = operator_from_obj(obj), operator_entries_from_obj(obj)
+        assert set(plain.entries) == set(zip(rho.rows.tolist(), rho.cols.tolist(), rho.vals.tolist()))
+        assert entries_bell_value(plain, settings) == pytest.approx(bell_value(rho, settings), abs=1e-12)
+
+
+def test_plain_bell_value_keeps_overflowing_terms():
+    # trace 1 and Hermitian, but the coherence times M = i overflows in the
+    # sum: the plain path returns what the numpy path does, not an error
+    obj = {"dims": [2], "entries": [[0, 0, 1.0, 0.0], [0, 1, 1.5e308, 0.0], [1, 0, 1.5e308, 0.0]]}
+    settings = BellSettings(((0.0, 0.0, 1.0),), ((1.0, 0.0, 0.0),))
+    plain = entries_bell_value(operator_entries_from_obj(obj), settings)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = bell_value(operator_from_obj(obj), settings)
+    assert repr(plain) == repr(want)

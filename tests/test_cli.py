@@ -1,6 +1,7 @@
 """CLI commands, exit codes, file formats, and byte-level determinism."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 import boundbell
+from boundbell import cli
 from boundbell import DensityOperator, PartyLayout, PureState, ghz, rho_family, RhoFamilySpec
 from boundbell.cli import main
 from boundbell.serialize import (
     dump_json,
     load_json,
+    operator_entries_from_obj,
     operator_from_obj,
     operator_to_obj,
     state_to_obj,
@@ -139,6 +142,21 @@ def test_bell_xy_threshold(tmp_path):
     assert report7["violation"] is False
 
 
+@pytest.mark.parametrize("alpha", [None, 0.3])
+def test_bell_input_of_family_files_matches_the_closed_form(tmp_path, alpha):
+    # x/y terms are 0 and rho[1...1, 0...0] 2^N, so the plain sum is exact
+    for n in range(2, 32):
+        phase = [] if alpha is None else ["--alpha", alpha]
+        src, closed, plain = (tmp_path / f"{name}{n}.json" for name in ("rho", "closed", "plain"))
+        assert run(["state", "--n", n, *phase, "--out", src]) == 0
+        assert run(["bell", "--n", n, *phase, "--out", closed]) == 0
+        assert run(["bell", "--input", src, "--tol", 0, "--out", plain]) == 0
+        value = load_json(plain)["value"]
+        assert value == load_json(closed)["value"], n
+        verdict = n >= 8 if alpha is None else abs(value) > 1.0  # exactly 1.0 at N = 7
+        assert load_json(plain)["violation"] is verdict, (n, value)
+
+
 @pytest.mark.parametrize("n, violation", [(7, False), (8, True)])
 def test_optimized_violation_verdict_has_a_margin(tmp_path, n, violation):
     # the N = 7 maximum is exactly 1; the optimizer reaches 1 + 7e-16, which is no violation
@@ -198,10 +216,11 @@ def test_bell_optimize_and_settings_file(tmp_path):
         "[" * 100000 + "]" * 100000,
         '{"a": [["1", 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
         '{"a": [[true, 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}',
+        '{"a": [[1%s, 0, 0], [1, 0, 0]], "a_prime": [[0, 1, 0], [0, 1, 0]]}' % ("0" * 400),
     ],
     ids=[
         "nan", "no-a-prime", "no-a", "not-an-object", "scalar-direction", "nested-too-deep",
-        "string-component", "boolean-component",
+        "string-component", "boolean-component", "component-past-double",
     ],
 )
 def test_bell_malformed_settings_file_exit_code(tmp_path, text):
@@ -238,18 +257,82 @@ def exit_code(argv):
         '{"dims": [2, 2], "entries": [[0, 0, "1.0", 0.0]]}',
         '{"dims": [2, 2], "entries": [["0", 0, 1.0, 0.0]]}',
         '{"dims": [2, 2], "entries": [[0, 0, true, 0]]}',
+        '{"dims": [2, 2], "entries": [[0, 0, 1%s, 0]]}' % ("0" * 400),
     ],
     ids=[
         "negative-index", "index-out-of-range", "fractional-index", "duplicate-entry",
         "no-dims", "no-entries", "nan-value", "trace-five", "not-hermitian",
         "short-entry", "not-an-object", "fractional-dims", "nested-too-deep",
-        "string-value", "string-index", "boolean-value",
+        "string-value", "string-index", "boolean-value", "value-past-double",
     ],
 )
 def test_malformed_operator_file_exit_code(tmp_path, command, text):
     src = tmp_path / "op.json"
     src.write_text(text)
     assert exit_code([command, "--input", src]) == 2
+
+
+# Defects planted in a valid file of equal diagonal entries (13 qubits).
+DEFECTS = {
+    "negative-index": lambda rows: rows[0].__setitem__(0, -1),
+    "index-out-of-range": lambda rows: rows[0].__setitem__(1, 1 << 13),
+    "fractional-index": lambda rows: rows[0].__setitem__(0, 0.5),
+    "duplicate-entry": lambda rows: rows.append(list(rows[0])),
+    "nan-value": lambda rows: rows[0].__setitem__(2, math.nan),
+    "trace-five": lambda rows: rows[0].__setitem__(2, 4.0 + rows[0][2]),
+    "not-hermitian": lambda rows: rows.append([0, 1, 0.5, 0.0]),
+    "short-entry": lambda rows: rows[0].pop(),
+    "string-value": lambda rows: rows[0].__setitem__(2, "1.0"),
+    "string-index": lambda rows: rows[0].__setitem__(0, "0"),
+    "boolean-value": lambda rows: rows[0].__setitem__(3, False),
+    "value-past-double": lambda rows: rows[0].__setitem__(2, 10**400),
+    "index-past-double": lambda rows: rows[0].__setitem__(1, 10**400),
+}
+
+
+@pytest.mark.parametrize("above_cap", [False, True], ids=["plain", "numpy"])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_malformed_operator_file_exit_code_on_both_paths(tmp_path, monkeypatch, capsys, defect, above_cap):
+    obj = _diagonal_operator(cli.PLAIN_MAX_ENTRIES + 1 if above_cap else cli.PLAIN_MAX_ENTRIES - 1)
+    obj["dims"] = [2] * 13
+    DEFECTS[defect](obj["entries"])
+    src = tmp_path / "op.json"
+    src.write_text(json.dumps(obj))
+    dump_json({"a": [[1, 0, 0]] * 13, "a_prime": [[0, 1, 0]] * 13}, tmp_path / "xy.json")
+    plain = []  # the files the plain decoder took
+    monkeypatch.setattr(
+        cli, "operator_entries_from_obj", lambda obj: plain.append(obj) or operator_entries_from_obj(obj)
+    )
+    for settings in ("xy", tmp_path / "xy.json"):
+        assert exit_code(["bell", "--input", src, "--settings", settings]) == 2, settings
+    assert len(plain) == (0 if above_cap else 2)
+    with pytest.raises(ValueError) as numpy_error:
+        operator_from_obj(obj)
+    with pytest.raises(ValueError) as plain_error:
+        operator_entries_from_obj(obj)
+    # the same words; the trace may differ in its last bits (summed in another order)
+    words = [re.sub(r"trace \S+", "trace", str(e.value)) for e in (plain_error, numpy_error)]
+    assert words[0] == words[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, settings, message",
+    [
+        ('{"dims": [3, 3], "entries": [[0, 0, 1.0, 0.0]]}', "xy", "all-qubit layout"),
+        ('{"dims": [2, 2], "entries": [[0, 0, 1.0, 0.0]]}', [[1, 0, 0]] * 3, "settings cover 3 parties, state has 2"),
+        ('{"dims": [2, 2], "entries": []}', "xy", "operator trace 0.0 deviates from 1"),
+    ],
+    ids=["qutrit-layout", "settings-party-count", "no-entry"],
+)
+def test_plain_bell_input_errors(tmp_path, capsys, text, settings, message):
+    src = tmp_path / "op.json"
+    src.write_text(text)
+    if settings != "xy":
+        dump_json({"a": settings, "a_prime": settings}, tmp_path / "s.json")
+        settings = tmp_path / "s.json"
+    assert exit_code(["bell", "--input", src, "--settings", settings]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -269,12 +352,14 @@ def test_malformed_operator_file_exit_code(tmp_path, command, text):
         '{"dims": [2, 2], "amps": [[0, "1.0", 0.0]]}',
         '{"dims": [2, 2], "amps": [["0", 1.0, 0.0]]}',
         '{"dims": [2, 2], "amps": [[0, true, 0]]}',
+        '{"dims": [2, 2], "amps": [[0, 1%s, 0.0]]}' % ("0" * 400),
+        '{"dims": [2, 2], "amps": [[0, 0.6, 0.0], [3, 0.8]]}',
     ],
     ids=[
         "negative-index", "index-out-of-range", "fractional-index",
         "duplicate-index", "nan-value", "short-row", "no-amps", "no-dims",
         "not-an-object", "fractional-dims", "nested-too-deep", "string-value",
-        "string-index", "boolean-value",
+        "string-index", "boolean-value", "value-past-double", "ragged-rows",
     ],
 )
 def test_malformed_state_file_exit_code(tmp_path, text):
@@ -298,6 +383,14 @@ def test_extract_ghz(tmp_path):
     report = load_json(out)
     assert report["summary"]["pair"] == [1, 2]
     assert report["summary"]["probability"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_extract_ghz_probability_is_at_most_one(tmp_path):
+    for n in range(3, 9):
+        out = tmp_path / f"ghz{n}.json"
+        assert run(["extract", "--ghz", n, "--out", out]) == 0
+        probability = load_json(out)["summary"]["probability"]
+        assert 1.0 - 1e-15 <= probability <= 1.0, (n, probability)
 
 
 def test_extract_random_seeded(tmp_path):
@@ -617,16 +710,22 @@ def child_env(**extra) -> dict:
     return {**env, "PYTHONPATH": path, **extra}
 
 
+def _diagonal_operator(count: int) -> dict:
+    """A qubit operator file of ``count`` equal diagonal entries, trace 1."""
+    return {"dims": [2] * count.bit_length(), "entries": [[i, i, 1.0 / count, 0.0] for i in range(count)]}
+
+
 def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
     # numpy.ma costs ~20 ms of start-up in every CLI child that loads numpy;
     # plain np.unique imports it.  The family commands load no numpy at all,
-    # so an operator file takes scan and bell down the numpy path.
+    # and bell --input of a small file neither, unless it optimizes: these
+    # take scan and bell down the numpy path.
     assert run(["state", "--n", 7, "--out", tmp_path / "rho7.json"]) == 0
     code = (
         "import sys\n"
         "from boundbell.cli import main\n"
         f"main(['scan', '--input', {str(tmp_path / 'rho7.json')!r}, '--out', {str(tmp_path / 'scan.json')!r}])\n"
-        f"main(['bell', '--input', {str(tmp_path / 'rho7.json')!r}, '--out', {str(tmp_path / 'bell.json')!r}])\n"
+        f"main(['bell', '--input', {str(tmp_path / 'rho7.json')!r}, '--settings', 'optimize', '--restarts', '1', '--out', {str(tmp_path / 'bell.json')!r}])\n"
         f"main(['sweep', '--n-max', '5', '--out', {str(tmp_path / 'sweep.json')!r}])\n"
         "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
@@ -644,13 +743,21 @@ def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
         (["scan", "--n", "7", "--out", "scan7.json"], False),
         (["sweep", "--n-min", "2", "--n-max", "31", "--scan-max", "31", "--out", "sweep.json"], False),
         (["bell", "--n", "8", "--settings-out", "xy.json", "--out", "bell8.json"], False),
-        (["bell", "--input", "rho11.json", "--out", "bell11.json"], True),  # an operator file
+        (["bell", "--input", "rho11.json", "--out", "bell11.json"], False),  # a small operator file
+        (["bell", "--input", "rho11.json", "--settings", "xy11.json"], False),
+        (["bell", "--input", "big.json", "--out", "big.out.json"], True),  # above the plain cap
+        (["bell", "--input", "rho11.json", "--settings", "optimize", "--restarts", "1"], True),
+        (["scan", "--input", "rho11.json", "--out", "scan11.json"], True),
     ],
-    ids=["state", "scan", "sweep", "bell-xy", "bell-input"],
+    ids=["state", "scan", "sweep", "bell-xy", "bell-input", "bell-input-file-settings",
+         "bell-input-above-cap", "bell-input-optimize", "scan-input"],
 )
 def test_family_commands_do_not_import_numpy(tmp_path, argv, loads_numpy):
-    # the closed forms serve the family commands; an operator file needs numpy
+    # the closed forms serve the family commands, and the plain path small
+    # operator files with x/y or file settings; the rest needs numpy
     assert run(["state", "--n", 11, "--out", tmp_path / "rho11.json"]) == 0
+    dump_json({"a": [[1, 0, 0]] * 11, "a_prime": [[0, 1, 0]] * 11}, tmp_path / "xy11.json")
+    dump_json(_diagonal_operator(cli.PLAIN_MAX_ENTRIES + 1), tmp_path / "big.json")
     code = (
         "import sys\n"
         "from boundbell.cli import main\n"
