@@ -11,21 +11,31 @@ and the report (JSON, or CSV under ``--format csv``) to ``--out`` or else to
 stdout.  ``state``'s ``--out`` names its operator file: its report goes to stdout.
 
 Exit codes: 0 ok, 2 usage/range errors (input files with non-numeric values,
-JSON nested too deeply and two outputs naming one file included), 3 not
-entangled, 4 requested pair unavailable, 5 numeric degeneracy.
+JSON nested too deeply, and an output naming the file of another output or
+of an input included, found before anything is written), 3 not entangled,
+4 requested pair unavailable, 5 numeric degeneracy.
 ``BOUNDBELL_TOL`` overrides the default tolerance of each command.
 
-The family commands (``state``, ``scan --n``, ``sweep`` and ``bell --n`` with
-x/y settings) answer from the closed forms of :mod:`boundbell.family` and
-never import numpy; their verdicts are exact, so no tolerance moves them.
-``bell --input`` with x/y or file settings on a file of at most
-PLAIN_MAX_ENTRIES (4,096) entries imports none either: below that size
-starting numpy costs more than checking the file and summing its entries in
-plain Python (see ``cmd_bell``).  Larger files, ``bell --settings
-optimize``, ``bell --n`` with a settings file, ``scan --input`` and
-``extract`` load numpy.
-The numpy-backed names the other paths call are looked up in this module's
-globals at call time, bound there when first needed (see ``_numeric``).  ``main``
+Every command loads this module, :mod:`boundbell.family` and
+:mod:`boundbell.serialize` (standard library only); ``csv`` loads only
+under ``--format csv``.  The rest depends on the command:
+
+* ``state``, ``sweep``, ``scan --n`` and ``bell --n`` with x/y settings answer
+  from the family's closed forms; ``scan`` and ``sweep`` add ``fractions``
+  for the exact PPT minima.  Their verdicts are exact, so no tolerance moves them.
+* ``bell --n`` with a settings file, and ``bell --input`` with x/y or file
+  settings on a file of at most PLAIN_MAX_ENTRIES (4,096) entries, sum the
+  entries in plain Python: below that size starting numpy costs more than
+  checking the file and summing it (see ``cmd_bell``).
+* The other paths load numpy and :mod:`boundbell.tensor`, with the numeric
+  modules each calls: :mod:`boundbell.bell` for ``bell`` on a larger file or
+  under ``--settings optimize``, plus :mod:`boundbell.states` when it
+  optimizes a family member; :mod:`boundbell.ppt` (which imports
+  :mod:`boundbell.states`) for ``scan --input``; :mod:`boundbell.extraction`
+  and :mod:`boundbell.states` for ``extract``.
+
+The numpy-backed names are looked up in this module's globals at call time,
+bound there by the command that needs them (see ``_numeric``).  ``main``
 returns the code; ``entry_point`` (the ``boundbell`` script and ``python -m
 boundbell.cli``) flushes stdout and ends the process without interpreter
 teardown, with code 2 if stdout is closed or its flush fails.  A stderr that
@@ -36,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import importlib
 import io
 import math
@@ -76,9 +85,9 @@ from .serialize import (
 from .serialize import operator_to_obj, state_to_obj  # noqa: F401
 
 # The numpy-backed names that the numeric paths call, by defining module.
-# ``_numeric`` binds them into this module's globals when a command first
-# needs them, and keeps a binding made before: bench/tracing.py rebinds
-# several here (ppt_check is listed for it alone).
+# ``_numeric`` binds a command's modules into this module's globals, and
+# keeps a binding made before: bench/tracing.py rebinds several here
+# (ppt_check is listed for it alone).
 _NUMERIC = {
     "bell": ("bell_value", "optimize_settings"),
     "extraction": ("NotEntangledError", "NumericDegeneracyError", "PairUnavailableError", "extract"),
@@ -103,28 +112,30 @@ _CONFIG_KEYS = (
 )
 
 # exception type -> exit code; an error takes the code of its most specific
-# type listed.  ``_numeric`` adds extraction's errors: none is raised before.
+# type listed.  Binding extraction adds its errors: none is raised before.
 _EXIT_CODES = {ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
 
 
-def _numeric() -> None:
-    """Bind the names of ``_NUMERIC`` into this module, keeping any bound before."""
-    for module, names in _NUMERIC.items():
+def _numeric(*modules: str) -> None:
+    """Bind the names of ``_NUMERIC`` that ``modules`` define into this module,
+    keeping any bound before."""
+    for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in _NUMERIC[module]:
             globals().setdefault(name, getattr(loaded, name))
-    _EXIT_CODES.update({
-        NotEntangledError: EXIT_NOT_ENTANGLED,
-        PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
-        NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
-    })
+    if "extraction" in modules:
+        _EXIT_CODES.update({
+            NotEntangledError: EXIT_NOT_ENTANGLED,
+            PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
+            NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
+        })
 
 
 def __getattr__(name: str):
     """A name of ``_NUMERIC`` asked for from outside, before a command bound it (PEP 562)."""
     if not any(name in names for names in _NUMERIC.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _numeric()
+    _numeric(*_NUMERIC)
     return globals()[name]
 
 
@@ -173,6 +184,8 @@ def _emit(report: dict, table, out: str | None) -> None:
     """The report as canonical JSON or, given a ``table`` (header, rows), as
     CSV with floats written by repr, to ``out`` or else stdout."""
     if table is not None:
+        import csv  # here, so that JSON reports never load it
+
         header, rows = table
         buf = io.StringIO()
         csv.writer(buf).writerows([header, *rows])
@@ -187,10 +200,18 @@ def _emit(report: dict, table, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _separate_outputs(option: str, path, other: str, other_path) -> None:
-    """ValueError when two output options resolve to the same file."""
-    if path and other_path and Path(path).resolve() == Path(other_path).resolve():
-        raise ValueError(f"{option} and {other} both name the file {str(path)!r}")
+def _separate_files(outputs, inputs=()) -> None:
+    """ValueError when an output resolves to the file of an input or of another
+    output.  Both list (option, path) pairs; a path of None was not given."""
+    earlier = [(option, Path(path).resolve()) for option, path in inputs if path]
+    for option, path in outputs:
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        for other, other_path in earlier:
+            if resolved == other_path:
+                raise ValueError(f"{other} and {option} both name the file {str(path)!r}")
+        earlier.append((option, resolved))
 
 
 def _family_source(args) -> RhoFamilySpec | None:
@@ -216,7 +237,7 @@ def cmd_state(args) -> tuple:
 
     out = Path(args.operator_out)
     ghz_out = Path(args.ghz_out) if args.ghz_out else out.with_suffix(".ghz.json")
-    _separate_outputs("--out", out, "--ghz-out", ghz_out)
+    _separate_files([("--out", out), ("--ghz-out", ghz_out)])
     operator = operator_obj(spec)
     dump_json(operator, out)
     dump_json(ghz_obj(spec), ghz_out)
@@ -231,9 +252,10 @@ def cmd_state(args) -> tuple:
 
 
 def cmd_scan(args) -> tuple:
+    _separate_files([("--out", args.out)], [("--input", args.input)])
     spec = _family_source(args)
     if spec is None:
-        _numeric()
+        _numeric("ppt")
         rho = operator_from_obj(load_json(args.input))
         n, alpha = rho.layout.num_parties, None
         reports = scan(rho, args.tol)
@@ -263,33 +285,42 @@ def cmd_scan(args) -> tuple:
 def cmd_bell(args) -> tuple:
     """Bell value of the family member or operator file for x/y, file or optimized settings.
 
-    Family members with x/y settings take the closed form.  An operator file
-    of at most PLAIN_MAX_ENTRIES entries, with x/y or file settings, is
-    decoded and summed in plain Python (:func:`serialize.operator_entries_from_obj`,
+    Family members with x/y settings take the closed form.  With a settings
+    file a member's entries (:func:`family.operator_obj`), and with x/y or
+    file settings an operator file of at most PLAIN_MAX_ENTRIES entries, are
+    checked and summed in plain Python (:func:`serialize.operator_entries_from_obj`,
     :func:`family.entries_bell_value`), which never imports numpy.  Median
     wall times of a CLI child on random 10-qubit files (Python 3.11, numpy
     2.4, one Xeon core), numpy path against plain path: 138 against 85 ms at
     4,096 entries, 150 against 106 ms at 8,192, 307 against 368 ms at 32,768
     and 395 against 611 ms at 65,536.  The paths cross between 16,384 and
-    32,768 entries; the cap keeps a wide margin below.  Larger files, family
-    members with file settings and the optimizer (it draws its starts from
-    numpy's generator) take the numpy path.
+    32,768 entries; the cap keeps a wide margin below.  Larger files and the
+    optimizer (it draws its starts from numpy's generator) take the numpy
+    path.
     """
-    _separate_outputs("--settings-out", args.settings_out, "--out", args.out)
-    spec = _family_source(args)
     optimized = args.settings == "optimize"
+    settings_file = None if args.settings in ("xy", "optimize") else args.settings
+    _separate_files(
+        [("--settings-out", args.settings_out), ("--out", args.out)],
+        [("--input", args.input), ("--settings", settings_file)],
+    )
+    spec = _family_source(args)
     if spec is not None and args.settings == "xy":  # the closed form
         n, alpha = spec.n, spec.alpha
         settings, value = BellSettings.xy(n), xy_value(spec)
         violation = _violates(value, 0.0)
     else:
         obj = None if spec is not None else load_json(args.input)
-        if obj is not None and not optimized and _entry_count(obj) <= PLAIN_MAX_ENTRIES:
-            rho, evaluate = operator_entries_from_obj(obj), entries_bell_value
+        if not optimized and (obj is None or _entry_count(obj) <= PLAIN_MAX_ENTRIES):
+            # a family member's 2N+4 entries, or a small file
+            rho = operator_entries_from_obj(operator_obj(spec) if obj is None else obj)
+            evaluate = entries_bell_value
+        elif obj is None:
+            _numeric("bell", "states")
+            rho, evaluate = rho_family(spec), bell_value
         else:
-            _numeric()
-            rho = rho_family(spec) if obj is None else operator_from_obj(obj)
-            evaluate = bell_value
+            _numeric("bell")
+            rho, evaluate = operator_from_obj(obj), bell_value
         n = rho.layout.num_parties
         alpha = None if spec is None else spec.alpha
         if optimized:
@@ -298,8 +329,8 @@ def cmd_bell(args) -> tuple:
             )
         else:
             settings = (
-                BellSettings.xy(n) if args.settings == "xy"
-                else settings_from_obj(load_json(args.settings))
+                BellSettings.xy(n) if settings_file is None
+                else settings_from_obj(load_json(settings_file))
             )
             value = evaluate(rho, settings)
         violation = _violates(value, args.tol)
@@ -333,7 +364,8 @@ def _int_list(option: str, text: str, count: int | None = None) -> tuple[int, ..
 
 
 def cmd_extract(args) -> tuple:
-    _numeric()
+    _separate_files([("--out", args.out)], [("--input", args.input)])
+    _numeric("extraction", "states")
     sources = [args.input is not None, args.ghz is not None, args.random is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --input, --ghz, --random")

@@ -17,7 +17,10 @@ that they share with the numpy-backed modules, which import them from here:
 the party layout, the family's spec, the PPT report and verdict records, the
 Bell settings record with the optimizer's defaults, and Mermin's product form
 summed over an operator's listed entries (:func:`entries_bell_value`, the
-plain path of ``bell --input`` for small files).
+plain path of ``bell --input`` for small files).  The records are slotted
+classes and named tuples, not dataclasses: ``dataclasses`` imports
+``inspect``, about 10 ms of every CLI child's start-up.  ``fractions`` loads
+only when a PPT minimum is asked for.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PSD = "PSD"
 NOT_PSD = "NOT_PSD"
@@ -67,27 +71,60 @@ def dense_size(size: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class PartyLayout:
+class _Record:
+    """An immutable record: ``_fields`` name its constructor's arguments, which
+    are also its repr, its pickle and, unless a subclass says otherwise, its
+    equality and hash.  Constructors set attributes with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PartyLayout(_Record):
     """Ordered local dimensions of the parties sharing a state.
 
     ``dim``, their product, is computed once here; layouts compare, hash and
     print by ``dims`` alone.
     """
 
-    dims: tuple[int, ...]
-    dim: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dims", "dim")
+    _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        dims = _integers(self.dims, "local dimensions")
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = _integers(dims, "local dimensions")
         if len(dims) < 1:
             raise ValueError("a layout needs at least one party")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        object.__setattr__(self, "dim", math.prod(dims))
-        if self.dim**2 >= 2**63:
-            raise ValueError(f"global dimension {self.dim} too large for int64 entry keys")
+        dim = math.prod(dims)
+        if dim**2 >= 2**63:
+            raise ValueError(f"global dimension {dim} too large for int64 entry keys")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", dim)
 
     @classmethod
     def qubits(cls, n: int) -> "PartyLayout":
@@ -134,8 +171,7 @@ def default_alpha(n: int) -> float:
     return math.pi * (n - 1) / 4.0
 
 
-@dataclass(frozen=True)
-class RhoFamilySpec:
+class RhoFamilySpec(_Record):
     """Parameters (party count, GHZ phase) selecting one family member.
 
     ``alpha=None`` resolves to :func:`default_alpha`.  The party count must
@@ -144,22 +180,20 @@ class RhoFamilySpec:
     (2N+4 entries), so nothing dense bounds it.
     """
 
-    n: int
-    alpha: float | None = None
+    __slots__ = _fields = ("n", "alpha")
 
-    def __post_init__(self) -> None:
-        (n,) = _integers((self.n,), "party count")
-        object.__setattr__(self, "n", n)
+    def __init__(self, n: int, alpha: float | None = None) -> None:
+        (n,) = _integers((n,), "party count")
         if not 2 <= n <= 31:
             raise ValueError(f"party count {n} outside supported range 2..31")
-        alpha = default_alpha(n) if self.alpha is None else float(self.alpha)
+        alpha = default_alpha(n) if alpha is None else float(alpha)
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class PptReport:
+class PptReport(NamedTuple):
     """Positivity verdict for one partial transpose."""
 
     subset: tuple[int, ...]
@@ -189,16 +223,17 @@ def _unit_direction(v) -> tuple[float, float, float]:
     raise ValueError(f"direction {v} is not a unit vector")
 
 
-@dataclass(frozen=True, eq=False)
-class BellSettings:
-    """Two measurement directions (unit 3-vectors) per party."""
+class BellSettings(_Record):
+    """Two measurement directions (unit 3-vectors) per party; settings compare
+    and hash by identity."""
 
-    a: tuple[tuple[float, float, float], ...]
-    a_prime: tuple[tuple[float, float, float], ...]
+    __slots__ = _fields = ("a", "a_prime")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        a = tuple(map(_unit_direction, self.a))
-        ap = tuple(map(_unit_direction, self.a_prime))
+    def __init__(self, a, a_prime) -> None:
+        a = tuple(map(_unit_direction, a))
+        ap = tuple(map(_unit_direction, a_prime))
         if len(a) != len(ap) or len(a) < 1:
             raise ValueError("need one (a, a') pair of directions per party")
         object.__setattr__(self, "a", a)
@@ -334,6 +369,8 @@ def min_eigenvalue(n: int, size: int) -> Fraction:
     permutations, so the spectrum depends on |S| only: 0 for |S| in
     {1, N-1}, -w otherwise, and 1/6 at N = 2, where d_i = 1/3.
     """
+    from fractions import Fraction  # here, so state and bell never load fractions and decimal
+
     w = Fraction(1, 2 * (n + 1))
     last = (1 << n) - 1
     diagonal = {0: w, last: w, **{i: count * w for i, count in _flip_counts(n).items()}}

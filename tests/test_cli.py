@@ -15,7 +15,9 @@ import pytest
 
 import boundbell
 from boundbell import cli
-from boundbell import DensityOperator, PartyLayout, PureState, ghz, rho_family, RhoFamilySpec
+from boundbell import (
+    BellSettings, DensityOperator, PartyLayout, PureState, RhoFamilySpec, bell_value, ghz, rho_family,
+)
 from boundbell.cli import main
 from boundbell.serialize import (
     dump_json,
@@ -23,6 +25,7 @@ from boundbell.serialize import (
     operator_entries_from_obj,
     operator_from_obj,
     operator_to_obj,
+    settings_to_obj,
     state_to_obj,
 )
 from helpers import pure_operator, traced_peak
@@ -185,6 +188,50 @@ def test_bell_refuses_one_file_for_settings_and_report(tmp_path, monkeypatch, ca
     assert run(argv + ["--out", "./b.json"]) == 2
     assert "error: --settings-out and --out" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--input", "r4.json", "--out", "r4.json"], "--input and --out"),
+        (["bell", "--input", "r4.json", "--out", "./r4.json"], "--input and --out"),
+        (["bell", "--input", "r4.json", "--settings-out", "r4.json"], "--input and --settings-out"),
+        (["bell", "--n", "4", "--settings", "xy4.json", "--out", "xy4.json"], "--settings and --out"),
+        (["bell", "--input", "r4.json", "--settings", "xy4.json", "--settings-out", "xy4.json"],
+         "--settings and --settings-out"),
+        (["extract", "--input", "r4.json", "--out", "r4.json"], "--input and --out"),
+    ],
+    ids=["scan", "bell", "bell-settings-out", "bell-settings-file", "bell-settings-both", "extract"],
+)
+def test_outputs_never_overwrite_an_input(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(["state", "--n", 4, "--out", "r4.json", "--ghz-out", "g4.json"]) == 0
+    dump_json({"a": [[1, 0, 0]] * 4, "a_prime": [[0, 1, 0]] * 4}, "xy4.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"error: {message} both name the file" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+def test_bell_family_with_a_settings_file_matches_the_numpy_path(tmp_path, alpha):
+    # bell --n N --settings FILE sums the member's entries in plain Python:
+    # random directions agree with bell_value to rounding, x/y bit for bit
+    rng = np.random.default_rng(22)
+    phase = [] if alpha is None else ["--alpha", alpha]
+    for n in range(2, 13):
+        directions = rng.normal(size=(2, n, 3))
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        settings = BellSettings(directions[0], directions[1])
+        dump_json(settings_to_obj(settings), tmp_path / "random.json")
+        dump_json(settings_to_obj(BellSettings.xy(n)), tmp_path / "xy.json")
+        want = bell_value(rho_family(RhoFamilySpec(n, alpha)), settings)
+        for name in ("random", "xy", "closed"):
+            argv = [] if name == "closed" else ["--settings", tmp_path / f"{name}.json"]
+            assert run(["bell", "--n", n, *phase, *argv, "--out", tmp_path / f"{name}.out"]) == 0
+        assert load_json(tmp_path / "random.out")["value"] == pytest.approx(want, rel=0, abs=1e-12)
+        assert load_json(tmp_path / "xy.out")["value"] == load_json(tmp_path / "closed.out")["value"]
 
 
 def test_bell_optimize_and_settings_file(tmp_path):
@@ -736,40 +783,62 @@ def test_scan_and_sweep_do_not_import_numpy_ma(tmp_path):
     assert done.stdout == "True False\n"
 
 
+# what a plain child must never load: numpy, and dataclasses with the inspect it imports
+PLAIN = ("numpy", "dataclasses", "inspect")
+NUMERIC = ("boundbell.bell", "boundbell.extraction", "boundbell.ppt", "boundbell.states")
+BUDGET_MODULES = (*PLAIN, "csv", "fractions", *NUMERIC)
+
+
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv, loaded",
     [
-        (["state", "--n", "11", "--out", "rho11.json"], False),
-        (["scan", "--n", "7", "--out", "scan7.json"], False),
-        (["sweep", "--n-min", "2", "--n-max", "31", "--scan-max", "31", "--out", "sweep.json"], False),
-        (["bell", "--n", "8", "--settings-out", "xy.json", "--out", "bell8.json"], False),
-        (["bell", "--input", "rho11.json", "--out", "bell11.json"], False),  # a small operator file
-        (["bell", "--input", "rho11.json", "--settings", "xy11.json"], False),
-        (["bell", "--input", "big.json", "--out", "big.out.json"], True),  # above the plain cap
-        (["bell", "--input", "rho11.json", "--settings", "optimize", "--restarts", "1"], True),
-        (["scan", "--input", "rho11.json", "--out", "scan11.json"], True),
+        (["state", "--n", "11", "--out", "rho11.json"], ()),
+        (["scan", "--n", "7", "--out", "scan7.json"], ("fractions",)),
+        (["sweep", "--n-min", "2", "--n-max", "31", "--scan-max", "31", "--out", "sweep.json"],
+         ("fractions",)),
+        (["bell", "--n", "8", "--settings-out", "xy.json", "--out", "bell8.json"], ()),
+        (["bell", "--input", "rho11.json", "--out", "bell11.json"], ()),  # a small operator file
+        (["bell", "--input", "rho11.json", "--settings", "xy11.json"], ()),
+        (["bell", "--n", "8", "--settings", "xy8.json"], ()),  # the member's 2N+4 entries
+        (["bell", "--input", "big.json", "--out", "big.out.json"],  # above the plain cap
+         (*PLAIN, "boundbell.bell")),
+        (["bell", "--input", "rho11.json", "--settings", "optimize", "--restarts", "1"],
+         (*PLAIN, "boundbell.bell")),
+        (["bell", "--n", "8", "--settings", "optimize", "--restarts", "1"],
+         (*PLAIN, "boundbell.bell", "boundbell.states")),
+        (["scan", "--input", "rho11.json", "--out", "scan11.json"],
+         (*PLAIN, "boundbell.ppt", "boundbell.states")),
+        (["extract", "--random", "2,3,2", "--seed", "7", "--out", "extract.json"],
+         (*PLAIN, "boundbell.extraction", "boundbell.states")),
+        (["sweep", "--n-max", "9", "--scan-max", "6", "--format", "csv"], ("csv", "fractions")),
     ],
     ids=["state", "scan", "sweep", "bell-xy", "bell-input", "bell-input-file-settings",
-         "bell-input-above-cap", "bell-input-optimize", "scan-input"],
+         "bell-file-settings", "bell-input-above-cap", "bell-input-optimize", "bell-optimize",
+         "scan-input", "extract", "sweep-csv"],
 )
-def test_family_commands_do_not_import_numpy(tmp_path, argv, loads_numpy):
-    # the closed forms serve the family commands, and the plain path small
-    # operator files with x/y or file settings; the rest needs numpy
+def test_family_commands_do_not_import_numpy(tmp_path, argv, loaded):
+    # the closed forms serve the family commands, and the plain path the
+    # member's entries and small operator files with x/y or file settings:
+    # none loads numpy or dataclasses.  csv loads for --format csv alone,
+    # fractions for the exact PPT minima alone, and each numpy child only
+    # the numeric modules its command calls.
     assert run(["state", "--n", 11, "--out", tmp_path / "rho11.json"]) == 0
     dump_json({"a": [[1, 0, 0]] * 11, "a_prime": [[0, 1, 0]] * 11}, tmp_path / "xy11.json")
+    dump_json({"a": [[1, 0, 0]] * 8, "a_prime": [[0, 1, 0]] * 8}, tmp_path / "xy8.json")
     dump_json(_diagonal_operator(cli.PLAIN_MAX_ENTRIES + 1), tmp_path / "big.json")
     code = (
         "import sys\n"
         "from boundbell.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        f"print([m for m in {BUDGET_MODULES!r} if m in sys.modules])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
         cwd=tmp_path, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == str(loads_numpy)  # state prints its report first
+    # state and reports to stdout print first
+    assert done.stdout.splitlines()[-1] == repr([m for m in BUDGET_MODULES if m in loaded])
 
 
 def _cli_inputs(workdir: Path) -> None:

@@ -1,14 +1,19 @@
 """Closed forms of the family against the sparse path they replace in the CLI."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from boundbell import BellSettings, RhoFamilySpec, bell_value, classify_family, ghz, ppt_check, rho_family
-from boundbell.family import ghz_obj, min_eigenvalue, operator_obj, scan_reports, xy_value
+from boundbell import (
+    BellSettings, PartyLayout, PptReport, RhoFamilySpec, bell_value, classify_family, ghz, ppt_check,
+    rho_family,
+)
+from boundbell.family import PSD, ghz_obj, min_eigenvalue, operator_obj, scan_reports, xy_value
 from boundbell.serialize import canonical_dumps, operator_to_obj, state_to_obj
 from helpers import sparse_classify_family
 
@@ -107,3 +112,35 @@ def test_classify_family_agrees_with_the_sparse_check():
 def test_classify_family_rejects_a_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         classify_family(4, None, tol)
+
+
+def test_records_print_compare_hash_and_refuse_assignment():
+    # the family's records are plain classes, not dataclasses, with the same contract
+    layout, spec = PartyLayout((2, 3)), RhoFamilySpec(4, 0.5)
+    report = PptReport((1,), 0.0, PSD)
+    settings = BellSettings(((1, 0, 0),), ((0, 1, 0),))
+    assert repr(layout) == "PartyLayout(dims=(2, 3))"
+    assert repr(spec) == "RhoFamilySpec(n=4, alpha=0.5)"
+    assert repr(report) == "PptReport(subset=(1,), min_eigenvalue=0.0, verdict='PSD')"
+    assert repr(settings) == "BellSettings(a=((1.0, 0.0, 0.0),), a_prime=((0.0, 1.0, 0.0),))"
+    # value equality and hashing by the constructor's fields
+    assert layout == PartyLayout(dims=[2, 3]) and hash(layout) == hash(PartyLayout((2, 3)))
+    assert spec == RhoFamilySpec(n=4, alpha=0.5) and hash(spec) == hash(RhoFamilySpec(4.0, 0.5))
+    assert RhoFamilySpec(4) == RhoFamilySpec(4, math.pi * 3 / 4) != spec
+    assert report == PptReport((1,), 0.0, PSD) and hash(report) == hash(PptReport((1,), 0.0, PSD))
+    assert layout != (2, 3) and spec != (4, 0.5) and layout != spec
+    # settings compare and hash by identity
+    twin = BellSettings(settings.a, settings.a_prime)
+    assert settings == settings and settings != twin and len({settings, twin}) == 2
+    for record, field in [(layout, "dims"), (layout, "dim"), (spec, "alpha"), (settings, "a"),
+                          (report, "verdict")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        layout.extra = 1  # no other attribute either
+    # copies and pickles rebuild through the constructor
+    for record in (layout, spec, report):
+        assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(settings)).a_prime == settings.a_prime
