@@ -103,8 +103,10 @@ def optimize_settings(
     to the earliest restart.  A direction with vanishing gradient is left
     untouched for that sweep.
 
-    One code table (:func:`_entry_codes`, 8 N nnz bytes) serves every
-    restart: row j - 1 gathers party j's factor elements and bins its gradient.
+    Two tables serve every restart.  Row j - 1 of the codes
+    (:func:`_entry_codes`, 8 N nnz bytes) gathers party j's factor elements;
+    that of the bins (2 N nnz bytes: 2k and 2k + 1 for code k) sums the real
+    and imaginary parts of its gradient's weights in one ``np.bincount``.
 
     A restart stops after ``max_sweeps`` sweeps or after the first sweep that
     raises the value by less than ``tol``.  Exact ascent never lowers the
@@ -131,6 +133,7 @@ def optimize_settings(
 
     c = _prefactor(n)
     codes = _entry_codes(rho, np.arange(n - 1, -1, -1)[:, None])
+    bins = (codes[..., None] * 2 + np.arange(2)).astype(np.uint8).reshape(n, -1)
     paulis, one = _PAULIS.reshape(3, 4), np.ones(1)
     rng = np.random.default_rng(seed)
     best_value, best = -np.inf, None
@@ -149,9 +152,9 @@ def optimize_settings(
             for m, code in zip(reversed(factors), codes[::-1]):
                 suffix.append(suffix[-1] * m[code])
             prefix = rho.vals
-            for j, code in enumerate(codes):
+            for j, (code, pair) in enumerate(zip(codes, bins)):
                 w = prefix * suffix[n - 1 - j]
-                g = np.bincount(code, w.real, 4) + 1j * np.bincount(code, w.imag, 4)
+                g = np.bincount(pair, w.view(float), 8).view(complex)
                 v = c * (paulis @ g)
                 for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
                     gnorm = math.sqrt(grad.dot(grad))

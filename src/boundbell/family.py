@@ -308,10 +308,11 @@ def entries_bell_value(op: OperatorEntries, settings: BellSettings) -> float:
     return (_prefactor(n) * complex(_exact_sum(re), _exact_sum(im))).real
 
 
-# The closed forms below repeat, operation for operation, the complex128
-# arithmetic of states.rho_family, states.ghz and bell.bell_value (every
-# product is complex by complex, as numpy's is), so the files and values they
-# give are bit-identical to those of the sparse path.
+# The closed forms below are the one source of the family's entries and GHZ
+# amplitudes: states.rho_family and states.ghz build their arrays from them.
+# xy_value repeats, operation for operation, the complex128 arithmetic of
+# bell.bell_value (every product is complex by complex, as numpy's is), so its
+# value is bit-identical to that of the sparse path.
 
 
 def _phase(alpha: float) -> complex:
@@ -336,12 +337,16 @@ def operator_obj(spec: RhoFamilySpec) -> dict:
     return {"dims": [2] * n, "entries": [[r, c, v.real, v.imag] for (r, c), v in scaled]}
 
 
+def ghz_amplitudes(alpha: float) -> tuple[complex, complex]:
+    """The amplitudes of |0...0> and |1...1> in (|0...0> + e^{i alpha} |1...1>)/sqrt(2)."""
+    root = complex(1.0 / math.sqrt(2.0))
+    return root, _phase(alpha) * root
+
+
 def ghz_obj(spec: RhoFamilySpec) -> dict:
     """The state file of the member's GHZ component, (|0...0> + e^{i alpha} |1...1>)/sqrt(2)."""
-    root = complex(1.0 / math.sqrt(2.0))  # numpy divides by sqrt(2) through its reciprocal
-    last = _phase(spec.alpha) * root
-    amps = [[0, root.real, root.imag], [(1 << spec.n) - 1, last.real, last.imag]]
-    return {"dims": [2] * spec.n, "amps": amps}
+    amps = zip((0, (1 << spec.n) - 1), ghz_amplitudes(spec.alpha))
+    return {"dims": [2] * spec.n, "amps": [[i, v.real, v.imag] for i, v in amps]}
 
 
 def xy_value(spec: RhoFamilySpec) -> float:
@@ -355,6 +360,19 @@ def xy_value(spec: RhoFamilySpec) -> float:
     n = spec.n
     corner = complex(0.5) * _phase(spec.alpha) * complex(1.0 / (n + 1))
     return (_prefactor(n) * (corner * complex(2**n))).real
+
+
+def never_violates(n: int) -> bool:
+    """Whether no settings take rho_N's Bell value past 1, at any phase: N in {3, 5, 7}.
+
+    At odd N the diagonal adds nothing, exactly: M_j's diagonal is (m_j, -m_j),
+    so the weights at |0...0>, |1...1>, the N flips and their complements meet
+    signs 1 - 1 - N + N.  The GHZ coherence, of modulus 1/(2(N+1)), meets
+    prod_j M_j[0, 1] and prod_j M_j[1, 0]; per party |M01|^2 + |M10|^2 <= 4, so
+    by Cauchy-Schwarz |tr(B rho_N)| <= |c_N| 2^N / (2(N+1)) = 2^((N-1)/2)/(N+1),
+    at most 1 iff 2^(N-1) <= (N+1)^2, with equality at N = 7.
+    """
+    return n % 2 == 1 and 2 ** (n - 1) <= (n + 1) ** 2
 
 
 def min_eigenvalue(n: int, size: int) -> Fraction:

@@ -2,7 +2,9 @@
 
 The family mixes an N-qubit GHZ projector with the 2N rank-1 projectors
 onto the single-flip basis states (one party flipped against the rest) and
-their bit complements, uniformly weighted.
+their bit complements, uniformly weighted.  Its entries and the GHZ
+amplitudes come from :mod:`boundbell.family`'s closed forms, the same
+numbers that ``state --n`` writes; this module only puts them in arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .family import RhoFamilySpec, _integers
+from .family import RhoFamilySpec, _integers, ghz_amplitudes, operator_obj
 from .tensor import DensityOperator, PartyLayout, PureState
 
 
@@ -23,30 +25,17 @@ def ghz(n: int, alpha: float) -> PureState:
         raise ValueError("alpha must be finite")
     layout = PartyLayout.qubits(n)
     amps = np.zeros(layout.dense_dim, dtype=complex)
-    amps[[0, -1]] = [1.0 / math.sqrt(2.0), np.exp(1j * alpha) / math.sqrt(2.0)]
+    amps[[0, -1]] = ghz_amplitudes(alpha)
     return PureState(layout, amps)
 
 
 def rho_family(spec: RhoFamilySpec) -> DensityOperator:
-    """Density operator of the GHZ-plus-flip-projector family.
-
-    Built entrywise: the GHZ projector's four corners plus weight 1/2 on
-    each of the 2N flip-projector diagonal entries (summed where they
-    coincide, at N = 2), all scaled by 1/(N+1).  Only the two off-diagonal
-    GHZ corners depend on the phase.
-    """
-    n = spec.n
-    layout = PartyLayout.qubits(n)
-    last = layout.dim - 1
-    phase = np.exp(1j * spec.alpha)
-    corners = np.array([0.5, 0.5 * np.conj(phase), 0.5 * phase, 0.5], dtype=complex)
-    flips = 1 << np.arange(n)
-    diag, count = np.unique(np.concatenate([flips, last - flips]), return_counts=True)
-    vals = np.concatenate([corners, 0.5 * count])
-    vals *= 1.0 / (n + 1)
-    rows = np.concatenate([[0, 0, last, last], diag])
-    cols = np.concatenate([[0, last, 0, last], diag])
-    return DensityOperator(layout, rows, cols, vals)
+    """Density operator of the GHZ-plus-flip-projector family: the 2N+4
+    entries (2N+2 at N = 2) of the member's operator file,
+    :func:`family.operator_obj`, bit for bit."""
+    rows, cols, re, im = zip(*operator_obj(spec)["entries"])
+    vals = np.column_stack([re, im]).view(complex).ravel()
+    return DensityOperator(PartyLayout.qubits(spec.n), rows, cols, vals)
 
 
 def random_pure(layout: PartyLayout, seed: int) -> PureState:

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Pure states are dense amplitude vectors.  Density operators are sparse:
   they hold only their nonzero entries as coordinate (COO) arrays, the
   same list the wire format stores, so a partial transpose moves indices
-  and never values, and a dense matrix is built only when asked for.
+  and never values; no dense matrix of a whole operator is built (the
+  tests keep one as their oracle).
 * A layout only bounds its index arithmetic: dim**2 < 2**63, so that the
   int64 keys ``row * dim + col`` cannot wrap (at most 31 qubits).  Code that
   allocates a dense array asks :attr:`PartyLayout.dense_dim` (or
@@ -117,24 +118,6 @@ class DensityOperator:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_dense(cls, layout: PartyLayout, matrix) -> "DensityOperator":
-        """Operator from a dense d x d matrix, keeping its nonzero entries."""
-        d = layout.dense_dim
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
-        rows, cols = np.nonzero(m)
-        return cls(layout, rows, cols, m[rows, cols])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense d x d matrix, built afresh on every access."""
-        d = self.layout.dense_dim
-        m = np.zeros((d, d), dtype=complex)
-        m[self.rows, self.cols] = self.vals
-        return m
-
     @property
     def trace(self) -> float:
         return float(self.vals[self.rows == self.cols].real.sum())
@@ -170,8 +153,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a dense Hermitian matrix, sorted ascending.
 
     A stack of matrices (shape (k, s, s)) gives one row per matrix.  Raises
-    ValueError on input that is not Hermitian within 1e-10 (pass a
-    :class:`DensityOperator` as its ``.matrix``).
+    ValueError on input that is not Hermitian within 1e-10 (:mod:`boundbell.ppt`
+    passes it stacks of a sparse operator's dense blocks).
 
     Entries below eps**2 * max|A| of their matrix are set to zero first:
     LAPACK's values-only solver returns wrong eigenvalues on some matrices

@@ -50,9 +50,27 @@ def raises_value_error(job) -> bool:
     return False
 
 
+def dense_operator(layout: PartyLayout, matrix) -> DensityOperator:
+    """Operator from a dense d x d matrix, keeping its nonzero entries (oracle path)."""
+    d = layout.dense_dim
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (d, d):
+        raise ValueError(f"matrix must have shape {(d, d)}, got {m.shape}")
+    rows, cols = np.nonzero(m)
+    return DensityOperator(layout, rows, cols, m[rows, cols])
+
+
+def dense_matrix(rho: DensityOperator) -> np.ndarray:
+    """The operator as a dense d x d matrix (oracle path)."""
+    d = rho.layout.dense_dim
+    m = np.zeros((d, d), dtype=complex)
+    m[rho.rows, rho.cols] = rho.vals
+    return m
+
+
 def pure_operator(psi: PureState) -> DensityOperator:
     """|psi><psi| from the dense outer product of the amplitudes."""
-    return DensityOperator.from_dense(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return dense_operator(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def flip_projectors(n: int, k: int) -> tuple[DensityOperator, DensityOperator]:
@@ -148,7 +166,7 @@ def separable_fixture(n: int = 3, terms: int = 6, seed: int = 11) -> DensityOper
             local /= np.linalg.norm(local)
             amps = np.kron(amps, local)
         m += np.outer(amps, amps.conj()) / terms
-    return DensityOperator.from_dense(layout, m)
+    return dense_operator(layout, m)
 
 
 def random_density(layout: PartyLayout, seed: int, terms: int = 4) -> DensityOperator:
@@ -160,7 +178,7 @@ def random_density(layout: PartyLayout, seed: int, terms: int = 4) -> DensityOpe
     for t in range(terms):
         psi = random_pure(layout, seed * 1000 + t)
         m += weights[t] * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityOperator.from_dense(layout, m)
+    return dense_operator(layout, m)
 
 
 def random_sparse_hermitian(layout: PartyLayout, seed: int, pairs: int = 6) -> DensityOperator:
@@ -175,14 +193,14 @@ def random_sparse_hermitian(layout: PartyLayout, seed: int, pairs: int = 6) -> D
         m[c, r] += v.conjugate()
     np.fill_diagonal(m, m.diagonal().real)
     m[0, 0] += 1.0 - np.trace(m).real
-    return DensityOperator.from_dense(layout, m)
+    return dense_operator(layout, m)
 
 
 def dense_partial_transpose(rho: DensityOperator, parties) -> np.ndarray:
     """Partial transpose of the dense matrix by a reshape and axis swap (oracle path)."""
     layout = rho.layout
     n = layout.num_parties
-    t = rho.matrix.reshape(layout.dims + layout.dims)
+    t = dense_matrix(rho).reshape(layout.dims + layout.dims)
     axes = list(range(2 * n))
     for p in layout.check_subset(parties):
         i = p - 1
@@ -210,7 +228,7 @@ def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
         return rho
     gone = set(traced)
     keep = [p for p in range(1, n + 1) if p not in gone]
-    t = rho.matrix.reshape(layout.dims + layout.dims)
+    t = dense_matrix(rho).reshape(layout.dims + layout.dims)
     subs = list(range(2 * n))
     for p in traced:
         subs[n + p - 1] = subs[p - 1]
@@ -219,7 +237,7 @@ def partial_trace(rho: DensityOperator, traced_out) -> DensityOperator:
     new_layout = PartyLayout(tuple(layout.dims[p - 1] for p in keep))
     m = reduced.reshape(new_layout.dim, new_layout.dim)
     m = 0.5 * (m + m.conj().T)  # fp drift from summing near-Hermitian entries
-    return DensityOperator.from_dense(new_layout, m)
+    return dense_operator(new_layout, m)
 
 
 def brute_reduced_operator(psi: PureState, party: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 
 from boundbell import (
     BellSettings,
-    DensityOperator,
     PartyLayout,
     PureState,
     RhoFamilySpec,
@@ -23,6 +22,8 @@ from helpers import (
     bell_matrix,
     bell_matrix_recursion,
     closed_form_xy,
+    dense_matrix,
+    dense_operator,
     flip_projectors,
     planar_grid_oracle,
     pure_operator,
@@ -60,7 +61,7 @@ def test_settings_validation():
 
 def test_xy_value_matches_closed_form_small():
     rho = random_density(PartyLayout.qubits(3), seed=3)
-    expected = np.einsum("ij,ji->", closed_form_xy(3), rho.matrix).real
+    expected = np.einsum("ij,ji->", closed_form_xy(3), dense_matrix(rho)).real
     assert abs(bell_value(rho, BellSettings.xy(3)) - expected) <= 1e-12
 
 
@@ -71,7 +72,7 @@ def test_product_form_matches_recursion_oracle(n):
     settings = BellSettings(tuple(map(tuple, vecs[:n])), tuple(map(tuple, vecs[n:])))
     oracle = bell_matrix_recursion(vecs[:n], vecs[n:])
     rho = random_density(PartyLayout.qubits(n), seed=n)
-    expected = np.einsum("ij,ji->", oracle, rho.matrix).real
+    expected = np.einsum("ij,ji->", oracle, dense_matrix(rho)).real
     assert abs(bell_value(rho, settings) - expected) <= 1e-12
 
 
@@ -89,7 +90,7 @@ def test_bell_value_degenerate_settings():
     sxsx = np.kron(sx, sx)
     np.testing.assert_allclose(bell_matrix(settings), sxsx, atol=1e-15)
     rho = random_density(PartyLayout.qubits(2), seed=5)
-    expected = np.einsum("ij,ji->", sxsx, rho.matrix).real
+    expected = np.einsum("ij,ji->", sxsx, dense_matrix(rho)).real
     assert abs(bell_value(rho, settings) - expected) <= 1e-15
 
 
@@ -132,7 +133,7 @@ def test_bell_value_threshold_examples():
 
 def test_bell_value_maximally_mixed():
     layout = PartyLayout.qubits(3)
-    rho = DensityOperator.from_dense(layout, np.eye(8) / 8)
+    rho = dense_operator(layout, np.eye(8) / 8)
     assert abs(bell_value(rho, BellSettings.xy(3))) < 1e-14
 
 
@@ -148,10 +149,10 @@ def test_bell_value_and_optimizer_match_dense_oracle(n):
         random_sparse_hermitian(layout, seed=n),
     ]
     for rho in states:
-        dense = np.einsum("ij,ji->", bell_matrix(settings), rho.matrix).real
+        dense = np.einsum("ij,ji->", bell_matrix(settings), dense_matrix(rho)).real
         assert abs(bell_value(rho, settings) - dense) <= 1e-12
         best, value = optimize_settings(rho, restarts=1, seed=n, max_sweeps=2)
-        dense = np.einsum("ij,ji->", bell_matrix(best), rho.matrix).real
+        dense = np.einsum("ij,ji->", bell_matrix(best), dense_matrix(rho)).real
         assert abs(value - dense) <= 1e-12
 
 
@@ -174,14 +175,14 @@ def test_flip_projectors_are_blind_to_the_operator():
         b = bell_matrix(BellSettings.xy(n))
         for k in range(1, n + 1):
             for p in flip_projectors(n, k):
-                assert abs(np.einsum("ij,ji->", b, p.matrix)) < 1e-12
+                assert abs(np.einsum("ij,ji->", b, dense_matrix(p))) < 1e-12
                 assert abs(bell_value(p, BellSettings.xy(n))) < 1e-12
 
 
 def test_expectation_affine_in_each_direction():
     # convex combinations of one direction vector (evaluated unnormalized)
     rng = np.random.default_rng(8)
-    rho = rho_family(RhoFamilySpec(3, 0.8)).matrix
+    rho = dense_matrix(rho_family(RhoFamilySpec(3, 0.8)))
     base = rng.standard_normal((6, 3))
     base /= np.linalg.norm(base, axis=1)[:, None]
     a, ap = base[:3].copy(), base[3:].copy()
@@ -247,7 +248,7 @@ def test_optimizer_deterministic():
 def test_optimizer_zero_gradient_state():
     # maximally mixed state: every gradient vanishes, vectors stay put
     layout = PartyLayout.qubits(2)
-    rho = DensityOperator.from_dense(layout, np.eye(4) / 4)
+    rho = dense_operator(layout, np.eye(4) / 4)
     _, value = optimize_settings(rho, restarts=2, seed=0)
     assert abs(value) < 1e-12
 
@@ -278,7 +279,7 @@ def test_optimizer_minus_infinite_tolerance_runs_every_sweep():
 def test_optimizer_rejects_large_or_qutrit_layouts():
     with pytest.raises(ValueError):
         optimize_settings(separable_fixture(n=3), restarts=0)
-    qutrit = DensityOperator.from_dense(PartyLayout((3,)), np.eye(3) / 3)
+    qutrit = dense_operator(PartyLayout((3,)), np.eye(3) / 3)
     with pytest.raises(ValueError):
         optimize_settings(qutrit)
 
@@ -348,8 +349,9 @@ def test_bell_value_bit_identical_to_reference_on_axis_settings():
 
 def test_optimizer_restart_memory_on_dense_input():
     # one 3-sweep restart on a dense 9-qubit operator (262,144 entries) peaks
-    # at about 66 MiB: the 8 N nnz code table (18 MiB) plus 16 (N+1) nnz of
-    # suffix products (40 MiB); one more code table would pass 80 MiB
+    # at about 72 MiB: the 8 N nnz code table (18 MiB), the 2 N nnz bin table
+    # (4.5 MiB) and 16 (N+1) nnz of suffix products (40 MiB); one more code
+    # table would pass 80 MiB
     rho = pure_operator(random_pure(PartyLayout.qubits(9), 3))
     _, peak = traced_peak(
         lambda: optimize_settings(rho, restarts=1, seed=0, tol=-math.inf, max_sweeps=3)

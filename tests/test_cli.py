@@ -16,7 +16,7 @@ import pytest
 import boundbell
 from boundbell import cli
 from boundbell import (
-    BellSettings, DensityOperator, PartyLayout, PureState, RhoFamilySpec, bell_value, ghz, rho_family,
+    BellSettings, PartyLayout, PureState, RhoFamilySpec, bell_value, ghz, rho_family,
 )
 from boundbell.cli import main
 from boundbell.serialize import (
@@ -28,7 +28,7 @@ from boundbell.serialize import (
     settings_to_obj,
     state_to_obj,
 )
-from helpers import pure_operator, traced_peak
+from helpers import dense_matrix, dense_operator, pure_operator, traced_peak
 
 
 def run(argv):
@@ -40,7 +40,7 @@ def test_state_round_trip(tmp_path):
     assert run(["state", "--n", 4, "--alpha", "auto", "--out", out]) == 0
     rho = operator_from_obj(load_json(out))
     expected = rho_family(RhoFamilySpec(4))
-    assert np.array_equal(rho.matrix, expected.matrix)
+    assert np.array_equal(dense_matrix(rho), dense_matrix(expected))
     ghz_file = tmp_path / "rho4.ghz.json"
     assert ghz_file.exists()
     obj = load_json(out)
@@ -97,7 +97,7 @@ def test_scan_family(tmp_path):
 
 def test_scan_from_input_file(tmp_path):
     layout = PartyLayout.qubits(2)
-    mixed = DensityOperator.from_dense(layout, np.eye(4) / 4)
+    mixed = dense_operator(layout, np.eye(4) / 4)
     src = tmp_path / "mixed.json"
     dump_json(operator_to_obj(mixed), src)
     out = tmp_path / "scan.json"
@@ -160,16 +160,27 @@ def test_bell_input_of_family_files_matches_the_closed_form(tmp_path, alpha):
         assert load_json(plain)["violation"] is verdict, (n, value)
 
 
-@pytest.mark.parametrize("n, violation", [(7, False), (8, True)])
-def test_optimized_violation_verdict_has_a_margin(tmp_path, n, violation):
-    # the N = 7 maximum is exactly 1; the optimizer reaches 1 + 7e-16, which is no violation
-    out = tmp_path / "bell.json"
+@pytest.mark.parametrize("n, violation", [(3, False), (5, False), (7, False), (8, True), (9, True)])
+def test_optimized_violation_verdict_has_a_margin(tmp_path, monkeypatch, n, violation):
+    # at N = 3, 5, 7 no setting takes the value past 2^((N-1)/2)/(N+1) <= 1
+    # (family.never_violates), so no tolerance, 0 included, makes a violation
+    # of the optimizer's 1 + 4e-16 at N = 7, with its settings or read back
+    out, best = tmp_path / "bell.json", tmp_path / "best.json"
+    # at tolerance 0 a restart sweeps until a sweep gains nothing: 4 restarts keep that short
+    runs = [([], None, []), (["--tol", 0], None, ["--restarts", 4]), ([], "0", ["--restarts", 4])]
     for seed in range(4):
-        assert run(["bell", "--n", n, "--settings", "optimize", "--seed", seed,
-                    "--out", out]) == 0
-        report = load_json(out)
-        assert report["value"] == pytest.approx(2 ** ((n - 1) / 2) / (n + 1), abs=1e-9)
-        assert report["violation"] is violation, (seed, report["value"])
+        for tol, env, restarts in runs:
+            if env is None:
+                monkeypatch.delenv("BOUNDBELL_TOL", raising=False)
+            else:
+                monkeypatch.setenv("BOUNDBELL_TOL", env)
+            assert run(["bell", "--n", n, "--settings", "optimize", "--seed", seed, *tol, *restarts,
+                        "--settings-out", best, "--out", out]) == 0
+            report = load_json(out)
+            assert report["value"] == pytest.approx(2 ** ((n - 1) / 2) / (n + 1), abs=1e-9)
+            assert report["violation"] is violation, (seed, tol, env, report["value"])
+            assert run(["bell", "--n", n, "--settings", best, *tol, "--out", out]) == 0
+            assert load_json(out)["violation"] is violation, (seed, tol, env, load_json(out)["value"])
 
 
 @pytest.mark.parametrize("settings", ["xy", "optimize", "file"])

@@ -13,7 +13,9 @@ from boundbell import (
     BellSettings, PartyLayout, PptReport, RhoFamilySpec, bell_value, classify_family, ghz, ppt_check,
     rho_family,
 )
-from boundbell.family import PSD, ghz_obj, min_eigenvalue, operator_obj, scan_reports, xy_value
+from boundbell.family import (
+    PSD, ghz_obj, min_eigenvalue, never_violates, operator_obj, scan_reports, xy_value,
+)
 from boundbell.serialize import canonical_dumps, operator_to_obj, state_to_obj
 from helpers import sparse_classify_family
 
@@ -84,7 +86,8 @@ def test_xy_value_is_bell_value_bit_for_bit():
 
 
 def test_xy_value_at_the_default_phase():
-    # N = 7 sits on the local bound exactly; every other N is far from it
+    # N = 7 sits on the local bound exactly; every other N is far from it.  The
+    # value is never_violates' bound on every setting, at most 1 at N = 3, 5, 7
     for n in range(2, 32):
         value = xy_value(RhoFamilySpec(n))
         if n == 7:
@@ -92,6 +95,7 @@ def test_xy_value_at_the_default_phase():
         else:
             assert abs(value - 1.0) > 0.19, n
         assert value == pytest.approx(2 ** ((n - 1) / 2) / (n + 1), rel=1e-15)
+        assert never_violates(n) is (n in (3, 5, 7)) is (n % 2 == 1 and value <= 1.0), n
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.01])

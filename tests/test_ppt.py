@@ -19,7 +19,9 @@ from boundbell import (
 from boundbell import ppt
 from boundbell.ppt import NOT_PSD, PSD, cut_verdicts
 from helpers import (
+    dense_matrix,
     dense_min_eigenvalue,
+    dense_operator,
     dense_partial_transpose,
     raises_value_error,
     random_density,
@@ -80,7 +82,7 @@ def test_scan_subset_enumeration_order():
 
 def test_scan_maximally_mixed():
     layout = PartyLayout.qubits(3)
-    rho = DensityOperator.from_dense(layout, np.eye(8) / 8)
+    rho = dense_operator(layout, np.eye(8) / 8)
     reports = scan(rho)
     assert all(r.verdict == PSD for r in reports)
     for report in reports:
@@ -140,9 +142,9 @@ def test_three_party_scan_verdicts_match_all_six_cuts(dims):
     cuts = [s for size in (1, 2) for s in combinations((1, 2, 3), size)]
     seen = set()
     for seed in (1, 2, 3):
-        m, noise = random_density(layout, seed=seed).matrix, np.eye(layout.dim) / layout.dim
+        m, noise = dense_matrix(random_density(layout, seed=seed)), np.eye(layout.dim) / layout.dim
         for p in (0.2, 0.4, 0.6, 1.0):  # white noise makes some cuts PSD
-            rho = DensityOperator.from_dense(layout, p * m + (1 - p) * noise)
+            rho = dense_operator(layout, p * m + (1 - p) * noise)
             verdicts = cut_verdicts(scan(rho), 3)
             assert verdicts == cut_verdicts([ppt_check(rho, s) for s in cuts], 3), (seed, p)
             seen.add(verdicts)
@@ -309,7 +311,7 @@ def _one_ulp_off(rho):
         _one_ulp_off(symmetric_qubit_operator(6)),
         _one_ulp_off(rho_family(RhoFamilySpec(6))),
         # every value is permutation invariant, but the local dims are not equal
-        DensityOperator.from_dense(PartyLayout((2, 3, 2, 3)), np.eye(36) / 36),
+        dense_operator(PartyLayout((2, 3, 2, 3)), np.eye(36) / 36),
     ],
     ids=["random", "symmetric-one-ulp-off", "family-one-ulp-off", "mixed-dims"],
 )
@@ -323,7 +325,7 @@ def test_scan_checks_every_cut_of_other_operators(rho):
 
 
 def test_scan_checks_one_cut_per_size_of_symmetric_qutrits():
-    rho = DensityOperator.from_dense(PartyLayout((3, 3, 3, 3)), np.eye(81) / 81)
+    rho = dense_operator(PartyLayout((3, 3, 3, 3)), np.eye(81) / 81)
     reports, checked = _scan_and_checked_cuts(rho)
     assert checked == [(1,), (1, 2)]
     assert all(r.min_eigenvalue == 1 / 81 and r.verdict == PSD for r in reports)

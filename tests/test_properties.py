@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from boundbell import DensityOperator, PartyLayout, partial_transpose, ppt_check  # noqa: E402
 from boundbell.serialize import operator_from_obj, operator_to_obj  # noqa: E402
-from helpers import dense_min_eigenvalue, dense_partial_transpose  # noqa: E402
+from helpers import dense_matrix, dense_min_eigenvalue, dense_partial_transpose  # noqa: E402
 
 _FLOATS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -66,7 +66,7 @@ def test_partial_transpose_is_an_involution(case):
 def test_partial_transpose_and_min_eigenvalue_match_dense(case):
     rho, subset = case
     dense = dense_partial_transpose(rho, subset)
-    assert np.array_equal(partial_transpose(rho, subset).matrix, dense)
+    assert np.array_equal(dense_matrix(partial_transpose(rho, subset)), dense)
     if len(subset) < rho.layout.num_parties:
         scale = max(1.0, float(np.max(np.abs(dense))))
         want = dense_min_eigenvalue(dense)

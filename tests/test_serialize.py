@@ -27,20 +27,21 @@ from boundbell.serialize import (
     state_from_obj,
     state_to_obj,
 )
+from helpers import dense_matrix
 
 
 def test_operator_round_trip_bit_exact():
     rho = rho_family(RhoFamilySpec(4))
     obj = json.loads(json.dumps(operator_to_obj(rho)))
     back = operator_from_obj(obj)
-    assert np.array_equal(back.matrix, rho.matrix)
+    assert np.array_equal(dense_matrix(back), dense_matrix(rho))
     assert back.layout.dims == rho.layout.dims
 
 
 def test_operator_sparse_entries_only():
     rho = rho_family(RhoFamilySpec(4))
     obj = operator_to_obj(rho)
-    assert len(obj["entries"]) == np.count_nonzero(rho.matrix) == 12
+    assert len(obj["entries"]) == np.count_nonzero(dense_matrix(rho)) == 12
     # 10 diagonal slots plus the two GHZ corners carry the 2N+1 = 9
     # rank-1 pieces of the mixture
     diagonal = [e for e in obj["entries"] if e[0] == e[1]]

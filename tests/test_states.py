@@ -13,7 +13,7 @@ from boundbell import (
     rho_family,
     schmidt,
 )
-from helpers import flip_projectors
+from helpers import dense_matrix, flip_projectors
 
 
 def test_ghz_amplitudes():
@@ -61,34 +61,38 @@ def test_family_diagonal_entries():
     for n in (2, 4, 6):
         rho = rho_family(RhoFamilySpec(n, 0.1))
         want = 1.0 / (2 * (n + 1))
-        assert abs(rho.matrix[0, 0].real - want) < 1e-15
+        assert abs(dense_matrix(rho)[0, 0].real - want) < 1e-15
         if n >= 3:  # flip indices distinct from each other only for n >= 3
             for k in range(1, n + 1):
                 for idx in (1 << (n - k), 2**n - 1 - (1 << (n - k))):  # and its complement
-                    assert abs(rho.matrix[idx, idx].real - want) < 1e-15
+                    assert abs(dense_matrix(rho)[idx, idx].real - want) < 1e-15
 
 
 def test_family_rank_counts_projector_pieces():
     # GHZ projector plus 2N mutually orthogonal rank-1 projectors
     rho = rho_family(RhoFamilySpec(4, 0.7))
-    eigs = hermitian_eigenvalues(rho.matrix)
+    eigs = hermitian_eigenvalues(dense_matrix(rho))
     assert int(np.sum(eigs > 1e-12)) == 9
 
 
 def test_family_equals_projector_sum_bit_exact():
-    for n in (2, 3, 5):
-        alpha = 0.4 * n
-        phase = np.exp(1j * alpha)
-        acc = np.zeros((2**n, 2**n), dtype=complex)  # the GHZ projector's four corners
-        acc[0, 0] = acc[-1, -1] = 0.5
-        acc[0, -1], acc[-1, 0] = 0.5 * np.conj(phase), 0.5 * phase
+    # an oracle independent of the family module: 1/2 of every flip projector
+    # summed densely, the GHZ projector's four corners written out, all over
+    # N+1; compared byte for byte, so signed zeros count too
+    for n in range(2, 11):
+        flips = np.zeros((2**n, 2**n), dtype=complex)
         for k in range(1, n + 1):
             pk, pkbar = flip_projectors(n, k)
-            acc += 0.5 * pk.matrix
-            acc += 0.5 * pkbar.matrix
-        acc *= 1.0 / (n + 1)
-        rho = rho_family(RhoFamilySpec(n, alpha))
-        assert np.array_equal(rho.matrix, acc)
+            flips += 0.5 * dense_matrix(pk)
+            flips += 0.5 * dense_matrix(pkbar)
+        for alpha in (0.0, -0.0, 0.4 * n, -2.5, np.pi, default_alpha(n)):
+            phase = np.exp(1j * alpha)
+            acc = flips.copy()  # the flip entries never reach the corners
+            acc[0, 0] = acc[-1, -1] = 0.5
+            acc[0, -1], acc[-1, 0] = 0.5 * np.conj(phase), 0.5 * phase
+            acc *= 1.0 / (n + 1)
+            rho = rho_family(RhoFamilySpec(n, alpha))
+            assert dense_matrix(rho).tobytes() == acc.tobytes(), (n, alpha)
 
 
 def test_ghz_projector_matches_outer_product():
@@ -98,7 +102,7 @@ def test_ghz_projector_matches_outer_product():
         psi = ghz(n, alpha)
         outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
         corners = np.ix_([0, -1], [0, -1])
-        scaled = (n + 1) * rho_family(RhoFamilySpec(n, alpha)).matrix[corners]
+        scaled = (n + 1) * dense_matrix(rho_family(RhoFamilySpec(n, alpha)))[corners]
         np.testing.assert_allclose(scaled, outer[corners], atol=1e-15)
         assert np.count_nonzero(outer) == 4
 
@@ -112,13 +116,13 @@ def test_family_trace_one():
 def test_family_psd():
     for n in range(2, 11):
         rho = rho_family(RhoFamilySpec(n))
-        assert hermitian_eigenvalues(rho.matrix)[0] >= -1e-10
+        assert hermitian_eigenvalues(dense_matrix(rho))[0] >= -1e-10
 
 
 def test_family_alpha_touches_only_ghz_corners():
     n = 5
-    base = rho_family(RhoFamilySpec(n, 0.2)).matrix
-    other = rho_family(RhoFamilySpec(n, 1.9)).matrix
+    base = dense_matrix(rho_family(RhoFamilySpec(n, 0.2)))
+    other = dense_matrix(rho_family(RhoFamilySpec(n, 1.9)))
     d = base.shape[0]
     corners = {(0, d - 1), (d - 1, 0)}
     diff = np.argwhere(base != other)

@@ -27,6 +27,8 @@ from boundbell import (
 from helpers import (
     basis_state,
     brute_reduced_operator,
+    dense_matrix,
+    dense_operator,
     dense_partial_transpose,
     digits_to_index,
     index_to_digits,
@@ -147,39 +149,39 @@ def test_tensor_product_empty():
 def test_partial_transpose_product_state():
     rho_a = random_density(PartyLayout((2,)), seed=3)
     rho_b = random_density(PartyLayout((3,)), seed=4)
-    joint = DensityOperator.from_dense(PartyLayout((2, 3)), np.kron(rho_a.matrix, rho_b.matrix))
+    joint = dense_operator(PartyLayout((2, 3)), np.kron(dense_matrix(rho_a), dense_matrix(rho_b)))
     pt = partial_transpose(joint, (2,))
-    expected = np.kron(rho_a.matrix, rho_b.matrix.T)
-    np.testing.assert_array_equal(pt.matrix, expected)
-    assert np.min(np.linalg.eigvalsh(pt.matrix)) > -1e-12  # still PSD
+    expected = np.kron(dense_matrix(rho_a), dense_matrix(rho_b).T)
+    np.testing.assert_array_equal(dense_matrix(pt), expected)
+    assert np.min(np.linalg.eigvalsh(dense_matrix(pt))) > -1e-12  # still PSD
 
 
 def test_partial_transpose_involution_bit_exact():
     rho = random_density(PartyLayout((2, 3, 2)), seed=9)
     for subset in [(1,), (2,), (1, 3), (1, 2, 3)]:
         twice = partial_transpose(partial_transpose(rho, subset), subset)
-        assert np.array_equal(twice.matrix, rho.matrix)
+        assert np.array_equal(dense_matrix(twice), dense_matrix(rho))
 
 
 def test_partial_transpose_linearity_and_trace():
     layout = PartyLayout((2, 2))
     r1 = random_density(layout, seed=21)
     r2 = random_density(layout, seed=22)
-    mix = DensityOperator.from_dense(layout, 0.3 * r1.matrix + 0.7 * r2.matrix)
+    mix = dense_operator(layout, 0.3 * dense_matrix(r1) + 0.7 * dense_matrix(r2))
     pt_mix = partial_transpose(mix, (2,))
-    combo = 0.3 * partial_transpose(r1, (2,)).matrix + 0.7 * partial_transpose(r2, (2,)).matrix
-    np.testing.assert_allclose(pt_mix.matrix, combo, atol=1e-15)
+    combo = 0.3 * dense_matrix(partial_transpose(r1, (2,))) + 0.7 * dense_matrix(partial_transpose(r2, (2,)))
+    np.testing.assert_allclose(dense_matrix(pt_mix), combo, atol=1e-15)
     assert abs(pt_mix.trace - mix.trace) < 1e-14
 
 
 def test_partial_transpose_max_entangled_negative():
     rho = pure_operator(bell_phi_plus())
     pt = partial_transpose(rho, (2,))
-    eigs = hermitian_eigenvalues(pt.matrix)
+    eigs = hermitian_eigenvalues(dense_matrix(pt))
     assert abs(eigs[0] - (-0.5)) < 1e-12
     # cross-check the spectrum against characteristic polynomial roots; the
     # triple root 1/2 limits that oracle to ~eps**(1/3) accuracy
-    roots = np.sort(np.roots(np.poly(pt.matrix)).real)
+    roots = np.sort(np.roots(np.poly(dense_matrix(pt))).real)
     np.testing.assert_allclose(eigs, roots, atol=1e-4, rtol=0)
     np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -200,7 +202,7 @@ def _transpose_cases():
 def test_partial_transpose_matches_dense_oracle(rho, subset):
     # values only move, so the sparse transpose equals the dense one exactly
     pt = partial_transpose(rho, subset)
-    assert np.array_equal(pt.matrix, dense_partial_transpose(rho, subset))
+    assert np.array_equal(dense_matrix(pt), dense_partial_transpose(rho, subset))
     keys = pt.rows * rho.layout.dim + pt.cols
     assert np.all(np.diff(keys) > 0) and np.all(pt.vals != 0)
 
@@ -232,7 +234,7 @@ def test_non_finite_values_rejected(bad):
     with pytest.raises(ValueError):
         DensityOperator(PartyLayout((2,)), [0, 1], [0, 1], [bad, 0.5])
     with pytest.raises(ValueError):
-        DensityOperator.from_dense(PartyLayout((2,)), np.array([[bad, 0], [0, 0.5]]))
+        dense_operator(PartyLayout((2,)), np.array([[bad, 0], [0, 0.5]]))
     with pytest.raises(ValueError):
         PureState(PartyLayout((2,)), np.array([bad, 1.0]))
 
@@ -258,9 +260,9 @@ def test_family_paths_never_build_a_dense_operator(job, n):
     [
         lambda: ghz(13, 0.0),
         lambda: random_pure(PartyLayout.qubits(31), seed=0),
-        lambda: rho_family(RhoFamilySpec(13)).matrix,
+        lambda: dense_matrix(rho_family(RhoFamilySpec(13))),
         lambda: PureState(PartyLayout.qubits(31), [1.0]),
-        lambda: DensityOperator.from_dense(PartyLayout.qubits(13), np.eye(1)),
+        lambda: dense_operator(PartyLayout.qubits(13), np.eye(1)),
     ],
     ids=["ghz", "random_pure", "matrix", "pure_state", "from_dense"],
 )
@@ -282,15 +284,15 @@ def test_partial_transpose_bad_party():
 def test_partial_trace_ghz_marginal():
     rho = pure_operator(ghz(3, 0.0))
     red = partial_trace(rho, (2, 3))
-    np.testing.assert_allclose(red.matrix, np.diag([0.5, 0.5]), atol=1e-15)
+    np.testing.assert_allclose(dense_matrix(red), np.diag([0.5, 0.5]), atol=1e-15)
 
 
 def test_partial_trace_product():
     rho_a = random_density(PartyLayout((2,)), seed=5)
     rho_b = random_density(PartyLayout((2,)), seed=6)
-    joint = DensityOperator.from_dense(PartyLayout((2, 2)), np.kron(rho_a.matrix, rho_b.matrix))
+    joint = dense_operator(PartyLayout((2, 2)), np.kron(dense_matrix(rho_a), dense_matrix(rho_b)))
     red = partial_trace(joint, (2,))
-    np.testing.assert_allclose(red.matrix, rho_a.matrix, atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(red), dense_matrix(rho_a), atol=1e-14)
 
 
 def test_partial_trace_family_marginal():
@@ -300,7 +302,7 @@ def test_partial_trace_family_marginal():
     # 1/5 on each side, so diag(1/2, 1/2).
     rho = rho_family(RhoFamilySpec(4, 0.3))
     red = partial_trace(rho, (2, 3, 4))
-    np.testing.assert_allclose(red.matrix, np.diag([0.5, 0.5]), atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(red), np.diag([0.5, 0.5]), atol=1e-14)
     assert abs(red.trace - 1.0) < 1e-12
 
 
@@ -317,23 +319,23 @@ def test_partial_ops_commute_on_disjoint_subsets():
         rho = random_density(layout, seed=int(rng.integers(1, 10**6)))
         a = partial_trace(partial_transpose(rho, (1,)), (3,))
         b = partial_transpose(partial_trace(rho, (3,)), (1,))
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-14)
+        np.testing.assert_allclose(dense_matrix(a), dense_matrix(b), atol=1e-14)
 
 
 # ---------------------------------------------------------------- eigensolver
 
 
 def test_hermitian_eigenvalues_basics():
-    half = DensityOperator.from_dense(PartyLayout((2,)), np.eye(2) / 2)
-    np.testing.assert_allclose(hermitian_eigenvalues(half.matrix), [0.5, 0.5], atol=1e-15)
-    diag = DensityOperator.from_dense(PartyLayout((2,)), np.diag([0.1, 0.9]))
-    np.testing.assert_allclose(hermitian_eigenvalues(diag.matrix), [0.1, 0.9], atol=1e-15)
+    half = dense_operator(PartyLayout((2,)), np.eye(2) / 2)
+    np.testing.assert_allclose(hermitian_eigenvalues(dense_matrix(half)), [0.5, 0.5], atol=1e-15)
+    diag = dense_operator(PartyLayout((2,)), np.diag([0.1, 0.9]))
+    np.testing.assert_allclose(hermitian_eigenvalues(dense_matrix(diag)), [0.1, 0.9], atol=1e-15)
 
 
 def test_hermitian_eigenvalues_sum_and_order():
     for seed in range(5):
         rho = random_density(PartyLayout((2, 3)), seed=100 + seed)
-        vals = hermitian_eigenvalues(rho.matrix)
+        vals = hermitian_eigenvalues(dense_matrix(rho))
         d = rho.layout.dim
         assert abs(vals.sum() - rho.trace) < 1e-9 * d
         assert np.all(np.diff(vals) >= -1e-14)
@@ -394,7 +396,7 @@ def test_hermitian_eigenvalues_agree_with_eigh_on_blocks_with_a_tiny_entry():
 
 
 def test_hermitian_eigenvalues_pass_matrices_without_tiny_entries_unchanged():
-    for m in (rho_family(RhoFamilySpec(8)).matrix, random_density(PartyLayout((2, 3, 2)), 4).matrix):
+    for m in (dense_matrix(rho_family(RhoFamilySpec(8))), dense_matrix(random_density(PartyLayout((2, 3, 2)), 4))):
         assert hermitian_eigenvalues(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
 
 
@@ -689,7 +691,7 @@ def test_pure_state_norm_enforced():
 
 def test_density_operator_hermiticity_enforced():
     with pytest.raises(ValueError):
-        DensityOperator.from_dense(PartyLayout((2,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        dense_operator(PartyLayout((2,)), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_basis_state_and_immutability():
