@@ -14,12 +14,12 @@ import importlib
 _SOURCES = {
     "bell": ("bell_value", "optimize_settings"),
     "extraction": (
-        "ExtractionResult", "ExtractionStep", "NotEntangledError", "NumericDegeneracyError",
-        "PairUnavailableError", "extract", "reduce_to_parties", "replay", "target_pair_choice",
+        "ExtractionResult", "ExtractionStep", "extract", "reduce_to_parties", "replay",
+        "target_pair_choice",
     ),
     "family": (
-        "BellSettings", "PartyLayout", "PptReport", "RhoFamilySpec", "Verdicts", "classify_family",
-        "default_alpha",
+        "BellSettings", "NotEntangledError", "NumericDegeneracyError", "PairUnavailableError",
+        "PartyLayout", "PptReport", "RhoFamilySpec", "Verdicts", "classify_family", "default_alpha",
     ),
     "ppt": ("cut_verdicts", "ppt_check", "scan"),
     "states": ("ghz", "random_pure", "rho_family"),

@@ -28,18 +28,16 @@ under ``--format csv``.  The rest depends on the command:
   entries in plain Python: below that size starting numpy costs more than
   checking the file and summing it (see ``cmd_bell``).
 * The other paths load numpy and :mod:`boundbell.tensor`, with the numeric
-  modules each calls: :mod:`boundbell.bell` for ``bell`` on a larger file or
-  under ``--settings optimize``, plus :mod:`boundbell.states` when it
-  optimizes a family member; :mod:`boundbell.ppt` (which imports
-  :mod:`boundbell.states`) for ``scan --input``; :mod:`boundbell.extraction`
-  and :mod:`boundbell.states` for ``extract``.
+  modules that each command imports where it calls them: :mod:`boundbell.bell`
+  for ``bell`` on a larger file or under ``--settings optimize``;
+  :mod:`boundbell.ppt` (which imports :mod:`boundbell.states`) for ``scan
+  --input``; :mod:`boundbell.extraction` for ``extract``, plus
+  :mod:`boundbell.states` under ``--ghz`` and ``--random``.
 
-The numpy-backed names are looked up in this module's globals at call time,
-bound there by the command that needs them (see ``_numeric``).  ``main``
-returns the code; ``entry_point`` (the ``boundbell`` script and ``python -m
-boundbell.cli``) flushes stdout and ends the process without interpreter
-teardown, with code 2 if stdout is closed or its flush fails.  A stderr that
-cannot be written loses only its own lines.
+``main`` returns the code; ``entry_point`` (the ``boundbell`` script and
+``python -m boundbell.cli``) flushes stdout and ends the process without
+interpreter teardown, with code 2 if stdout is closed or its flush fails.  A
+stderr that cannot be written loses only its own lines.
 """
 
 from __future__ import annotations
@@ -53,12 +51,16 @@ import os
 import sys
 from pathlib import Path
 
+from . import _MODULE_OF
 from .family import (
     DEFAULT_OPT_TOL,
     DEFAULT_PPT_TOL,
     DEFAULT_RESTARTS,
     PSD,
     BellSettings,
+    NotEntangledError,
+    NumericDegeneracyError,
+    PairUnavailableError,
     PartyLayout,
     RhoFamilySpec,
     Verdicts,
@@ -85,17 +87,6 @@ from .serialize import (
 # operator_to_obj and state_to_obj stay importable from here: bench/tracing.py rebinds them.
 from .serialize import operator_to_obj, state_to_obj  # noqa: F401
 
-# The numpy-backed names that the numeric paths call, by defining module.
-# ``_numeric`` binds a command's modules into this module's globals, and
-# keeps a binding made before: bench/tracing.py rebinds several here
-# (ppt_check is listed for it alone).
-_NUMERIC = {
-    "bell": ("bell_value", "optimize_settings"),
-    "extraction": ("NotEntangledError", "NumericDegeneracyError", "PairUnavailableError", "extract"),
-    "ppt": ("cut_verdicts", "ppt_check", "scan"),
-    "states": ("ghz", "random_pure", "rho_family"),
-}
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_ENTANGLED = 3
@@ -112,32 +103,23 @@ _CONFIG_KEYS = (
     "input", "out", "format", "n_min", "n_max", "scan_max",
 )
 
-# exception type -> exit code; an error takes the code of its most specific
-# type listed.  Binding extraction adds its errors: none is raised before.
-_EXIT_CODES = {ValueError: EXIT_USAGE, OSError: EXIT_USAGE}
-
-
-def _numeric(*modules: str) -> None:
-    """Bind the names of ``_NUMERIC`` that ``modules`` define into this module,
-    keeping any bound before."""
-    for module in modules:
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in _NUMERIC[module]:
-            globals().setdefault(name, getattr(loaded, name))
-    if "extraction" in modules:
-        _EXIT_CODES.update({
-            NotEntangledError: EXIT_NOT_ENTANGLED,
-            PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
-            NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
-        })
+# exception type -> exit code; an error takes the code of its most specific type listed
+_EXIT_CODES = {
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    NotEntangledError: EXIT_NOT_ENTANGLED,
+    PairUnavailableError: EXIT_PAIR_UNAVAILABLE,
+    NumericDegeneracyError: EXIT_NUMERIC_DEGENERACY,
+}
 
 
 def __getattr__(name: str):
-    """A name of ``_NUMERIC`` asked for from outside, before a command bound it (PEP 562)."""
-    if not any(name in names for names in _NUMERIC.values()):
+    """A public name of the package, read from its defining module (PEP 562).
+    Not kept here: bench/tracing.py rebinds some names in this module, and the
+    commands import theirs where they call them."""
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _numeric(*_NUMERIC)
-    return globals()[name]
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __package__), name)
 
 
 def _config(args, **resolved) -> dict:
@@ -256,7 +238,8 @@ def cmd_scan(args) -> tuple:
     _separate_files([("--out", args.out)], [("--input", args.input)])
     spec = _family_source(args)
     if spec is None:
-        _numeric("ppt")
+        from .ppt import cut_verdicts, scan
+
         rho = operator_from_obj(load_json(args.input))
         n, alpha = rho.layout.num_parties, None
         reports = scan(rho, args.tol)
@@ -286,6 +269,8 @@ def cmd_scan(args) -> tuple:
 def cmd_bell(args) -> tuple:
     """Bell value of the family member or operator file for x/y, file or optimized settings.
 
+    ``--tol`` (or BOUNDBELL_TOL) is the verdict's margin only: the optimizer
+    stops at its own DEFAULT_OPT_TOL, so a tolerance never moves the optimum.
     Family members with x/y settings take the closed form.  With a settings
     file a member's entries (:func:`family.operator_obj`), and with x/y or
     file settings an operator file of at most PLAIN_MAX_ENTRIES entries, are
@@ -313,23 +298,17 @@ def cmd_bell(args) -> tuple:
         settings, value = BellSettings.xy(n), xy_value(spec)
         violation = _violates(value, 0.0)
     else:
-        obj = None if spec is not None else load_json(args.input)
-        if not optimized and (obj is None or _entry_count(obj) <= PLAIN_MAX_ENTRIES):
-            # a family member's 2N+4 entries, or a small file
-            rho = operator_entries_from_obj(operator_obj(spec) if obj is None else obj)
-            evaluate = entries_bell_value
-        elif obj is None:
-            _numeric("bell", "states")
-            rho, evaluate = rho_family(spec), bell_value
-        else:
-            _numeric("bell")
-            rho, evaluate = operator_from_obj(obj), bell_value
+        obj = load_json(args.input) if spec is None else operator_obj(spec)
+        if optimized or _entry_count(obj) > PLAIN_MAX_ENTRIES:
+            from .bell import bell_value as evaluate, optimize_settings
+
+            rho = operator_from_obj(obj)
+        else:  # a family member's 2N+4 entries, or a small file
+            rho, evaluate = operator_entries_from_obj(obj), entries_bell_value
         n = rho.layout.num_parties
         alpha = None if spec is None else spec.alpha
         if optimized:
-            settings, value = optimize_settings(
-                rho, restarts=args.restarts, tol=args.tol, seed=args.seed
-            )
+            settings, value = optimize_settings(rho, restarts=args.restarts, seed=args.seed)
         else:
             settings = (
                 BellSettings.xy(n) if settings_file is None
@@ -368,7 +347,6 @@ def _int_list(option: str, text: str, count: int | None = None) -> tuple[int, ..
 
 def cmd_extract(args) -> tuple:
     _separate_files([("--out", args.out)], [("--input", args.input)])
-    _numeric("extraction", "states")
     sources = [args.input is not None, args.ghz is not None, args.random is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --input, --ghz, --random")
@@ -376,12 +354,18 @@ def cmd_extract(args) -> tuple:
     if args.input is not None:
         psi = state_from_obj(load_json(args.input))
     elif args.ghz is not None:  # the phase defaults to 0 here, not to auto
+        from .states import ghz
+
         alpha = 0.0 if args.alpha is None else _alpha(args.alpha)
         alpha = default_alpha(args.ghz) if alpha is None else alpha
         psi = ghz(args.ghz, alpha)
     else:
+        from .states import random_pure
+
         dims = _int_list("--random", args.random)
         psi = random_pure(PartyLayout(dims), args.seed)
+
+    from .extraction import extract
 
     pair = None if args.pair is None else _int_list("--pair", args.pair, 2)
     result = extract(psi, pair)

@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .family import _integers
+from .family import NotEntangledError, NumericDegeneracyError, PairUnavailableError, _integers
 from .tensor import (
     SCHMIDT_CUTOFF,
     FilterOperator,
@@ -69,18 +69,6 @@ from .tensor import (
 PURITY_TOL = 1e-8
 OVERLAP_TOL = 1e-8
 BALANCE_TOL = 1e-8
-
-
-class NotEntangledError(ValueError):
-    """The input carries no entanglement to extract."""
-
-
-class PairUnavailableError(ValueError):
-    """The requested pair is not contained in the surviving parties."""
-
-
-class NumericDegeneracyError(RuntimeError):
-    """The state is numerically inconsistent with the protocol's case logic."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,10 @@ This module imports the standard library only, so those commands never load
 numpy.  For the same reason it holds the plain records, checks and defaults
 that they share with the numpy-backed modules, which import them from here:
 the party layout, the family's spec, the PPT report and verdict records, the
-Bell settings record with the optimizer's defaults, and Mermin's product form
+Bell settings record with the optimizer's defaults, Mermin's product form
 summed over an operator's listed entries (:func:`entries_bell_value`, the
-plain path of ``bell --input`` for small files).  The records are slotted
+plain path of ``bell --input`` for small files), and the three errors of
+the extraction protocol, each with its own exit code.  The records are slotted
 classes and named tuples, not dataclasses: ``dataclasses`` imports
 ``inspect``, about 10 ms of every CLI child's start-up.  ``fractions`` loads
 only when a PPT minimum is asked for.
@@ -69,6 +70,18 @@ def dense_size(size: int) -> int:
     if size > MAX_GLOBAL_DIM:
         raise ValueError(f"dense dimension {size} exceeds the cap {MAX_GLOBAL_DIM}")
     return size
+
+
+class NotEntangledError(ValueError):
+    """The input carries no entanglement to extract."""
+
+
+class PairUnavailableError(ValueError):
+    """The requested pair is not contained in the surviving parties."""
+
+
+class NumericDegeneracyError(RuntimeError):
+    """The state is numerically inconsistent with the protocol's case logic."""
 
 
 class _Record:
@@ -411,17 +424,15 @@ def scan_reports(n: int) -> tuple[PptReport, ...]:
     return tuple(reports)
 
 
-def classify_family(n: int, alpha: float | None = None, tol: float = DEFAULT_PPT_TOL) -> Verdicts:
-    """Classify one family member: PPT across single cuts, NPT across pairs.
+def classify_family(n: int) -> Verdicts:
+    """Classify the family member of N parties: PPT across single cuts, NPT across pairs.
 
-    Decided exactly from N by :func:`min_eigenvalue`; the phase drops out,
-    and so does ``tol`` (still checked to be finite and >= 0): an exact
-    verdict has no rounding for a tolerance to absorb.  At N = 2 a pair would
-    be the whole system.  The bound-entanglement claim is the conjunction of both
-    facts; it holds exactly for N >= 4.
+    Decided exactly from N by :func:`min_eigenvalue`, for every phase: an
+    exact verdict has no rounding for a tolerance to absorb.  At N = 2 a pair
+    would be the whole system.  The bound-entanglement claim is the conjunction
+    of both facts; it holds exactly for N >= 4.
     """
-    spec = RhoFamilySpec(n, alpha)
-    _check_tolerance(tol)
-    ppt_single = min_eigenvalue(spec.n, 1) >= 0
-    npt_pairs = min_eigenvalue(spec.n, 2) < 0 if spec.n >= 3 else None
+    n = RhoFamilySpec(n).n
+    ppt_single = min_eigenvalue(n, 1) >= 0
+    npt_pairs = min_eigenvalue(n, 2) < 0 if n >= 3 else None
     return Verdicts(ppt_single, npt_pairs, bool(ppt_single and npt_pairs))

@@ -5,7 +5,8 @@ import importlib.util
 from pathlib import Path
 
 import boundbell.extraction as extraction
-from boundbell import PartyLayout, ghz, random_pure
+from boundbell import PartyLayout, cli, ghz, random_pure
+from boundbell.serialize import dump_json
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -47,3 +48,32 @@ def test_extract_calls_traced_tensor_layers():
         kinds = [step.op.kind for step in result.steps]
         assert ("project" in kinds) == projects
         assert names.count("tensor.apply_local") == len(kinds) - 2 * kinds.count("project")
+
+
+def test_tracer_sees_each_numeric_call_of_a_cli_command_once(tmp_path):
+    # the commands import their numeric names from the defining modules where
+    # they call them, so each call records one span; optimizing a family
+    # member decodes its operator file and builds nothing through rho_family
+    tracing = load_tracing()
+    rho7, big = tmp_path / "rho7.json", tmp_path / "big.json"
+    assert cli.main(["state", "--n", "7", "--out", str(rho7)]) == 0
+    count = cli.PLAIN_MAX_ENTRIES + 1  # above the plain cap: bell_value sums it
+    entries = [[i, i, 1.0 / count, 0.0] for i in range(count)]
+    dump_json({"dims": [2] * count.bit_length(), "entries": entries}, big)
+    numeric = ("bell.optimize_settings", "bell.bell_value", "ppt.scan", "extraction.extract")
+    commands = (
+        ["bell", "--n", "8", "--settings", "optimize", "--restarts", "1"],
+        ["bell", "--input", str(big)],
+        ["scan", "--input", str(rho7)],
+        ["extract", "--random", "2,3,2", "--seed", "7"],
+    )
+    for argv, layer in zip(commands, numeric):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        finally:
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        assert [names.count(name) for name in numeric] == [int(name == layer) for name in numeric]
+        assert "states.rho_family" not in names, argv

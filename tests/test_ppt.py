@@ -130,7 +130,7 @@ def test_classify_family_two_cuts_match_the_full_scan(alpha):
     # cuts (1,) and (1, 2) stand for every single and pair cut of the family
     for n in range(2, 13):
         rho = rho_family(RhoFamilySpec(n, alpha))
-        c = classify_family(n, alpha)
+        c = classify_family(n)
         full = cut_verdicts(scan(rho), n)
         assert (c.ppt_single, c.npt_pairs, c.bound_entangled_claim) == full, n
 
