@@ -24,6 +24,21 @@ an N = 8 family file with optimized settings (the benchmark's cli_pipeline,
 seed 0, round 1) the plain path prints 1.1685915351197391 and this module
 1.168591535119739.  The family's x/y values stay exact, since their terms
 are 0 and rho[1...1, 0...0] 2^N.
+
+The optimizer keeps in numpy only what runs over the nnz entries: the
+suffix products, each update's weights, their 8-bin ``np.bincount`` and the
+gather and multiply that extend the prefix product.  The rest of an update
+acts on 4 bins and two 3-vectors, where a numpy call costs more than its
+arithmetic, so it runs on Python scalars: v = c_N sigma.G from the unpacked
+bins and the division, with both squared norms from one ``np.vecdot``.  The
+scalars give the bits that complex numpy arrays give, on any host (the
+tests' all-numpy reference optimizer checks it, signed zeros included):
+sigma's entries are 0, +-1 and +-i, so sigma.G is exact sums and
+differences of bins; c_N's components are 0 or +-2^-k, so each component of
+c_N sigma.G is one correctly rounded real operation, with or without fused
+multiply-add; a bin, summed from +0.0, is never -0.0, so no exact zero
+changes sign; ``np.vecdot`` runs the dot kernel that ``ndarray.dot`` runs;
+and division is correctly rounded either way.
 """
 
 from __future__ import annotations
@@ -36,11 +51,6 @@ from .family import (
     DEFAULT_OPT_TOL, DEFAULT_RESTARTS, BellSettings, _integers, _prefactor, bell_parties, mermin_factor,
 )
 from .tensor import DensityOperator
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 MAX_SWEEPS = 500
 _ZERO_GRADIENT = 1e-14
@@ -103,10 +113,14 @@ def optimize_settings(
     to the earliest restart.  A direction with vanishing gradient is left
     untouched for that sweep.
 
-    Two tables serve every restart.  Row j - 1 of the codes
-    (:func:`_entry_codes`, 8 N nnz bytes) gathers party j's factor elements;
-    that of the bins (2 N nnz bytes: 2k and 2k + 1 for code k) sums the real
-    and imaginary parts of its gradient's weights in one ``np.bincount``.
+    Two tables serve every restart, their rows listed once per call.  Row
+    j - 1 of the codes (:func:`_entry_codes`, 8 N nnz bytes) gathers party
+    j's factor elements; that of the bins (2 N nnz bytes: 2k and 2k + 1 for
+    code k) sums the real and imaginary parts of its gradient's weights in
+    one ``np.bincount``, which gives the four complex G_j[c, r] at k = 2c + r.
+    Only these nnz-length steps run in numpy; v and the normalized directions
+    are Python scalars, the two squared norms coming from one ``np.vecdot``
+    over a (2, 3) buffer (see the module docstring for why the bits match).
 
     A restart stops after ``max_sweeps`` sweeps or after the first sweep that
     raises the value by less than ``tol``.  Exact ascent never lowers the
@@ -134,7 +148,9 @@ def optimize_settings(
     c = _prefactor(n)
     codes = _entry_codes(rho, np.arange(n - 1, -1, -1)[:, None])
     bins = (codes[..., None] * 2 + np.arange(2)).astype(np.uint8).reshape(n, -1)
-    paulis, one = _PAULIS.reshape(3, 4), np.ones(1)
+    parties = list(zip(codes, bins))
+    codes_reversed = [code for code, _ in reversed(parties)]
+    grads, one = np.empty((2, 3)), np.ones(1)
     rng = np.random.default_rng(seed)
     best_value, best = -np.inf, None
     for _ in range(restarts):
@@ -149,17 +165,23 @@ def optimize_settings(
         value = (c * _trace_terms(rho.vals, factors, codes).sum()).real
         for _sweep in range(max_sweeps):
             suffix = [one]  # suffix[k]: product over the last k parties
-            for m, code in zip(reversed(factors), codes[::-1]):
+            for m, code in zip(reversed(factors), codes_reversed):
                 suffix.append(suffix[-1] * m[code])
             prefix = rho.vals
-            for j, (code, pair) in enumerate(zip(codes, bins)):
+            for j, (code, pair) in enumerate(parties):
                 w = prefix * suffix[n - 1 - j]
-                g = np.bincount(pair, w.view(float), 8).view(complex)
-                v = c * (paulis @ g)
-                for target, grad in ((avecs, v.real), (apvecs, -v.imag)):
-                    gnorm = math.sqrt(grad.dot(grad))
+                g0, g1, g2, g3 = np.bincount(pair, w.view(float), 8).view(complex).tolist()
+                # v = c_N sigma.G; both squared norms from numpy's dot kernel
+                vx = c * (g1 + g2)
+                vy = c * complex(g1.imag - g2.imag, g2.real - g1.real)
+                vz = c * (g0 - g3)
+                grad = (vx.real, vy.real, vz.real), (-vx.imag, -vy.imag, -vz.imag)
+                grads[0], grads[1] = grad
+                squares = np.vecdot(grads, grads).tolist()
+                for target, (x, y, z), square in zip((avecs, apvecs), grad, squares):
+                    gnorm = math.sqrt(square)
                     if gnorm >= _ZERO_GRADIENT:
-                        target[j] = (grad / gnorm).tolist()
+                        target[j] = [x / gnorm, y / gnorm, z / gnorm]
                 factors[j] = _factor(avecs[j], apvecs[j])
                 prefix = prefix * factors[j][code]
             new_value = (c * prefix.sum()).real

@@ -77,7 +77,8 @@ class DensityOperator:
 
     Entry e is ``vals[e]`` at (``rows[e]``, ``cols[e]``), kept canonical and
     read-only: unique (row, col) pairs sorted row-major, no zero values.
-    Construction sorts and drops zeros; it raises ValueError on indices of
+    Construction sorts (skipped when the keys ``row * dim + col`` already
+    increase strictly) and drops zeros; it raises ValueError on indices of
     no integer dtype (an empty list passes), indices out of range, duplicate
     pairs, non-finite values or non-Hermitian input.
     Physical states are trace 1 and PSD; partial-transpose outputs stay
@@ -104,11 +105,15 @@ class DensityOperator:
         if not np.all(np.isfinite(vals)):
             raise ValueError("operator entries must be finite")
         keys = rows * d + cols
-        order = np.argsort(keys)
-        if np.any(np.diff(keys[order]) == 0):
-            raise ValueError("duplicate (row, col) entry")
-        order = order[vals[order] != 0]
-        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
+        # strictly increasing keys prove the entries sorted and unique: no sort
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys)
+            rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("duplicate (row, col) entry")
+        nonzero = vals != 0
+        if not nonzero.all():
+            rows, cols, vals, keys = rows[nonzero], cols[nonzero], vals[nonzero], keys[nonzero]
         # each entry against the conjugate of its mirror entry (0 if absent)
         mirror = cols * d + rows
         pos = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)

@@ -7,6 +7,7 @@ import pytest
 
 from boundbell import (
     BellSettings,
+    DensityOperator,
     PartyLayout,
     PureState,
     RhoFamilySpec,
@@ -32,6 +33,7 @@ from helpers import (
     reference_bell_value,
     reference_optimize,
     separable_fixture,
+    symmetric_qubit_operator,
     traced_peak,
 )
 
@@ -311,10 +313,19 @@ def test_optimizer_accepts_numpy_integers_and_zero_sweeps():
 
 def _bit_identity_cases():
     cases = [(rho_family(RhoFamilySpec(n)), f"family{n}") for n in range(2, 13)]
+    # exact cancellations in the gradient sums, where a zero's sign could slip
+    for n in range(2, 13):
+        for alpha in (0.0, -0.0, math.pi / 2, math.pi):
+            cases.append((rho_family(RhoFamilySpec(n, alpha)), f"family{n}@{alpha!r}"))
+    for n in (3, 4, 5, 6):
+        cases.append((symmetric_qubit_operator(n), f"symmetric{n}"))
+        cases.append((symmetric_qubit_operator(n, full=True), f"symmetric_full{n}"))
     for n in (2, 3, 4, 5):
         layout = PartyLayout.qubits(n)
         cases.append((random_density(layout, 40 + n), f"density{n}"))
         cases.append((random_sparse_hermitian(layout, 50 + n), f"sparse{n}"))
+    # every gradient is exactly zero: the directions keep their random starts
+    cases.append((DensityOperator(PartyLayout.qubits(2), [0, 1, 2, 3], [0, 1, 2, 3], [0.25] * 4), "mixed2"))
     return cases
 
 
@@ -322,7 +333,7 @@ def test_optimizer_bit_identical_to_reference():
     # repr equality: values and directions to the last bit, signed zeros included
     for rho, name in _bit_identity_cases():
         for seed in (0, 1, 7):
-            for restarts, tol, sweeps in ((2, 1e-10, 500), (1, -math.inf, 3)):
+            for restarts, tol, sweeps in ((2, 1e-10, 500), (1, -math.inf, 3), (1, -math.inf, 0)):
                 settings, value = optimize_settings(
                     rho, restarts=restarts, tol=tol, seed=seed, max_sweeps=sweeps
                 )

@@ -215,17 +215,23 @@ def test_density_operator_canonical_entries():
     for arr in (rho.rows, rho.cols, rho.vals):
         with pytest.raises(ValueError):
             arr[0] = 0
+    # input already in canonical order skips the sort and gives the same bytes
+    ordered = DensityOperator(layout, [0, 1, 3, 5], [0, 3, 1, 5], [0.0, 0.25j, -0.25j, 0.5])
+    for a, b in zip((rho.rows, rho.cols, rho.vals), (ordered.rows, ordered.cols, ordered.vals)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not b.flags.writeable
     for rows, cols, vals in [
-        ([0, 0], [0, 0], [0.5, 0.5]),  # duplicate pair
-        ([6], [6], [1.0]),  # out of range
-        ([-1], [-1], [1.0]),  # negative
+        ([0, 1, 1], [0, 1, 1], [0.5, 0.25, 0.25]),  # duplicate pair
+        ([0, 6], [0, 6], [0.5, 1.0]),  # out of range
+        ([-1, 0], [-1, 0], [1.0, 0.5]),  # negative
+        ([0, 1], [0, 1], [float("nan"), 0.5]),  # not finite
         ([0, 1], [1, 0], [0.5, 0.4]),  # not Hermitian
-        ([0], [0], [1.0, 0.0]),  # length mismatch
+        ([0, 1], [0, 1], [1.0, 0.0, 0.5]),  # length mismatch
         ([0.7, 1.9], [0.2, 1.0], [0.5, 0.5]),  # fractional: rejected, not cut to 0 and 1
         ([False, True], [False, True], [0.5, 0.5]),  # booleans are no indices
     ]:
-        with pytest.raises(ValueError):
-            DensityOperator(layout, rows, cols, vals)
+        for order in (slice(None), slice(None, None, -1)):  # sorted, and reversed
+            with pytest.raises(ValueError):
+                DensityOperator(layout, rows[order], cols[order], vals[order])
     assert DensityOperator(layout, [], [], []).rows.size == 0
 
 
