@@ -30,9 +30,9 @@ under ``--format csv``.  The rest depends on the command:
 * The other paths load numpy and :mod:`boundbell.tensor`, with the numeric
   modules that each command imports where it calls them: :mod:`boundbell.bell`
   for ``bell`` on a larger file or under ``--settings optimize``;
-  :mod:`boundbell.ppt` (which imports :mod:`boundbell.states`) for ``scan
-  --input``; :mod:`boundbell.extraction` for ``extract``, plus
-  :mod:`boundbell.states` under ``--ghz`` and ``--random``.
+  :mod:`boundbell.ppt` for ``scan --input``; :mod:`boundbell.extraction`
+  for ``extract``, plus :mod:`boundbell.states` under ``--ghz`` and
+  ``--random``.
 
 ``main`` returns the code; ``entry_point`` (the ``boundbell`` script and
 ``python -m boundbell.cli``) flushes stdout and ends the process without

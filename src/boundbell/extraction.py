@@ -13,8 +13,7 @@ probability.  The protocol:
    never has exactly one entangled party).  A later party's purity below
    1 - ``PURITY_TOL`` certifies that rank, since rank 1 at the cutoff forces
    a purity above 1 - 5e-12 for a state normalized within ``NORM_TOL``; only
-   a party that the purity does not certify has its singular values
-   computed.
+   a party that the purity does not certify is decomposed by ``schmidt``.
 2. Equalize: filter in that party's Schmidt basis, keeping the top two
    coefficients (mapped onto the party's computational levels 0/1) and
    annihilating the rest.  With the pivot's decomposition
@@ -100,13 +99,6 @@ class ExtractionResult:
             raise ValueError(f"success probability {self.probability!r} outside (0, 1]")
 
 
-def _single_party_rank(psi: PureState, party: int) -> int:
-    """One-vs-rest Schmidt rank, >= 1 for a normalized state: singular values above the cutoff."""
-    m = _party_matrix(psi.amplitudes.reshape(psi.layout.dims), party - 1)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > SCHMIDT_CUTOFF))
-
-
 def _apply_filter(
     state: PureState, fop: FilterOperator, floor: float = 0.0, label: int | None = None
 ) -> tuple[PureState, float]:
@@ -133,21 +125,17 @@ def _equalize_op(party: int, coeffs: np.ndarray, left: np.ndarray) -> FilterOper
     return FilterOperator(party, op, "equalize")
 
 
-def _reduced_operator(t: np.ndarray, axis: int) -> np.ndarray:
-    """Reduced operator of the party at ``axis`` of the amplitude tensor ``t``."""
-    m = _party_matrix(t, axis)
-    return m @ m.conj().T
-
-
-def _local_factor(t: np.ndarray, axis: int) -> np.ndarray:
-    """Top eigenvector (phase-fixed) of the reduced operator at ``axis``."""
-    _, vecs = np.linalg.eigh(_reduced_operator(t, axis))
+def _local_factor(m: np.ndarray) -> np.ndarray:
+    """Top eigenvector (phase-fixed) of the reduced operator ``m m^H`` of a
+    party matrix ``m`` (see :func:`tensor._party_matrix`)."""
+    _, vecs = np.linalg.eigh(m @ m.conj().T)
     return _fix_phase(vecs[:, -1])
 
 
 def _purity(t: np.ndarray, axis: int) -> float:
     """Purity tr(rho**2) of the reduced operator at ``axis`` of the amplitude tensor ``t``."""
-    red = _reduced_operator(t, axis)
+    m = _party_matrix(t, axis)
+    red = m @ m.conj().T
     return float(np.einsum("ij,ji->", red, red).real)
 
 
@@ -163,7 +151,7 @@ def _branch_factors(phi: PureState) -> list[np.ndarray]:
     if phi.layout.num_parties == 1:
         return [_fix_phase(phi.amplitudes.copy())]
     t = phi.amplitudes.reshape(phi.layout.dims)
-    return [_local_factor(t, axis) for axis in range(t.ndim)]
+    return [_local_factor(_party_matrix(t, axis)) for axis in range(t.ndim)]
 
 
 def _distinct_factors(phi0: PureState, phi1: PureState, others) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -238,7 +226,8 @@ def reduce_to_parties(state: PureState, keep) -> PureState:
     kept = layout.check_subset(keep, nonempty=True)
     t = state.amplitudes.reshape(layout.dims)
     for axis in sorted(set(range(layout.num_parties)) - {p - 1 for p in kept}, reverse=True):
-        t = np.tensordot(_local_factor(t, axis).conj(), t, axes=(0, axis))
+        m = _party_matrix(t, axis)
+        t = (_local_factor(m).conj() @ m).reshape(t.shape[:axis] + t.shape[axis + 1 :])
     vec = t.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm <= 1e-12:
@@ -286,7 +275,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
         dims = live.layout.dims
         m = len(dims)
         for pivot in range(1, m + 1):
-            coeffs, left, right = schmidt(live, (pivot,))
+            coeffs, left, right = schmidt(live, pivot)
             if coeffs.size >= 2:
                 break
         else:
@@ -295,7 +284,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
             raise NumericDegeneracyError("entanglement vanished mid-protocol")
         t = live.amplitudes.reshape(dims)  # a purity certifies rank >= 2 without an SVD (step 1)
         if not any(
-            _purity(t, p - 1) < 1.0 - PURITY_TOL or _single_party_rank(live, p) >= 2
+            _purity(t, p - 1) < 1.0 - PURITY_TOL or schmidt(live, p)[0].size >= 2
             for p in range(pivot + 1, m + 1)
         ):
             raise NumericDegeneracyError(
@@ -345,7 +334,7 @@ def extract(psi: PureState, pair=None) -> ExtractionResult:
                 steps.append(ExtractionStep(_relabel(fop, labels[p - 1]), 1.0))  # both outcomes succeed
 
         final = reduce_to_parties(live, [labels.index(p) + 1 for p in chosen])
-        # the SVD that schmidt(final, (1,)) makes, without its tie and phase work on the vectors
+        # the SVD that schmidt(final, 1) makes, without its tie and phase work on the vectors
         c = np.linalg.svd(final.amplitudes.reshape(final.layout.dims), full_matrices=False)[1]
         return ExtractionResult(
             pair=chosen,

@@ -156,6 +156,10 @@ class PartyLayout(_Record):
         return dense_size(self.dim)
 
     def dim_of(self, party: int) -> int:
+        """Local dimension of ``party``; ValueError unless it is an integer in
+        1..N (a bool or a float such as 1.0 is none)."""
+        if isinstance(party, bool) or not hasattr(party, "__index__"):
+            raise ValueError(f"party index must be an integer, got {party!r}")
         self._check_party(party)
         return self.dims[party - 1]
 

@@ -16,9 +16,18 @@ import numpy as np
 from .family import (
     DEFAULT_PPT_TOL, MAX_GLOBAL_DIM, NOT_PSD, PSD, PptReport, Verdicts, _check_tolerance, dense_size,
 )
-# rho_family stays importable from here: bench/tracing.py rebinds it.
-from .states import rho_family  # noqa: F401
 from .tensor import DensityOperator, hermitian_eigenvalues, partial_transpose
+
+
+def __getattr__(name: str):
+    """``rho_family``, imported from :mod:`boundbell.states` on first access
+    (PEP 562): bench/tracing.py rebinds it here, and ``scan --input`` never
+    calls it, so importing this module loads no ``states``."""
+    if name != "rho_family":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .states import rho_family
+
+    return rho_family
 
 
 def _components(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:

@@ -19,8 +19,8 @@ Conventions used throughout the package:
 * A local filter's norm is checked once, when its :class:`FilterOperator` is
   built: a Gram-matrix row-sum bound certifies most filters, and only a
   filter that the bound does not certify takes an SVD.  A Schmidt
-  decomposition is three plain arrays; its rank counts the coefficients
-  above the constant SCHMIDT_CUTOFF.
+  decomposition cuts one party from the rest and is three plain arrays; its
+  rank counts the coefficients above the constant SCHMIDT_CUTOFF.
 * Arrays are treated as immutable after construction; every operation
   here is a pure function and safe to call concurrently.
 """
@@ -125,7 +125,8 @@ class DensityOperator:
 
     @property
     def trace(self) -> float:
-        return float(self.vals[self.rows == self.cols].real.sum())
+        """Sum of the diagonal's real parts, correctly rounded (``math.fsum``)."""
+        return math.fsum(self.vals[self.rows == self.cols].real.tolist())
 
 
 def partial_transpose(rho: DensityOperator, parties) -> DensityOperator:
@@ -211,31 +212,21 @@ def _party_matrix(t: np.ndarray, axis: int) -> np.ndarray:
     return t.reshape(math.prod(t.shape[:axis]), d, -1).transpose(1, 0, 2).reshape(d, -1)
 
 
-def _matricize(psi: PureState, bipartition) -> np.ndarray:
-    """Amplitudes of ``psi`` as a matrix: rows index the parties of
-    ``bipartition`` (a nonempty proper subset, sorted), columns the rest."""
-    layout = psi.layout
-    left = layout.check_subset(bipartition, nonempty=True, proper=True)
-    t = psi.amplitudes.reshape(layout.dims)
-    if len(left) == 1:
-        return _party_matrix(t, left[0] - 1)
-    right = tuple(p for p in range(1, layout.num_parties + 1) if p not in left)
-    dl = math.prod(layout.dims[p - 1] for p in left)
-    return t.transpose([p - 1 for p in left + right]).reshape(dl, -1)
+def schmidt(psi: PureState, party: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition ``(c, left, right)`` of ``psi`` with ``party`` against the rest.
 
-
-def schmidt(psi: PureState, bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition ``(c, left, right)`` of ``psi`` across ``bipartition``.
-
-    ``psi = sum_k c[k] left[:, k] (x) right[k]``, with the sorted parties of
-    ``bipartition`` before the rest.  Coefficients are sorted descending and
-    truncated at ``SCHMIDT_CUTOFF`` (a normalized state always keeps one).
-    Only if kept coefficients tie within ``_TIE_TOL`` is the left basis of each
-    tied run re-chosen to align with computational axes, so an aligned-axis
-    basis state maps to itself.  Each left vector's first nonzero component is
-    real positive; the right vectors carry the compensating phase.
+    ``psi = sum_k c[k] left[:, k] (x) right[k]``, each ``right[k]`` over the
+    other parties in order; ValueError unless ``party`` is an integer in 1..N.
+    Coefficients are sorted descending and truncated at ``SCHMIDT_CUTOFF`` (a
+    normalized state always keeps one).  Only if kept coefficients tie within
+    ``_TIE_TOL`` is the left basis of each tied run re-chosen to align with
+    computational axes, so an aligned-axis basis state maps to itself.  Each
+    left vector's first nonzero component is real positive; the right vectors
+    carry the compensating phase.
     """
-    m = _matricize(psi, bipartition)
+    layout = psi.layout
+    layout.dim_of(party)
+    m = _party_matrix(psi.amplitudes.reshape(layout.dims), party - 1)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     k = int(np.count_nonzero(s > SCHMIDT_CUTOFF))  # s is sorted descending
     s, u, vh = s[:k], u[:, :k], vh[:k]

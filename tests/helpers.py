@@ -20,15 +20,8 @@ from boundbell import (
     rho_family,
     schmidt,
 )
-from boundbell.extraction import (
-    BALANCE_TOL,
-    _apply_filter,
-    _distinct_factors,
-    _equalize_op,
-    _is_product,
-    _single_party_rank,
-)
-from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis
+from boundbell.extraction import BALANCE_TOL, _apply_filter, _distinct_factors, _equalize_op, _is_product
+from boundbell.tensor import _PHASE_TOL, _TIE_TOL, SCHMIDT_CUTOFF, _axis_aligned_basis, _fix_phase
 
 
 def traced_peak(job):
@@ -91,8 +84,13 @@ def sparse_classify_family(n: int, alpha: float | None = None, tol: float = 1e-9
 
 
 def party_ranks(psi: PureState) -> list[tuple[int, int]]:
-    """(party, one-vs-rest Schmidt rank) for every party, by the rank ``extract`` uses."""
-    return [(p, _single_party_rank(psi, p)) for p in range(1, psi.layout.num_parties + 1)]
+    """(party, one-vs-rest Schmidt rank) for every party: the singular values
+    above SCHMIDT_CUTOFF of a values-only SVD, apart from ``schmidt``'s."""
+    ranks = []
+    for p in range(1, psi.layout.num_parties + 1):
+        s = np.linalg.svd(transpose_matricize(psi, (p,)), compute_uv=False)
+        ranks.append((p, int(np.count_nonzero(s > SCHMIDT_CUTOFF))))
+    return ranks
 
 
 def basis_state(layout: PartyLayout, index: int) -> PureState:
@@ -253,6 +251,20 @@ def tensordot_apply_local(psi: PureState, fop) -> np.ndarray:
     t = psi.amplitudes.reshape(psi.layout.dims)
     out = np.moveaxis(np.tensordot(fop.matrix, t, axes=(1, fop.party - 1)), 0, fop.party - 1)
     return np.ascontiguousarray(out).reshape(psi.layout.dim)
+
+
+def tensordot_reduce_to_parties(state: PureState, keep) -> PureState:
+    """``reduce_to_parties`` by ``np.tensordot`` (reference path): each
+    discarded party, last first, is contracted against the phase-fixed top
+    eigenvector of its reduced operator."""
+    dims = state.layout.dims
+    t = state.amplitudes.reshape(dims)
+    for axis in sorted(set(range(len(dims))) - {p - 1 for p in keep}, reverse=True):
+        m = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
+        factor = _fix_phase(np.linalg.eigh(m @ m.conj().T)[1][:, -1])
+        t = np.tensordot(factor.conj(), t, axes=(0, axis))
+    vec = t.reshape(-1)
+    return PureState(PartyLayout(tuple(dims[p - 1] for p in sorted(keep))), vec / np.linalg.norm(vec))
 
 
 def brute_single_rank(psi: PureState, party: int, cutoff: float = 1e-10) -> int:
@@ -479,7 +491,7 @@ def equalize_filter(psi: PureState, party: int) -> tuple[FilterOperator, PureSta
     annihilates the remaining local directions; the weight is 2*lambda_1**2
     and the post state carries coefficients 1/sqrt(2) each.
     """
-    coeffs, left, _ = schmidt(psi, (party,))
+    coeffs, left, _ = schmidt(psi, party)
     if coeffs.size < 2:
         raise ValueError(f"party {party} has Schmidt rank < 2; nothing to balance")
     fop = _equalize_op(party, coeffs, left)

@@ -373,9 +373,24 @@ def test_malformed_operator_file_exit_code_on_both_paths(tmp_path, monkeypatch, 
         operator_from_obj(obj)
     with pytest.raises(ValueError) as plain_error:
         operator_entries_from_obj(obj)
-    # the same words; the trace may differ in its last bits (summed in another order)
-    words = [re.sub(r"trace \S+", "trace", str(e.value)) for e in (plain_error, numpy_error)]
-    assert words[0] == words[1]
+    # the same words, and the same trace: both decoders sum it exactly
+    assert str(plain_error.value) == str(numpy_error.value)
+    capsys.readouterr()
+
+
+def test_every_decoder_takes_the_exact_trace(tmp_path, capsys):
+    # this diagonal sums to 1 - 9.99999e-11 exactly, inside the 1e-10 tolerance,
+    # but to 1 - 1.0000001e-10 added left to right: bell --input decodes it in
+    # plain Python, scan --input and --settings optimize with numpy
+    diag = [0.9654801388982029, 0.4361618666274293, 0.626648290866804, -1.028290296492436]
+    src = tmp_path / "op.json"
+    dump_json({"dims": [2, 2], "entries": [[i, i, v, 0.0] for i, v in enumerate(diag)]}, src)
+    commands = (
+        ["bell", "--input", src],
+        ["scan", "--input", src],
+        ["bell", "--input", src, "--settings", "optimize", "--restarts", 1],
+    )
+    assert [run([*argv, "--out", tmp_path / "report.json"]) for argv in commands] == [0, 0, 0]
     capsys.readouterr()
 
 
@@ -822,8 +837,7 @@ BUDGET_MODULES = (*PLAIN, "csv", "fractions", *NUMERIC)
          (*PLAIN, "boundbell.bell")),
         (["bell", "--n", "8", "--settings", "optimize", "--restarts", "1"],
          (*PLAIN, "boundbell.bell")),
-        (["scan", "--input", "rho11.json", "--out", "scan11.json"],
-         (*PLAIN, "boundbell.ppt", "boundbell.states")),
+        (["scan", "--input", "rho11.json", "--out", "scan11.json"], (*PLAIN, "boundbell.ppt")),
         (["extract", "--random", "2,3,2", "--seed", "7", "--out", "extract.json"],
          (*PLAIN, "boundbell.extraction", "boundbell.states")),
         (["extract", "--input", "rho5.ghz.json", "--out", "extract5.json"],

@@ -32,6 +32,7 @@ from helpers import (
     equalize_filter,
     party_ranks,
     tensor_product,
+    tensordot_reduce_to_parties,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,7 +78,7 @@ def test_profile_ranks_match_schmidt_decomposition(extraction_corpus):
             if step is not None:
                 state = replay(state, [step])
             for party, rank in party_ranks(state):
-                assert rank == schmidt(state, (party,))[0].size, (name, party)
+                assert rank == schmidt(state, party)[0].size, (name, party)
 
 
 @pytest.mark.parametrize("second, rank", [(1e-9, 2), (1e-11, 1)])
@@ -90,7 +91,7 @@ def test_profile_ranks_beside_the_cutoff(second, rank):
         amps[-1] = second
         psi = PureState(layout, amps)
         for party, r in party_ranks(psi):
-            assert r == rank == schmidt(psi, (party,))[0].size
+            assert r == rank == schmidt(psi, party)[0].size
 
 
 # ---------------------------------------------------------------- equalize
@@ -111,7 +112,7 @@ def test_equalize_skewed_two_qubit():
     psi = PureState(PartyLayout.qubits(2), amps)
     fop, post, weight = equalize_filter(psi, 1)
     assert abs(weight - 0.2) < 1e-12
-    coeffs, _, _ = schmidt(post, (1,))
+    coeffs, _, _ = schmidt(post, 1)
     np.testing.assert_allclose(coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-10)
 
 
@@ -124,11 +125,11 @@ def test_equalize_ghz_any_party():
 
 def test_equalize_truncates_higher_rank():
     psi = random_pure(PartyLayout((3, 3)), seed=32)
-    coeffs, _, _ = schmidt(psi, (1,))
+    coeffs, _, _ = schmidt(psi, 1)
     assert coeffs.size == 3
     _, post, weight = equalize_filter(psi, 1)
     assert abs(weight - 2 * coeffs[1] ** 2) < 1e-12
-    post_coeffs, _, _ = schmidt(post, (1,))
+    post_coeffs, _, _ = schmidt(post, 1)
     assert post_coeffs.size == 2
     np.testing.assert_allclose(post_coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-10)
 
@@ -388,6 +389,26 @@ def test_extract_final_state_matches_full_reduction():
         np.testing.assert_allclose(reduced.amplitudes, res.final_state.amplitudes, rtol=0, atol=1e-12)
 
 
+def test_reduce_to_parties_is_bit_identical_to_tensordot(extraction_corpus):
+    # a discarded party is contracted as its factor times its party matrix; the
+    # bits must be those of np.tensordot over its axis, on random layouts and
+    # kept sets and on the replayed states whose pair extract keeps
+    rng = np.random.default_rng(27)
+    cases = []
+    for seed in range(300):
+        n = int(rng.integers(2, 7))
+        dims = tuple(int(d) for d in rng.integers(2, 5, size=n))
+        keep = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+        cases.append((random_pure(PartyLayout(dims), seed), tuple(sorted(keep.tolist()))))
+    for _, psi in list(extraction_corpus[:60]) + list(_five_and_six_party_states()):
+        res = extract(psi)
+        cases.append((replay(psi, res.steps), res.pair))
+    for psi, keep in cases:
+        got, want = reduce_to_parties(psi, keep), tensordot_reduce_to_parties(psi, keep)
+        assert got.layout == want.layout, (psi.layout, keep)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), (psi.layout, keep)
+
+
 def test_step_weights_match_the_replayed_state(extraction_corpus):
     # extract computes its weights on the live state, without the projected
     # pivots; each must be the weight of its filter on the replayed input state
@@ -401,19 +422,42 @@ def test_step_weights_match_the_replayed_state(extraction_corpus):
             state = PureState(state.layout, vec / np.sqrt(weight))
 
 
+def _record_decompositions(monkeypatch) -> list:
+    """The (live state, party, Schmidt rank) of each ``schmidt`` call ``extract`` makes."""
+    calls = []
+    real = extraction.schmidt
+
+    def record(psi, party):
+        out = real(psi, party)
+        calls.append((psi, party, out[0].size))
+        return out
+
+    monkeypatch.setattr(extraction, "schmidt", record)
+    return calls
+
+
+def _pivots_and_later(calls) -> tuple[list, list]:
+    """Each round's (live state, pivot), the first party of rank >= 2 on that
+    state, and the parties decomposed on a round's state after its pivot."""
+    pivots, later = {}, []
+    for live, party, rank in calls:
+        if id(live) in pivots:
+            later.append(party)
+        elif rank >= 2:
+            pivots[id(live)] = (live, party)
+    return list(pivots.values()), later
+
+
 def test_case_b_rounds_continue_on_the_equalized_branches(extraction_corpus, monkeypatch):
     # extract reads a case-B round's branch off the rows of the pivot's Schmidt
     # decomposition; the oracle applies the equalize filter to the same live
     # state and splits and normalizes the result
-    calls = []
-    real = extraction.schmidt
-    monkeypatch.setattr(extraction, "schmidt", lambda psi, cut: calls.append((psi, cut)) or real(psi, cut))
+    calls = _record_decompositions(monkeypatch)
     rounds = 0
     for case_id, psi in list(extraction_corpus) + list(_five_and_six_party_states()):
         calls.clear()
         projects = [step.op for step in extract(psi).steps if step.op.kind == "project"]
-        pivots = {id(live): (live, cut[0]) for live, cut in calls}  # the last cut of a round is its pivot
-        lives = list(pivots.values())
+        lives = _pivots_and_later(calls)[0]
         assert len(lives) == len(projects) + 1, case_id
         for (live, pivot), (after, _), project in zip(lives, lives[1:], projects):
             info = classify_branch(equalize_filter(live, pivot)[1], pivot)
@@ -449,7 +493,7 @@ def test_a_case_b_round_runs_one_svd_per_decomposition(monkeypatch):
     real_svd, real_schmidt = np.linalg.svd, extraction.schmidt
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
     monkeypatch.setattr(
-        extraction, "schmidt", lambda psi, cut: starts.append((psi, len(svds))) or real_schmidt(psi, cut)
+        extraction, "schmidt", lambda psi, party: starts.append((psi, len(svds))) or real_schmidt(psi, party)
     )
     for seed, psi in _five_and_six_party_states():
         starts.clear()
@@ -505,24 +549,24 @@ def _pair_with_a_product_rest(c1, theta, rest):
 
 
 def test_rank_check_falls_back_to_the_svd_where_the_purity_cannot_certify(monkeypatch):
-    ranks = []
-    real = extraction._single_party_rank
-    monkeypatch.setattr(extraction, "_single_party_rank", lambda psi, p: ranks.append(p) or real(psi, p))
+    # the fallback is a Schmidt decomposition of a later party on the pivot's state
+    calls = _record_decompositions(monkeypatch)
     extract(random_pure(PartyLayout((2, 3, 2, 2)), 4))
-    assert ranks == []  # every round certified by a purity
+    assert _pivots_and_later(calls)[1] == []  # every round certified by a purity
     # parties 1 and 2 share the coefficients (~1, 1e-6): party 2's purity,
     # 1 - 2e-12, is above the certificate's threshold; the SVD finds rank 2
+    calls.clear()
     res = extract(_pair_with_a_product_rest(1e-6, np.pi / 2, 2))
-    assert ranks == [2] and res.pair == (1, 2)
+    assert _pivots_and_later(calls)[1] == [2] and res.pair == (1, 2)
     assert res.probability == pytest.approx(2e-12, rel=1e-9)
     # party 1 at s2 = 1.3e-10 against five parties at 6e-11 each: every later
     # party takes the SVD and reports rank 1
-    ranks.clear()
+    calls.clear()
     psi = _pair_with_a_product_rest(1e-5, 6e-6, 5)
     assert [brute_single_rank(psi, p) for p in range(1, 7)] == [2, 1, 1, 1, 1, 1]
     with pytest.raises(extraction.NumericDegeneracyError, match=r"exactly one party \(1\)"):
         extract(psi)
-    assert ranks == [2, 3, 4, 5, 6]
+    assert _pivots_and_later(calls)[1] == [2, 3, 4, 5, 6]
 
 
 def test_biorthogonal_op_matches_the_pinv_formulation():
@@ -548,7 +592,7 @@ def test_extract_coefficients_are_schmidts(extraction_corpus):
     states = [psi for _, psi in extraction_corpus] + [ghz(n, a) for n in range(2, 11) for a in (0.0, 0.7)]
     for psi in states:
         res = extract(psi)
-        c = schmidt(res.final_state, (1,))[0]
+        c = schmidt(res.final_state, 1)[0]
         assert repr(res.schmidt_coeffs) == repr((float(c[0]), float(c[1]) if c.size > 1 else 0.0))
 
 

@@ -27,7 +27,7 @@ def test_ghz_amplitudes():
 
 
 def test_ghz_schmidt_phase_independent():
-    coeffs, _, _ = schmidt(ghz(4, 0.3), (1,))
+    coeffs, _, _ = schmidt(ghz(4, 0.3), 1)
     np.testing.assert_allclose(coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
 
 
@@ -151,6 +151,6 @@ def test_random_pure_generic_full_rank():
     full = 0
     for seed in range(1000):
         psi = random_pure(layout, seed)
-        if all(schmidt(psi, (p,))[0].size == 2 for p in (1, 2, 3)):
+        if all(schmidt(psi, p)[0].size == 2 for p in (1, 2, 3)):
             full += 1
     assert full == 1000  # full Schmidt rank everywhere is measure-one

@@ -1,7 +1,5 @@
 """Tensor-core tests: encoding, partial ops, eigensolves, Schmidt, filters."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -43,7 +41,7 @@ from helpers import (
     traced_peak,
     transpose_matricize,
 )
-from boundbell.tensor import _TIE_TOL, _matricize, _party_matrix
+from boundbell.tensor import _TIE_TOL, _party_matrix
 
 
 def qubit(amp0, amp1):
@@ -411,7 +409,7 @@ def test_hermitian_eigenvalues_pass_matrices_without_tiny_entries_unchanged():
 
 def test_schmidt_ghz_single_party():
     for alpha in (0.0, 0.3, np.pi):
-        coeffs, left, _ = schmidt(ghz(4, alpha), (1,))
+        coeffs, left, _ = schmidt(ghz(4, alpha), 1)
         np.testing.assert_allclose(coeffs, [2**-0.5, 2**-0.5], atol=1e-12)
         # degenerate pair resolves onto computational axes, |0> first
         np.testing.assert_allclose(left[:, 0], [1, 0], atol=1e-12)
@@ -441,7 +439,7 @@ def _uniform_superposition(dims, indices) -> PureState:
 )
 def test_schmidt_left_vectors_are_fixed_axes(psi, coeffs, left):
     for party in range(1, psi.layout.num_parties + 1):
-        c, u, _ = schmidt(psi, (party,))
+        c, u, _ = schmidt(psi, party)
         np.testing.assert_allclose(c, coeffs, atol=1e-15)
         np.testing.assert_allclose(u, left, rtol=0, atol=1e-15)
         pivots = u[np.argmax(np.abs(u) > 1e-12, axis=0), range(c.size)]
@@ -457,7 +455,7 @@ def test_schmidt_tie_gap_beside_the_tolerance(gap, rebased):
     c = np.array([0.6, 0.6 - gap, 0.0])
     c[2] = np.sqrt(1 - c[0] ** 2 - c[1] ** 2)
     psi = PureState(PartyLayout((3, 3)), (q * c).reshape(-1))  # sum_k c_k q_k (x) |k>
-    coeffs, left, right = schmidt(psi, (1,))
+    coeffs, left, right = schmidt(psi, 1)
     assert coeffs.size == 3 and (abs(coeffs[0] - coeffs[1]) <= _TIE_TOL) == rebased
     np.testing.assert_allclose((left * coeffs) @ right, psi.amplitudes.reshape(3, 3), rtol=0, atol=1e-12)
     # re-based, the first vector is axis 0 projected onto the tied span
@@ -491,36 +489,35 @@ def _schmidt_bit_cases():
 
 def test_schmidt_phase_fix_is_bit_identical_to_a_per_column_loop():
     # schmidt fixes the phases of all kept columns in one step, finds tied runs
-    # in a Python loop and matricizes a one-party cut by _party_matrix; the bits,
-    # signed zeros included, must be those of the per-column loop over np.diff's
-    # runs and a generic transpose, on every bipartition
+    # in a Python loop and matricizes by _party_matrix; the bits, signed zeros
+    # included, must be those of the per-column loop over np.diff's runs and a
+    # generic transpose, at every party
     for name, psi in _schmidt_bit_cases():
-        n = psi.layout.num_parties
-        for size in range(1, n):
-            for cut in itertools.combinations(range(1, n + 1), size):
-                got, want = schmidt(psi, cut), reference_schmidt(psi, cut)
-                for a, b in zip(got, want):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, cut)
+        for party in range(1, psi.layout.num_parties + 1):
+            got, want = schmidt(psi, party), reference_schmidt(psi, (party,))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, party)
 
 
 def test_one_party_matricize_is_bit_identical_to_the_transpose_route():
     for name, psi in _schmidt_bit_cases():
+        t = psi.amplitudes.reshape(psi.layout.dims)
         for party in range(1, psi.layout.num_parties + 1):
-            got, want = _matricize(psi, (party,)), transpose_matricize(psi, (party,))
+            got, want = _party_matrix(t, party - 1), transpose_matricize(psi, (party,))
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, party)
 
 
 def test_schmidt_product_state():
     psi = tensor_product([qubit(1, 1), qubit(1, 0), qubit(2, 1)])
-    for cut in [(1,), (2,), (1, 3)]:
-        coeffs, _, _ = schmidt(psi, cut)
+    for party in (1, 2, 3):
+        coeffs, _, _ = schmidt(psi, party)
         assert coeffs.size == 1
         assert abs(coeffs[0] - 1.0) < 1e-12
 
 
 def test_schmidt_matches_reduced_spectrum_oracle():
     psi = random_pure(PartyLayout((3, 3)), seed=77)
-    coeffs, _, _ = schmidt(psi, (1,))
+    coeffs, _, _ = schmidt(psi, 1)
     # oracle: eigenvalues of the explicitly contracted reduced operator
     eigs = np.sort(np.linalg.eigvalsh(brute_reduced_operator(psi, 1)))[::-1]
     np.testing.assert_allclose(coeffs**2, eigs[: coeffs.size], atol=1e-12)
@@ -533,27 +530,25 @@ def test_schmidt_reconstruction_fidelity():
         dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
         layout = PartyLayout(dims)
         psi = random_pure(layout, int(rng.integers(0, 10**9)))
-        size = int(rng.integers(1, n))
-        cut = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False)))
-        coeffs, lefts, rights = schmidt(psi, cut)
+        party = int(rng.integers(1, n + 1))
+        coeffs, lefts, rights = schmidt(psi, party)
         rebuilt = np.zeros(layout.dim, dtype=complex)
-        rest = tuple(p for p in range(1, n + 1) if p not in cut)
-        perm = [p - 1 for p in cut] + [p - 1 for p in rest]
-        inv = np.argsort(perm)
+        shape = (dims[party - 1],) + dims[: party - 1] + dims[party:]  # the party first
         for c, left, right in zip(coeffs, lefts.T, rights):
             term = c * np.outer(left, right)
-            shaped = term.reshape([dims[i] for i in perm]).transpose(inv)
-            rebuilt += shaped.reshape(layout.dim)
+            rebuilt += np.moveaxis(term.reshape(shape), 0, party - 1).reshape(layout.dim)
         fidelity = abs(np.vdot(rebuilt, psi.amplitudes)) ** 2
         assert fidelity >= 1 - 1e-10
 
 
 def test_schmidt_bad_bipartition():
-    psi = random_pure(PartyLayout((2, 2)), seed=1)
-    with pytest.raises(ValueError):
-        schmidt(psi, ())
-    with pytest.raises(ValueError):
-        schmidt(psi, (1, 2))
+    # one party is cut from the rest: no index outside 1..N, no float or bool,
+    # no collection of parties
+    psi = random_pure(PartyLayout((2, 3, 2)), seed=1)
+    for party in (0, 4, -1, 1.5, 1.0, True, False, None, "1", (), (1,), (1, 2)):
+        with pytest.raises(ValueError):
+            schmidt(psi, party)
+    assert schmidt(psi, np.int64(2))[0].size == 3
 
 
 # ---------------------------------------------------------------- apply_local
@@ -578,7 +573,7 @@ def test_apply_local_projector_on_ghz():
 
 def test_apply_local_balancing_filter():
     psi = random_pure(PartyLayout((2, 2, 2)), seed=15)
-    coeffs, left, _ = schmidt(psi, (1,))
+    coeffs, left, _ = schmidt(psi, 1)
     lam0, lam1 = coeffs[0], coeffs[1]
     u0 = left[:, 0]
     u1 = left[:, 1]
@@ -586,7 +581,7 @@ def test_apply_local_balancing_filter():
     vec, weight = apply_local(psi, FilterOperator(1, op, "equalize"))
     assert weight > 0
     post = PureState(psi.layout, vec / np.sqrt(weight))
-    post_coeffs, _, _ = schmidt(post, (1,))
+    post_coeffs, _, _ = schmidt(post, 1)
     assert abs(post_coeffs[0] - post_coeffs[1]) < 1e-10
 
 
