@@ -20,13 +20,13 @@ Every command loads this module, :mod:`boundbell.family` and
 :mod:`boundbell.serialize` (standard library only); ``csv`` loads only
 under ``--format csv``.  The rest depends on the command:
 
-* ``state``, ``sweep``, ``scan --n`` and ``bell --n`` with x/y settings answer
-  from the family's closed forms; ``scan`` and ``sweep`` add ``fractions``
-  for the exact PPT minima.  Their verdicts are exact, so no tolerance moves them.
-* ``bell --n`` with a settings file, and ``bell --input`` with x/y or file
+* ``state``, ``sweep`` and ``scan --n`` answer from the family's closed
+  forms; ``scan`` and ``sweep`` add ``fractions`` for the exact PPT minima.
+  Their verdicts are exact, so no tolerance moves them.
+* ``bell --n`` with x/y or file settings, and ``bell --input`` with those
   settings on a file of at most PLAIN_MAX_ENTRIES (4,096) entries, sum the
-  entries in plain Python: below that size starting numpy costs more than
-  checking the file and summing it (see ``cmd_bell``).
+  entries exactly in plain Python: below that size starting numpy costs
+  more than checking the file and summing it (see ``cmd_bell``).
 * The other paths load numpy and :mod:`boundbell.tensor`, with the numeric
   modules that each command imports where it calls them: :mod:`boundbell.bell`
   for ``bell`` on a larger file or under ``--settings optimize``;
@@ -46,7 +46,6 @@ import argparse
 import contextlib
 import importlib
 import io
-import math
 import os
 import sys
 from pathlib import Path
@@ -71,6 +70,7 @@ from .family import (
     never_violates,
     operator_obj,
     scan_reports,
+    tolerance,
     xy_value,
 )
 from .serialize import (
@@ -127,14 +127,6 @@ def _config(args, **resolved) -> dict:
     it, else as the command's option of that name, else None."""
     given = {**vars(args), **resolved}
     return {key: given.get(key) for key in _CONFIG_KEYS}
-
-
-def tolerance(text) -> float:
-    """Parse a --tol or BOUNDBELL_TOL value: a finite, non-negative number."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"tolerance must be a finite non-negative number, got {text!r}")
-    return value
 
 
 def _violates(value: float, tol: float) -> bool:
@@ -271,10 +263,9 @@ def cmd_bell(args) -> tuple:
 
     ``--tol`` (or BOUNDBELL_TOL) is the verdict's margin only: the optimizer
     stops at its own DEFAULT_OPT_TOL, so a tolerance never moves the optimum.
-    Family members with x/y settings take the closed form.  With a settings
-    file a member's entries (:func:`family.operator_obj`), and with x/y or
-    file settings an operator file of at most PLAIN_MAX_ENTRIES entries, are
-    checked and summed in plain Python (:func:`serialize.operator_entries_from_obj`,
+    With x/y or file settings a member's entries (:func:`family.operator_obj`),
+    and an operator file of at most PLAIN_MAX_ENTRIES entries, are checked
+    and summed in plain Python (:func:`serialize.operator_entries_from_obj`,
     :func:`family.entries_bell_value`), which never imports numpy.  Median
     wall times of a CLI child on random 10-qubit files (Python 3.11, numpy
     2.4, one Xeon core), numpy path against plain path: 138 against 85 ms at
@@ -293,29 +284,25 @@ def cmd_bell(args) -> tuple:
         [("--input", args.input), ("--settings", settings_file)],
     )
     spec = _family_source(args)
-    if spec is not None and args.settings == "xy":  # the closed form
-        n, alpha = spec.n, spec.alpha
-        settings, value = BellSettings.xy(n), xy_value(spec)
-        violation = _violates(value, 0.0)
-    else:
-        obj = load_json(args.input) if spec is None else operator_obj(spec)
-        if optimized or _entry_count(obj) > PLAIN_MAX_ENTRIES:
-            from .bell import bell_value as evaluate, optimize_settings
+    obj = load_json(args.input) if spec is None else operator_obj(spec)
+    if optimized or _entry_count(obj) > PLAIN_MAX_ENTRIES:
+        from .bell import bell_value as evaluate, optimize_settings
 
-            rho = operator_from_obj(obj)
-        else:  # a family member's 2N+4 entries, or a small file
-            rho, evaluate = operator_entries_from_obj(obj), entries_bell_value
-        n = rho.layout.num_parties
-        alpha = None if spec is None else spec.alpha
-        if optimized:
-            settings, value = optimize_settings(rho, restarts=args.restarts, seed=args.seed)
-        else:
-            settings = (
-                BellSettings.xy(n) if settings_file is None
-                else settings_from_obj(load_json(settings_file))
-            )
-            value = evaluate(rho, settings)
-        violation = _violates(value, args.tol) and not (spec is not None and never_violates(spec.n))
+        rho = operator_from_obj(obj)
+    else:  # a family member's 2N+4 entries, or a small file
+        rho, evaluate = operator_entries_from_obj(obj), entries_bell_value
+    n = rho.layout.num_parties
+    alpha = None if spec is None else spec.alpha
+    if optimized:
+        settings, value = optimize_settings(rho, restarts=args.restarts, seed=args.seed)
+    else:
+        settings = (
+            BellSettings.xy(n) if settings_file is None
+            else settings_from_obj(load_json(settings_file))
+        )
+        value = evaluate(rho, settings)
+    tol = 0.0 if spec is not None and args.settings == "xy" else args.tol  # exact: see _violates
+    violation = _violates(value, tol) and not (spec is not None and never_violates(spec.n))
     if args.settings_out:
         dump_json(settings_to_obj(settings), args.settings_out)
 

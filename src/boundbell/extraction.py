@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .family import NotEntangledError, NumericDegeneracyError, PairUnavailableError, _integers
+from .family import NotEntangledError, NumericDegeneracyError, PairUnavailableError, _party_index
 from .tensor import (
     SCHMIDT_CUTOFF,
     FilterOperator,
@@ -179,14 +179,15 @@ def _distinct_factors(phi0: PureState, phi1: PureState, others) -> dict[int, tup
 def target_pair_choice(surviving_parties, requested=None) -> tuple[int, int]:
     """Pick the pair to keep: the two lowest survivors, unless overridden.
 
-    Raises ValueError on a non-integral party index (1.7 is not cut to 1).
+    Raises ValueError on an index that is not an integer, 1.0 and True
+    included (:func:`family._party_index`, the rule of ``PartyLayout.dim_of``).
     """
-    survivors = tuple(sorted(set(_integers(surviving_parties, "surviving parties"))))
+    survivors = tuple(sorted(set(map(_party_index, surviving_parties))))
     if len(survivors) < 2:
         raise ValueError("need at least two surviving parties")
     if requested is None:
         return survivors[0], survivors[1]
-    pair = tuple(sorted(set(_integers(requested, "requested pair"))))
+    pair = tuple(sorted(set(map(_party_index, requested))))
     if len(pair) != 2 or not set(pair) <= set(survivors):
         raise PairUnavailableError(
             f"requested pair {requested} not contained in survivors {survivors}"

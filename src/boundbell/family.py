@@ -17,8 +17,8 @@ that they share with the numpy-backed modules, which import them from here:
 the party layout, the family's spec, the PPT report and verdict records, the
 Bell settings record with the optimizer's defaults, Mermin's product form
 summed over an operator's listed entries (:func:`entries_bell_value`, the
-plain path of ``bell --input`` for small files), and the three errors of
-the extraction protocol, each with its own exit code.  The records are slotted
+plain path of ``bell --n`` and of ``bell --input`` for small files), and the
+three errors of the extraction protocol, each with its own exit code.  The records are slotted
 classes and named tuples, not dataclasses: ``dataclasses`` imports
 ``inspect``, about 10 ms of every CLI child's start-up.  ``fractions`` loads
 only when a PPT minimum is asked for.
@@ -59,10 +59,21 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return ints
 
 
-def _check_tolerance(tol: float) -> None:
-    """ValueError unless ``tol`` is a finite, non-negative number."""
+def _party_index(party) -> int:
+    """``party`` as an int; ValueError unless it is an integer (no bool, and no
+    float such as 1.0, which :func:`_integers` takes for counts: 4.0 is 4)."""
+    if isinstance(party, bool) or not hasattr(party, "__index__"):
+        raise ValueError(f"party index must be an integer, got {party!r}")
+    return int(party)
+
+
+def tolerance(value) -> float:
+    """``value`` (a number, or the text of --tol or BOUNDBELL_TOL) as a float;
+    ValueError, quoting ``value`` as given, unless finite and non-negative."""
+    tol = float(value)
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+        raise ValueError(f"tolerance must be a finite non-negative number, got {value!r}")
+    return tol
 
 
 def dense_size(size: int) -> int:
@@ -141,6 +152,7 @@ class PartyLayout(_Record):
 
     @classmethod
     def qubits(cls, n: int) -> "PartyLayout":
+        (n,) = _integers((n,), "qubit count")
         if n < 1:
             raise ValueError("need at least one qubit")
         return cls((2,) * n)
@@ -157,25 +169,19 @@ class PartyLayout(_Record):
 
     def dim_of(self, party: int) -> int:
         """Local dimension of ``party``; ValueError unless it is an integer in
-        1..N (a bool or a float such as 1.0 is none)."""
-        if isinstance(party, bool) or not hasattr(party, "__index__"):
-            raise ValueError(f"party index must be an integer, got {party!r}")
-        self._check_party(party)
-        return self.dims[party - 1]
-
-    def _check_party(self, party: int) -> None:
-        if not 1 <= party <= self.num_parties:
-            raise ValueError(
-                f"party index {party} out of range 1..{self.num_parties}"
-            )
+        1..N (a bool or a float such as 1.0 is none, see :func:`_party_index`)."""
+        p = _party_index(party)
+        if not 1 <= p <= len(self.dims):
+            raise ValueError(f"party index {p} out of range 1..{len(self.dims)}")
+        return self.dims[p - 1]
 
     def check_subset(
         self, parties, *, nonempty: bool = False, proper: bool = False
     ) -> tuple[int, ...]:
         """Validate a collection of party indices, returning them sorted."""
-        subset = tuple(sorted(set(_integers(parties, "party indices"))))
+        subset = tuple(sorted(set(map(_party_index, parties))))  # checked before a set joins True and 1
         for p in subset:
-            self._check_party(p)
+            self.dim_of(p)
         if nonempty and not subset:
             raise ValueError("subset of parties must not be empty")
         if proper and len(subset) == self.num_parties:
@@ -372,7 +378,8 @@ def xy_value(spec: RhoFamilySpec) -> float:
     sigma_x + i sigma_y = 2|0><1| at each party, so only the entry
     <1...1|rho_N|0...0> = e^{i alpha}/(2(N+1)) meets a nonzero product, 2^N:
     the value is Re[c_N e^{i alpha}] 2^(N-1)/(N+1), that is
-    2^((N-1)/2)/(N+1) at the default phase.
+    2^((N-1)/2)/(N+1) at the default phase.  ``sweep`` prints it; ``bell
+    --n`` sums the member's entries (:func:`entries_bell_value`) to the same bits.
     """
     n = spec.n
     corner = complex(0.5) * _phase(spec.alpha) * complex(1.0 / (n + 1))

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .family import (
-    DEFAULT_PPT_TOL, MAX_GLOBAL_DIM, NOT_PSD, PSD, PptReport, Verdicts, _check_tolerance, dense_size,
+    DEFAULT_PPT_TOL, MAX_GLOBAL_DIM, NOT_PSD, PSD, PptReport, Verdicts, dense_size, tolerance,
 )
 from .tensor import DensityOperator, hermitian_eigenvalues, partial_transpose
 
@@ -76,7 +76,7 @@ def _min_eigenvalue(op: DensityOperator) -> float:
 
 def ppt_check(rho: DensityOperator, subset, tol: float = DEFAULT_PPT_TOL) -> PptReport:
     """Check positivity of the partial transpose on ``subset`` (tol finite, >= 0)."""
-    _check_tolerance(tol)
+    tol = tolerance(tol)
     parties = rho.layout.check_subset(subset, nonempty=True, proper=True)
     min_eig = _min_eigenvalue(partial_transpose(rho, parties))
     threshold = -tol * max(1.0, rho.trace)

@@ -19,6 +19,7 @@ from boundbell import (
     BellSettings, PartyLayout, PureState, RhoFamilySpec, bell_value, ghz, rho_family,
 )
 from boundbell.cli import main
+from boundbell.family import xy_value
 from boundbell.serialize import (
     dump_json,
     load_json,
@@ -150,12 +151,11 @@ def test_bell_input_of_family_files_matches_the_closed_form(tmp_path, alpha):
     # x/y terms are 0 and rho[1...1, 0...0] 2^N, so the plain sum is exact
     for n in range(2, 32):
         phase = [] if alpha is None else ["--alpha", alpha]
-        src, closed, plain = (tmp_path / f"{name}{n}.json" for name in ("rho", "closed", "plain"))
+        src, plain = (tmp_path / f"{name}{n}.json" for name in ("rho", "plain"))
         assert run(["state", "--n", n, *phase, "--out", src]) == 0
-        assert run(["bell", "--n", n, *phase, "--out", closed]) == 0
         assert run(["bell", "--input", src, "--tol", 0, "--out", plain]) == 0
         value = load_json(plain)["value"]
-        assert value == load_json(closed)["value"], n
+        assert value == xy_value(RhoFamilySpec(n, alpha)), n
         verdict = n >= 8 if alpha is None else abs(value) > 1.0  # exactly 1.0 at N = 7
         assert load_json(plain)["violation"] is verdict, (n, value)
 
@@ -448,11 +448,14 @@ def test_malformed_state_file_exit_code(tmp_path, text):
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("command", ["scan", "bell", "sweep"])
-def test_bad_tolerance_exit_code(monkeypatch, command, tol):
+def test_bad_tolerance_exit_code(monkeypatch, capsys, command, tol):
+    # one check (family.tolerance) for --tol, BOUNDBELL_TOL and ppt_check, quoting the text given
     argv = [command] + (["--n-max", 4] if command == "sweep" else ["--n", 4])
     assert exit_code(argv + ["--tol", tol]) == 2
+    assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
     monkeypatch.setenv("BOUNDBELL_TOL", tol)
     assert exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: tolerance must be a finite non-negative number, got '{tol}'\n"
 
 
 def test_extract_ghz(tmp_path):

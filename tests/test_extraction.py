@@ -239,12 +239,15 @@ def test_target_pair_choice_rules():
     assert target_pair_choice({1, 4}, requested=(1, 4)) == (1, 4)
     with pytest.raises(PairUnavailableError):
         target_pair_choice({1, 2, 3}, requested=(1, 5))
-    # a plain ValueError: 1.7 is malformed, not a party that failed to survive
-    for survivors, requested in [((1, 2, 3), (1.7, 2.2)), ((1, 2.5, 3), None)]:
+    # a plain ValueError: 1.7, 1.0 and True are malformed, not parties that failed to survive
+    for survivors, requested in [
+        ((1, 2, 3), (1.7, 2.2)), ((1, 2.5, 3), None), ((1, 2, 3), (1.0, 2)),
+        ((1, 2, 3), (True, 3)), ((1.0, 2, 3), None),
+    ]:
         with pytest.raises(ValueError) as err:
             target_pair_choice(survivors, requested)
         assert err.type is ValueError, (survivors, requested)
-    assert target_pair_choice((1, 2, 3), (1.0, np.int64(2))) == (1, 2)
+    assert target_pair_choice((1, 2, 3), (np.int64(1), 2)) == (1, 2)
 
 
 # ---------------------------------------------------------------- extract
@@ -285,11 +288,11 @@ def test_extract_requested_pair_unavailable():
 def test_extract_rejects_malformed_pair():
     # checked against the layout before the protocol runs: a plain ValueError,
     # not PairUnavailableError, which is for valid parties that do not survive
-    for pair in [(1, 1), (1, 9), (0, 2), (1, 2, 3), (1.7, 2.2)]:
+    for pair in [(1, 1), (1, 9), (0, 2), (1, 2, 3), (1.7, 2.2), (1.0, 2), (True, 2)]:
         with pytest.raises(ValueError) as err:
             extract(ghz(3, 0.0), pair=pair)
         assert err.type is ValueError, pair
-    assert extract(ghz(3, 0.0), pair=(1.0, np.int64(2))).pair == (1, 2)
+    assert extract(ghz(3, 0.0), pair=(np.int64(1), 2)).pair == (1, 2)
 
 
 def test_extract_spectator_factor_becomes_same_site():

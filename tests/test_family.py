@@ -13,8 +13,10 @@ from boundbell import (
     BellSettings, PartyLayout, PptReport, RhoFamilySpec, bell_value, classify_family, ghz, ppt_check,
     rho_family,
 )
+from boundbell.cli import build_parser, cmd_bell, cmd_sweep
 from boundbell.family import (
-    PSD, ghz_obj, min_eigenvalue, never_violates, operator_obj, scan_reports, xy_value,
+    DEFAULT_OPT_TOL, DEFAULT_PPT_TOL, PSD, ghz_obj, min_eigenvalue, never_violates, operator_obj,
+    scan_reports, xy_value,
 )
 from boundbell.serialize import canonical_dumps, operator_to_obj, state_to_obj
 from helpers import sparse_classify_family
@@ -83,6 +85,28 @@ def test_xy_value_is_bell_value_bit_for_bit():
         for alpha in PHASES:
             spec = RhoFamilySpec(n, alpha)
             assert repr(xy_value(spec)) == repr(bell_value(rho_family(spec), xy)), (n, alpha)
+
+
+def test_bell_n_sums_the_entries_to_the_closed_form_of_sweep():
+    # bell --n sums the member's 2N+4 entries (family.entries_bell_value); sweep
+    # keeps xy_value.  Both print the same value and verdict for every member
+    parser = build_parser()
+    texts = [None if alpha is None else repr(alpha) for alpha in PHASES]
+    sweep = parser.parse_args(["sweep", "--n-min", "2", "--n-max", "31", "--scan-max", "1"])
+    sweep.tol = DEFAULT_PPT_TOL
+    rows = []
+    for text in texts:
+        sweep.alpha = text
+        rows.append(cmd_sweep(sweep)[0]["rows"])
+    for n in range(2, 32):
+        args = parser.parse_args(["bell", "--n", str(n)])
+        args.tol = DEFAULT_OPT_TOL
+        for alpha, text, sweep_rows in zip(PHASES, texts, rows):
+            args.alpha = text
+            report, row = cmd_bell(args)[0], sweep_rows[n - 2]
+            value = repr(report["value"])
+            assert value == repr(xy_value(RhoFamilySpec(n, alpha))) == repr(row["bell_xy"]), (n, alpha)
+            assert report["violation"] is row["violation"], (n, alpha)
 
 
 def test_xy_value_at_the_default_phase():

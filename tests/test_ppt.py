@@ -1,5 +1,6 @@
 """Partial-transpose certification and the family's verdict logic."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -58,10 +59,10 @@ def test_ppt_check_rejects_bad_subsets():
         ppt_check(rho, (1, 2, 3))
     with pytest.raises(ValueError):
         ppt_check(rho, (4,))
-    with pytest.raises(ValueError):
-        ppt_check(rho, (1.9,))  # not truncated to party 1
-    for subset in [(1.0,), (np.int64(1),)]:
-        assert ppt_check(rho, subset).subset == (1,)
+    for subset in [(1.9,), (1.0,), (True,)]:  # not truncated or taken as party 1
+        with pytest.raises(ValueError):
+            ppt_check(rho, subset)
+    assert ppt_check(rho, (np.int64(1),)).subset == (1,)
 
 
 def test_scan_family_five_parties():
@@ -254,9 +255,9 @@ def test_scan_family_ten_parties_exact():
             assert abs(report.min_eigenvalue + 1 / (2 * (n + 1))) <= 1e-12, report
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1.0, float("inf")])
 def test_ppt_check_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"finite non-negative number, got {tol!r}")):
         ppt_check(rho_family(RhoFamilySpec(4)), (1,), tol)
 
 

@@ -36,6 +36,16 @@ def test_ghz_requires_two_parties():
         ghz(1, 0.0)
 
 
+def test_qubit_counts_take_the_rule_of_every_count():
+    # 2.5 is no count (a ValueError, not numpy's TypeError), and 3.0 is 3, as in RhoFamilySpec
+    for make in (PartyLayout.qubits, lambda n: ghz(n, 0.0)):
+        with pytest.raises(ValueError) as err:
+            make(2.5)
+        assert err.type is ValueError
+    assert PartyLayout.qubits(3.0) == PartyLayout.qubits(np.int64(3)) == PartyLayout((2, 2, 2))
+    assert ghz(3.0, 0.0).layout.dims == (2, 2, 2)
+
+
 def test_ghz_rejects_a_non_finite_phase():
     for alpha in (np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha must be finite"):

@@ -12,15 +12,18 @@ from boundbell import (
     apply_local,
     bell_value,
     classify_family,
+    extract,
     ghz,
     hermitian_eigenvalues,
     optimize_settings,
     partial_transpose,
     ppt_check,
     random_pure,
+    reduce_to_parties,
     rho_family,
     RhoFamilySpec,
     schmidt,
+    target_pair_choice,
 )
 from helpers import (
     basis_state,
@@ -549,6 +552,31 @@ def test_schmidt_bad_bipartition():
         with pytest.raises(ValueError):
             schmidt(psi, party)
     assert schmidt(psi, np.int64(2))[0].size == 3
+
+
+_PSI3 = ghz(3, 0.0)
+_RHO4 = rho_family(RhoFamilySpec(4))
+_PARTY_ENTRY_POINTS = {
+    "check_subset": lambda p: _PSI3.layout.check_subset((p, 3)),
+    "ppt_check": lambda p: ppt_check(_RHO4, (p,)),
+    "partial_transpose": lambda p: partial_transpose(_RHO4, (p, 3)),
+    "reduce_to_parties": lambda p: reduce_to_parties(_PSI3, (p, 2, 3)),
+    "extract": lambda p: extract(_PSI3, pair=(p, 3)),
+    "target_pair_choice": lambda p: target_pair_choice((1, 2, 3), (p, 3)),
+    "schmidt": lambda p: schmidt(_PSI3, p),
+    "apply_local": lambda p: apply_local(_PSI3, FilterOperator(p, np.eye(2), "project")),
+}
+
+
+@pytest.mark.parametrize("call", _PARTY_ENTRY_POINTS.values(), ids=_PARTY_ENTRY_POINTS)
+def test_every_entry_point_takes_party_indices_by_one_rule(call):
+    # PartyLayout.dim_of's rule: an integer, which no bool, float, text or None
+    # is, even where it equals one; a set would have made True and 1 one party
+    for party in (True, False, 1.0, 2.0, "1", None):
+        with pytest.raises(ValueError) as err:
+            call(party)
+        assert err.type is ValueError, party
+    call(np.int64(1))
 
 
 # ---------------------------------------------------------------- apply_local
